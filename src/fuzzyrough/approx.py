@@ -56,15 +56,20 @@ def _per_attribute_similarity(diff: np.ndarray, sigma: float) -> np.ndarray:
     return np.maximum(1.0 - diff / sigma, 0.0)
 
 
-def similarity_matrix(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    n, m = X.shape
+def _similarity_block(rows: np.ndarray, X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    m = X.shape[1]
     if m == 0:
         raise DomainError("similarity needs at least one attribute")
-    acc = np.zeros((n, n))
+    acc = np.zeros((rows.shape[0], X.shape[0]))
     for a in range(m):
-        diff = np.abs(X[:, a][:, None] - X[:, a][None, :])
+        diff = np.abs(rows[:, a][:, None] - X[:, a][None, :])
         acc += _per_attribute_similarity(diff, sigmas[a])
     return acc / m
+
+
+def similarity_matrix(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Pairwise similarities of the rows of X: the X-versus-X similarity block."""
+    return _similarity_block(X, X, sigmas)
 
 
 def build_similarity(ds: DecisionSystem) -> SimilarityRelation:
@@ -74,25 +79,21 @@ def build_similarity(ds: DecisionSystem) -> SimilarityRelation:
 
 
 def similarity_to_test(X_train: np.ndarray, sigmas: np.ndarray,
-                       test_row: np.ndarray) -> np.ndarray:
-    """Similarity of one out-of-sample instance to every training instance.
+                       test_rows: np.ndarray) -> np.ndarray:
+    """Similarity of out-of-sample instances to every training instance.
 
-    Uses the training-fold scales; the test instance never contributes to
-    sigma_a.
+    ``test_rows`` is one instance (giving a vector) or a 2-D block with one
+    instance per row (giving a rows x train block). Uses the training-fold
+    scales; test instances never contribute to sigma_a.
     """
-    test_row = np.asarray(test_row, dtype=float).ravel()
-    if test_row.size != X_train.shape[1]:
+    test_rows = np.asarray(test_rows, dtype=float)
+    block = test_rows if test_rows.ndim == 2 else test_rows.reshape(1, -1)
+    if block.shape[1] != X_train.shape[1]:
         raise DomainError("test instance is missing conditional attributes")
-    if not np.all(np.isfinite(test_row)):
+    if not np.all(np.isfinite(block)):
         raise DomainError("test instance values must be finite")
-    m = X_train.shape[1]
-    if m == 0:
-        raise DomainError("similarity needs at least one attribute")
-    acc = np.zeros(X_train.shape[0])
-    for a in range(m):
-        diff = np.abs(X_train[:, a] - test_row[a])
-        acc += _per_attribute_similarity(diff, sigmas[a])
-    return acc / m
+    sims = _similarity_block(block, X_train, sigmas)
+    return sims if test_rows.ndim == 2 else sims[0]
 
 
 def _element_index(r: SimilarityRelation, y) -> int:

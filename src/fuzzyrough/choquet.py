@@ -4,6 +4,11 @@ The integral of f against a capacity mu is computed along the sorted chain:
 sort f ascending, take suffix sets A*_i, and accumulate
 mu(A*_i) * (f(x*_i) - f(x*_{i-1})) with f(x*_0) = 0. For additive measures
 this is the weighted mean, for symmetric measures the OWA operator.
+
+Both operators take a leading row axis: a 2-D array of values is integrated
+row by row and gives one result per row, and a one-dimensional input is the
+one-row case of the same code. Each row's final product is its own
+``np.dot``, so a row's result is bit-identical to integrating it alone.
 """
 
 from __future__ import annotations
@@ -40,35 +45,58 @@ def _extract(f, mu: MonotoneMeasure | None = None) -> np.ndarray:
     elif isinstance(f, FuzzySet):
         values, universe = f.memberships, f.universe
     else:
-        values = np.asarray(f, dtype=float).ravel()
+        values = np.asarray(f, dtype=float)
+        if values.ndim != 2:
+            values = values.ravel()
         if not np.all(np.isfinite(values)):
             raise DomainError("values must be finite")
         universe = None
     if mu is not None:
-        if values.size != mu.n:
+        if values.shape[-1] != mu.n:
             raise DomainError("valuation and measure sizes differ")
+        if mu.rows is not None and (values.ndim != 2 or values.shape[0] != mu.rows):
+            raise DomainError("a stack of measures integrates one value row per measure")
         if universe is not None and mu.universe is not None and universe != mu.universe:
             raise DomainError("valuation and measure live on different universes")
     return values
 
 
-def choquet_integral(f, mu: MonotoneMeasure) -> float:
-    """Integrate f (Valuation, FuzzySet, or vector) against the capacity mu."""
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot of each row of a with b, or with the same row of a 2-D b."""
+    if b.ndim == 1:
+        return np.array([np.dot(row, b) for row in a])
+    return np.array([np.dot(x, y) for x, y in zip(a, b)])
+
+
+def choquet_integral(f, mu: MonotoneMeasure, order: np.ndarray | None = None):
+    """Integrate f (Valuation, FuzzySet, vector, or 2-D array) against the capacity mu.
+
+    A 2-D array integrates each row against mu, or against the matching
+    measure of a stack, and returns one float per row; anything else returns
+    a float. ``order`` may pass the stable ascending argsort of f along its
+    last axis when the caller already has it.
+    """
     values = _extract(f, mu)
-    order = np.argsort(values, kind="stable")
-    fs = values[order]
+    rows = np.atleast_2d(values)
+    if order is None:
+        order = np.argsort(rows, axis=-1, kind="stable")
+    order = np.atleast_2d(order)
+    fs = np.take_along_axis(rows, order, axis=-1)
     chain = mu.chain_values(order)
-    if len(fs) == 1:
-        return float(fs[0] * chain[0])
-    return float(fs[0] * chain[0] + np.dot(fs[1:] - fs[:-1], chain[1:]))
+    out = fs[:, 0] * chain[:, 0]
+    if fs.shape[1] > 1:
+        out += _dot_rows(fs[:, 1:] - fs[:, :-1], chain[:, 1:])
+    return out if values.ndim == 2 else float(out[0])
 
 
-def owa_values(values: np.ndarray, w: WeightVector) -> float:
+def owa_values(values: np.ndarray, w: WeightVector):
+    """OWA of a vector (a float), or of each row of a 2-D array (an array)."""
     values = np.asarray(values, dtype=float)
-    if values.size != len(w):
+    if values.ndim > 2 or values.shape[-1] != len(w):
         raise DomainError("value and weight lengths differ")
-    desc = values[np.argsort(-values, kind="stable")]
-    return float(np.dot(desc, w.weights))
+    desc = np.take_along_axis(values, np.argsort(-values, axis=-1, kind="stable"), axis=-1)
+    out = _dot_rows(np.atleast_2d(desc), w.weights)
+    return out if values.ndim == 2 else float(out[0])
 
 
 def owa(f, w: WeightVector) -> float:

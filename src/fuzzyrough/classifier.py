@@ -12,15 +12,21 @@ aggregation operator is what distinguishes the strategies:
   ts                 Choquet integral w.r.t. the two-block ordered measure
   comb               leave-one-out selection among the nine above
 
-All outlier-aware strategies consume per-class normalized outlier scores; the
-measures are rebuilt on each aggregated subset so their weights always live
-on the universe actually being aggregated.
+All outlier-aware strategies consume per-class normalized outlier scores, and
+their measures live on the universe each row actually aggregates.
+
+Scoring is batched. The similarities of a block of rows to the training fold
+are computed at once; for each class the values 1 - R of every row are sorted
+once, and all strategies read the same sorted rows: min, avg and owa (and
+their outlier-free variants) directly, fr, wowa and ts as Choquet integrals
+over the row axis. Comb's leave-one-out is the same computation on the
+training block with each row's own element deleted.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +35,7 @@ from .approx import attribute_scales, similarity_matrix, similarity_to_test
 from .choquet import choquet_integral, owa_values
 from .data import DecisionSystem
 from .measures import FuzzyRemovalMeasure, OrderedTwoSymmetricMeasure, WowaMeasure
-from .outliers import OutlierScores, scored_with_labels
+from .outliers import OutlierScores, scored_with_labels, top_fraction
 from .quantifiers import (
     AdditiveQuantifier,
     QuadraticQuantifier,
@@ -44,8 +50,6 @@ DISPLAY_NAMES = {
     "min": "Min", "mino": "Mino", "fr": "FR", "avg": "Avg", "avgo": "Avgo",
     "ts": "TS", "owa": "OWA", "owao": "OWAo", "wowa": "WOWA", "comb": "COMB",
 }
-
-_quantifier_cache: dict = {}
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,8 @@ class AggregatorSpec:
             raise DomainError(f"unknown aggregator {self.kind!r}; known: {AGGREGATOR_KINDS}")
         if self.quantifier not in ("additive", "quadratic"):
             raise DomainError("quantifier must be 'additive' or 'quadratic'")
+        if self.quantifier == "quadratic" and not 0.0 <= self.alpha < self.beta <= 1.0:
+            raise DomainError("quadratic quantifier requires 0 <= alpha < beta <= 1")
         if not 0.0 <= self.t <= 1.0:
             raise DomainError("t must lie in [0, 1]")
         if not 0.0 <= self.contamination < 1.0:
@@ -79,15 +85,8 @@ class AggregatorSpec:
 
     def quantifier_for(self, n: int) -> RIMQuantifier:
         if self.quantifier == "quadratic":
-            key = ("quadratic", self.alpha, self.beta)
-        else:
-            key = ("additive", n)
-        q = _quantifier_cache.get(key)
-        if q is None:
-            q = (QuadraticQuantifier(self.alpha, self.beta) if key[0] == "quadratic"
-                 else AdditiveQuantifier(n))
-            _quantifier_cache[key] = q
-        return q
+            return QuadraticQuantifier(self.alpha, self.beta)
+        return AdditiveQuantifier(n)
 
 
 def default_specs() -> list[AggregatorSpec]:
@@ -95,14 +94,68 @@ def default_specs() -> list[AggregatorSpec]:
     return [AggregatorSpec(kind=k) for k in AGGREGATOR_KINDS]
 
 
-def _subset_outlier_mask(o_sub: np.ndarray, contamination: float) -> np.ndarray:
-    n = o_sub.size
-    count = math.ceil(contamination * n)
-    mask = np.zeros(n, dtype=bool)
-    if count:
-        order = np.lexsort((np.arange(n), -o_sub))
-        mask[order[:count]] = True
-    return mask
+def _plain(kind: str, spec: AggregatorSpec, values: np.ndarray, asc: np.ndarray) -> np.ndarray:
+    """min, avg or owa of each row; ``asc`` holds the same rows sorted ascending."""
+    if kind == "min":
+        return asc[:, 0]
+    if kind == "avg":
+        return values.mean(axis=1)
+    n = asc.shape[1]
+    return owa_values(asc[:, ::-1], weights_from_quantifier(spec.quantifier_for(n), n))
+
+
+def _without_outliers(spec: AggregatorSpec, values, order, asc, labels) -> np.ndarray:
+    """mino, avgo and owao: the plain strategy over each row's unlabelled
+    elements, or over all of them when every element is labelled."""
+    kind = spec.kind[:-1]
+    keep = ~np.broadcast_to(labels, values.shape)
+    keep_sorted = np.take_along_axis(keep, order, axis=1)
+    counts = keep.sum(axis=1)
+    out = np.empty(values.shape[0])
+    for k in np.unique(counts):
+        rows = counts == k
+        if k == 0:
+            out[rows] = _plain(kind, spec, values[rows], asc[rows])
+        else:
+            out[rows] = _plain(kind, spec, values[rows][keep[rows]].reshape(-1, k),
+                               asc[rows][keep_sorted[rows]].reshape(-1, k))
+    return out
+
+
+def _aggregate_rows(values: np.ndarray, o: np.ndarray, labels: np.ndarray,
+                    specs: list[AggregatorSpec]) -> np.ndarray:
+    """Every row of ``values`` aggregated under every spec: (len(specs), rows).
+
+    ``o`` and ``labels`` hold the aggregated elements' outlier degrees and
+    crisp outlier labels, either one vector shared by all rows or one row
+    each. The rows are sorted once; every strategy reads that order.
+    """
+    # means run along contiguous rows, so each equals its one-row mean bit for bit
+    values = np.ascontiguousarray(values)
+    n = values.shape[1]
+    order = np.argsort(values, axis=1, kind="stable")
+    asc = np.take_along_axis(values, order, axis=1)
+    done: dict = {}
+    for spec in specs:
+        kind = spec.kind
+        if spec in done:
+            continue
+        if kind in ("min", "avg", "owa"):
+            done[spec] = _plain(kind, spec, values, asc)
+        elif kind in ("mino", "avgo", "owao"):
+            done[spec] = _without_outliers(spec, values, order, asc, labels)
+        elif kind == "fr":
+            done[spec] = choquet_integral(values, FuzzyRemovalMeasure(o, spec.tnorm), order)
+        elif kind == "wowa":
+            mu = WowaMeasure(spec.quantifier_for(n), o)
+            done[spec] = choquet_integral(values, mu, order)
+        elif kind == "ts":
+            mu = OrderedTwoSymmetricMeasure(spec.quantifier_for(n), o, spec.t,
+                                            spec.contamination)
+            done[spec] = choquet_integral(values, mu, order)
+        else:
+            raise DomainError("comb must be resolved to a concrete strategy before aggregation")
+    return np.array([done[spec] for spec in specs])
 
 
 def aggregate(values, o_sub, spec: AggregatorSpec, outliers=None) -> float:
@@ -111,7 +164,8 @@ def aggregate(values, o_sub, spec: AggregatorSpec, outliers=None) -> float:
     ``o_sub`` holds the outlier degrees of the aggregated elements; for the
     crisp-exclusion strategies ``outliers`` may pass precomputed labels,
     otherwise the contamination rule is applied to the subset itself. When
-    exclusion would empty the subset the unrestricted variant is used.
+    exclusion would empty the subset the unrestricted variant is used. This
+    is the one-row case of the batched scoring.
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
@@ -119,68 +173,97 @@ def aggregate(values, o_sub, spec: AggregatorSpec, outliers=None) -> float:
     o_sub = np.asarray(o_sub, dtype=float).ravel()
     if o_sub.shape != values.shape:
         raise DomainError("outlier degrees must align with the values")
-    kind = spec.kind
-    n = values.size
-
-    if kind == "min":
-        return float(values.min())
-    if kind == "avg":
-        return float(values.mean())
-    if kind == "owa":
-        w = weights_from_quantifier(spec.quantifier_for(n), n)
-        return owa_values(values, w)
-
-    if kind in ("mino", "avgo", "owao"):
-        if outliers is None:
-            outliers = _subset_outlier_mask(o_sub, spec.contamination)
-        keep = ~np.asarray(outliers, dtype=bool)
-        if not keep.any():
-            return aggregate(values, o_sub, replace(spec, kind=kind[:-1]))
-        kept = values[keep]
-        if kind == "mino":
-            return float(kept.min())
-        if kind == "avgo":
-            return float(kept.mean())
-        w = weights_from_quantifier(spec.quantifier_for(kept.size), kept.size)
-        return owa_values(kept, w)
-
-    if kind == "fr":
-        return choquet_integral(values, FuzzyRemovalMeasure(o_sub, spec.tnorm))
-    if kind == "wowa":
-        return choquet_integral(values, WowaMeasure(spec.quantifier_for(n), o_sub))
-    if kind == "ts":
-        mu = OrderedTwoSymmetricMeasure(spec.quantifier_for(n), o_sub,
-                                        spec.t, spec.contamination)
-        return choquet_integral(values, mu)
-    raise DomainError("comb must be resolved to a concrete strategy before aggregation")
+    if outliers is None:
+        outliers = top_fraction(o_sub, spec.contamination)
+    labels = np.asarray(outliers, dtype=bool).ravel()
+    return float(_aggregate_rows(values[None], o_sub, labels, [spec])[0, 0])
 
 
-@dataclass(frozen=True)
+def _row_groups(S: np.ndarray, cols: np.ndarray, scores: OutlierScores, loo: bool):
+    """The values 1 - R each row of S aggregates over the columns ``cols``.
+
+    Yields (rows, values, degrees, labels) for groups of rows of one length;
+    degrees and labels are shared vectors, or one row each where rows
+    deleted different elements. With ``loo`` the rows of S are the training
+    instances and each one drops its own column; a row left with nothing to
+    aggregate is not yielded.
+    """
+    o, labels = scores.normalized[cols], scores.labels[cols]
+    if not loo:
+        yield np.arange(S.shape[0]), 1.0 - S[:, cols], o, labels
+        return
+    outside = np.setdiff1d(np.arange(S.shape[0]), cols)
+    if outside.size:
+        yield outside, 1.0 - S[np.ix_(outside, cols)], o, labels
+    if cols.size > 1:
+        # rows inside the aggregated set delete their own element: the diagonal
+        keep = ~np.eye(cols.size, dtype=bool)
+        shape = (cols.size, cols.size - 1)
+        yield (cols, (1.0 - S[np.ix_(cols, cols)])[keep].reshape(shape),
+               np.broadcast_to(o, keep.shape)[keep].reshape(shape),
+               np.broadcast_to(labels, keep.shape)[keep].reshape(shape))
+
+
+def _block_memberships(model: "FittedModel", S: np.ndarray, specs: list[AggregatorSpec],
+                       loo: bool = False) -> np.ndarray:
+    """Membership of each row of S in each class under each spec.
+
+    S holds the rows' similarities to the training instances; the result has
+    shape (len(specs), rows, classes). With ``loo`` S is the training block
+    and each row leaves itself out; an emptied class complement gives 0.
+    """
+    out = np.zeros((len(specs), S.shape[0], len(model.classes)))
+    by_scores: dict = {}
+    for si, spec in enumerate(specs):
+        by_scores.setdefault((spec.lof_k, spec.contamination), []).append(si)
+    for indices in by_scores.values():
+        group = [specs[si] for si in indices]
+        scores = model.scores_for(group[0])
+        for ci, label in enumerate(model.classes):
+            cols = np.flatnonzero(~model.class_masks[label])
+            for rows, values, o, labels in _row_groups(S, cols, scores, loo):
+                out[np.ix_(indices, rows, [ci])] = _aggregate_rows(values, o, labels,
+                                                                   group)[..., None]
+    return out
+
+
+def _labels(model: "FittedModel", memberships: np.ndarray) -> np.ndarray:
+    """Class of the largest membership along the last axis; ties go to the
+    smallest label in sorted order."""
+    return np.array(model.classes, dtype=object)[memberships.argmax(axis=-1)]
+
+
 class FittedModel:
-    train: DecisionSystem
-    sigmas: np.ndarray = field(repr=False)
-    classes: tuple
-    class_masks: dict = field(repr=False)
-    scores: OutlierScores = field(repr=False)
-    spec: AggregatorSpec = None
-    resolved: AggregatorSpec = None
-    similarity: np.ndarray = field(default=None, repr=False)
+    """A training fold prepared for scoring, and the strategy fitted on it.
 
+    Scales, class masks and the outlier scores of each (lof_k, contamination)
+    setting are computed once and shared by every strategy scored on the
+    fold; the train x train similarity is built only when comb's
+    leave-one-out needs it. ``spec`` is the requested strategy and
+    ``resolved`` the one predictions use, with comb replaced by its choice.
+    """
 
-class _FoldContext:
-    """Shares the expensive per-training-fold computations across specs."""
-
-    def __init__(self, train: DecisionSystem):
+    def __init__(self, train: DecisionSystem, spec: AggregatorSpec = AggregatorSpec(),
+                 seed: int = 0):
         if len(train.classes) < 2:
             raise DomainError("training data must contain at least two classes")
         if train.n < 2:
             raise DomainError("training data must contain at least two instances")
         self.train = train
         self.sigmas = attribute_scales(train)
-        self.similarity = similarity_matrix(train.X, self.sigmas)
         self.classes = train.classes
         self.class_masks = {c: train.y == c for c in self.classes}
         self._scores: dict = {}
+        self.spec = spec
+        self.resolved = self.resolve(spec, seed)
+
+    @property
+    def n(self) -> int:
+        return self.train.n
+
+    @cached_property
+    def similarity(self) -> np.ndarray:
+        return similarity_matrix(self.train.X, self.sigmas)
 
     def scores_for(self, spec: AggregatorSpec) -> OutlierScores:
         key = (spec.lof_k, spec.contamination)
@@ -188,58 +271,33 @@ class _FoldContext:
             self._scores[key] = scored_with_labels(self.train, spec.lof_k, spec.contamination)
         return self._scores[key]
 
-
-def _class_membership(class_masks: dict, sims: np.ndarray, scores: OutlierScores,
-                      spec: AggregatorSpec, label, exclude: int | None = None) -> float:
-    mask = ~class_masks[label]
-    if exclude is not None:
-        mask = mask.copy()
-        mask[exclude] = False
-    if not mask.any():
-        return 0.0
-    values = 1.0 - sims[mask]
-    return aggregate(values, scores.normalized[mask], spec, scores.labels[mask])
+    def resolve(self, spec: AggregatorSpec, seed: int) -> AggregatorSpec:
+        """``spec`` itself, or for comb the candidate its leave-one-out picks."""
+        if spec.kind != "comb":
+            return spec
+        return comb_select(self, [replace(spec, kind=k) for k in BASE_KINDS], seed)
 
 
-def _predict_index(classes: tuple, class_masks: dict, sims: np.ndarray,
-                   scores: OutlierScores, spec: AggregatorSpec,
-                   exclude: int | None = None) -> int:
-    best_idx, best = 0, -np.inf
-    for ci, label in enumerate(classes):
-        m = _class_membership(class_masks, sims, scores, spec, label, exclude)
-        if m > best:
-            best_idx, best = ci, m
-    return best_idx
-
-
-def comb_select(ds_train: DecisionSystem, candidate_specs: list[AggregatorSpec],
-                seed: int, _ctx: _FoldContext | None = None) -> AggregatorSpec:
+def comb_select(ds_train, candidate_specs: list[AggregatorSpec], seed: int) -> AggregatorSpec:
     """Pick the candidate with the best leave-one-out balanced accuracy.
 
-    Each instance is predicted with itself removed from the aggregation
-    universe (outlier scores and scales stay those of the full training
-    fold). Exact ties are broken uniformly at random by the seeded generator.
+    ``ds_train`` is the training fold, or a FittedModel built on it whose
+    outlier scores and similarities are then reused. Each instance is
+    predicted with itself removed from the aggregation universe (outlier
+    scores and scales stay those of the full training fold). Exact ties are
+    broken uniformly at random by the seeded generator.
     """
     from .evaluation import balanced_accuracy
 
     if not candidate_specs:
         raise DomainError("need at least one candidate spec")
-    ctx = _ctx or _FoldContext(ds_train)
-    counts = {c: int(m.sum()) for c, m in ctx.class_masks.items()}
-    if min(counts.values()) < 2:
+    model = ds_train if isinstance(ds_train, FittedModel) else FittedModel(ds_train)
+    if min(int(m.sum()) for m in model.class_masks.values()) < 2:
         raise DomainError("leave-one-out selection needs at least two instances per class")
 
-    n = ctx.train.n
-    predicted = np.empty((len(candidate_specs), n), dtype=object)
-    for i in range(n):
-        sims = ctx.similarity[i]
-        for si, spec in enumerate(candidate_specs):
-            scores = ctx.scores_for(spec)
-            ci = _predict_index(ctx.classes, ctx.class_masks, sims, scores, spec, exclude=i)
-            predicted[si, i] = ctx.classes[ci]
-
-    accs = np.array([balanced_accuracy(ctx.train.y, predicted[si])
-                     for si in range(len(candidate_specs))])
+    memberships = _block_memberships(model, model.similarity, candidate_specs, loo=True)
+    accs = np.array([balanced_accuracy(model.train.y, predicted)
+                     for predicted in _labels(model, memberships)])
     best = np.flatnonzero(accs >= accs.max() - 1e-12)
     if best.size == 1:
         return candidate_specs[int(best[0])]
@@ -247,25 +305,36 @@ def comb_select(ds_train: DecisionSystem, candidate_specs: list[AggregatorSpec],
     return candidate_specs[int(rng.choice(best))]
 
 
-def fit(ds_train: DecisionSystem, spec: AggregatorSpec, seed: int = 0,
-        _ctx: _FoldContext | None = None) -> FittedModel:
-    """Precompute scales, similarities and outlier scores; resolve comb."""
-    ctx = _ctx or _FoldContext(ds_train)
-    resolved = spec
-    if spec.kind == "comb":
-        candidates = [replace(spec, kind=k) for k in BASE_KINDS]
-        resolved = comb_select(ds_train, candidates, seed, _ctx=ctx)
-    scores = ctx.scores_for(resolved)
-    return FittedModel(
-        train=ctx.train,
-        sigmas=ctx.sigmas,
-        classes=ctx.classes,
-        class_masks=ctx.class_masks,
-        scores=scores,
-        spec=spec,
-        resolved=resolved,
-        similarity=ctx.similarity,
-    )
+def fit(ds_train: DecisionSystem, spec: AggregatorSpec, seed: int = 0) -> FittedModel:
+    """Precompute scales and outlier scores; resolve comb."""
+    return FittedModel(ds_train, spec, seed)
+
+
+def _memberships(model: FittedModel, X_test, specs: list[AggregatorSpec]) -> np.ndarray:
+    X_test = np.asarray(X_test, dtype=float)
+    if X_test.ndim != 2:
+        raise DomainError("test instances must form a 2-D array, one instance per row")
+    for spec in specs:
+        model.scores_for(spec)  # before the block exists: LOF is the memory peak
+    S = similarity_to_test(model.train.X, model.sigmas, X_test)
+    return _block_memberships(model, S, specs)
+
+
+def membership_matrix(model: FittedModel, X_test) -> np.ndarray:
+    """Per-class lower-approximation memberships of each row: rows x classes."""
+    return _memberships(model, X_test, [model.resolved])[0]
+
+
+def predict_batch(model: FittedModel, X_test, specs: list[AggregatorSpec] | None = None):
+    """Labels of the rows of X_test under the model's resolved strategy.
+
+    With ``specs`` (resolved strategies) the result has one row of labels
+    per spec, all scored from one similarity block. Exact ties go to the
+    smallest label in sorted order.
+    """
+    if specs is None:
+        return _labels(model, membership_matrix(model, X_test))
+    return _labels(model, _memberships(model, X_test, specs))
 
 
 def predict(model: FittedModel, instance) -> object:
@@ -273,19 +342,10 @@ def predict(model: FittedModel, instance) -> object:
 
     Exact ties go to the smallest label in sorted order.
     """
-    sims = similarity_to_test(model.train.X, model.sigmas, np.asarray(instance, dtype=float))
-    ci = _predict_index(model.classes, model.class_masks, sims, model.scores, model.resolved)
-    return model.classes[ci]
-
-
-def predict_batch(model: FittedModel, X_test: np.ndarray) -> np.ndarray:
-    return np.array([predict(model, row) for row in np.asarray(X_test, dtype=float)],
-                    dtype=object)
+    return predict_batch(model, np.asarray(instance, dtype=float).reshape(1, -1))[0]
 
 
 def class_memberships(model: FittedModel, instance) -> dict:
     """Per-class lower-approximation membership of one instance."""
-    sims = similarity_to_test(model.train.X, model.sigmas, np.asarray(instance, dtype=float))
-    return {label: _class_membership(model.class_masks, sims, model.scores,
-                                     model.resolved, label)
-            for label in model.classes}
+    row = membership_matrix(model, np.asarray(instance, dtype=float).reshape(1, -1))[0]
+    return dict(zip(model.classes, row.tolist()))

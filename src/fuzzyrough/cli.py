@@ -16,13 +16,7 @@ import sys
 import numpy as np
 
 from . import connectives
-from .classifier import (
-    AGGREGATOR_KINDS,
-    AggregatorSpec,
-    class_memberships,
-    fit,
-    predict,
-)
+from .classifier import AGGREGATOR_KINDS, AggregatorSpec, fit, membership_matrix
 from .data import DataFormatError, ingest_csv, load_features
 from .evaluation import (
     crossval_accuracies,
@@ -128,13 +122,12 @@ def cmd_classify(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "predictions.csv")
     classes = model.classes
+    memberships = membership_matrix(model, X_test)
+    # ties go to the smallest label: argmax keeps the first of equal maxima
+    predictions = np.array(classes, dtype=object)[memberships.argmax(axis=1)]
     rows = [["instance_id", "prediction", *(f"score_{c}" for c in classes)]]
-    predictions = []
-    for i, row in enumerate(X_test):
-        memberships = class_memberships(model, row)
-        label = predict(model, row)
-        predictions.append(label)
-        rows.append([str(i), str(label), *(_fmt(memberships[c]) for c in classes)])
+    for i, (label, scores) in enumerate(zip(predictions, memberships)):
+        rows.append([str(i), str(label), *(_fmt(v) for v in scores)])
     write_csv_rows(path, rows)
     payload = {"command": "classify", "config": _config_echo(args),
                "decision_column": decision, "resolved_aggregator": model.resolved.kind,
@@ -142,7 +135,7 @@ def cmd_classify(args) -> int:
     if y_test is not None:
         from .evaluation import balanced_accuracy
 
-        payload["balanced_accuracy"] = balanced_accuracy(y_test, np.array(predictions, object))
+        payload["balanced_accuracy"] = balanced_accuracy(y_test, predictions)
     write_summary_json(os.path.join(args.out_dir, "summary.json"), payload)
     print(f"wrote {path}")
     return 0

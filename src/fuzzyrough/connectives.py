@@ -22,8 +22,8 @@ REICHENBACH = "reichenbach"
 STANDARD = "standard"
 
 _TNORMS = {
-    MINIMUM: lambda x, y: np.minimum(x, y),
-    PRODUCT: lambda x, y: np.multiply(x, y),
+    MINIMUM: np.minimum,
+    PRODUCT: np.multiply,
     LUKASIEWICZ: lambda x, y: np.maximum(x + y - 1.0, 0.0),
 }
 
@@ -69,12 +69,28 @@ def tnorm_eval(kind: str, xs) -> float:
     values = np.asarray(xs, dtype=float).ravel()
     if values.size == 0:
         raise DomainError("t-norm of an empty list is undefined")
+    return float(tnorm_accumulate(kind, values)[-1])
+
+
+def tnorm_accumulate(kind: str, xs) -> np.ndarray:
+    """Running fold of a t-norm along the last axis: out[..., i] = T(xs[..., :i+1]).
+
+    Each step folds one more element into the previous result, so the whole
+    chain costs one t-norm evaluation per element and every entry equals the
+    n-ary ``tnorm_eval`` of its prefix exactly.
+    """
+    values = np.asarray(xs, dtype=float)
     _check_degrees(values)
     t = _lookup(_TNORMS, kind, "t-norm")
-    acc = values[0]
-    for v in values[1:]:
-        acc = t(acc, v)
-    return float(acc)
+    if isinstance(t, np.ufunc):
+        return t.accumulate(values, axis=-1)
+    out = np.empty(values.shape)
+    acc = values[..., 0]
+    out[..., 0] = acc
+    for i in range(1, values.shape[-1]):
+        acc = t(acc, values[..., i])
+        out[..., i] = acc
+    return out
 
 
 def implicator_eval(kind: str, x, y):

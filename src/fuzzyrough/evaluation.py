@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm, rankdata
 
-from .classifier import AggregatorSpec, _FoldContext, fit, predict_batch
-from .data import DecisionSystem
+from .classifier import AggregatorSpec, FittedModel, predict_batch
+from .data import DataFormatError, DecisionSystem
 from .sets import DomainError
 
 EXACT_WILCOXON_LIMIT = 25  # enumerate 2^m sign patterns up to here
@@ -152,35 +152,50 @@ class EvaluationReport:
     seed: int = 0
 
 
+def _fold_seed(seed: int, dataset_index: int, fold: int) -> int:
+    ss = np.random.SeedSequence([seed, dataset_index, fold])
+    return int(ss.generate_state(1)[0])
+
+
+def _evaluate_fold(ds: DecisionSystem, plan: FoldPlan, fold: int, specs: list,
+                   seed: int) -> tuple[list, list]:
+    """Balanced accuracy and resolved strategy of every spec on one fold.
+
+    One model holds the training fold; every spec is resolved on it and all
+    of them are scored from one similarity block of the held-out rows.
+    """
+    train_idx, test_idx = plan.train_test(fold)
+    train, test = ds.subset(train_idx), ds.subset(test_idx)
+    model = FittedModel(train)
+    resolved = [model.resolve(spec, seed) for spec in specs]
+    predictions = predict_batch(model, test.X, resolved)
+    return ([balanced_accuracy(test.y, p) for p in predictions],
+            [spec.kind for spec in resolved])
+
+
 def crossval_accuracies(ds: DecisionSystem, spec: AggregatorSpec, k: int, seed: int,
                         dataset_index: int = 0) -> tuple[list, list]:
     """Per-fold balanced accuracies plus the resolved strategy per fold."""
     plan = stratified_kfold(ds.y, k, seed)
     accs, resolved_kinds = [], []
     for fold in range(k):
-        train_idx, test_idx = plan.train_test(fold)
-        train, test = ds.subset(train_idx), ds.subset(test_idx)
-        ctx = _FoldContext(train)
-        model = fit(train, spec, seed=_fold_seed(seed, dataset_index, fold), _ctx=ctx)
-        accs.append(balanced_accuracy(test.y, predict_batch(model, test.X)))
-        resolved_kinds.append(model.resolved.kind)
+        (acc,), (kind,) = _evaluate_fold(ds, plan, fold, [spec],
+                                         _fold_seed(seed, dataset_index, fold))
+        accs.append(acc)
+        resolved_kinds.append(kind)
     return accs, resolved_kinds
-
-
-def _fold_seed(seed: int, dataset_index: int, fold: int) -> int:
-    ss = np.random.SeedSequence([seed, dataset_index, fold])
-    return int(ss.generate_state(1)[0])
 
 
 def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
                   seed: int = 0) -> EvaluationReport:
     """Full evaluation protocol over several datasets and strategies.
 
-    For each dataset: stratified k-fold split, one model per (fold, spec)
-    sharing the per-fold similarity/outlier computations, balanced accuracy
-    on the held-out fold. The pairwise Wilcoxon matrix compares strategies
-    across the per-dataset mean accuracies. Per-dataset failures are
-    recorded in the report instead of aborting the run.
+    For each dataset: stratified k-fold split, one model per fold shared by
+    every spec, balanced accuracy on the held-out fold. The pairwise Wilcoxon
+    matrix compares strategies across the per-dataset mean accuracies. A
+    dataset the computation is not defined on (DomainError, DataFormatError)
+    is recorded as a failure naming the fold instead of aborting the run;
+    any other exception is a bug and propagates.
     """
     dataset_names = tuple(name for name, _ in datasets)
     spec_names = tuple(s.display_name for s in specs)
@@ -190,29 +205,26 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
     failures: dict = {}
 
     for di, (name, ds) in enumerate(datasets):
+        per_spec = [[] for _ in specs]
+        counts: dict = {}
+        where = ""
         try:
             plan = stratified_kfold(ds.y, k, seed)
-            per_spec = [[] for _ in specs]
-            counts: dict = {}
             for fold in range(k):
-                train_idx, test_idx = plan.train_test(fold)
-                train, test = ds.subset(train_idx), ds.subset(test_idx)
-                ctx = _FoldContext(train)
-                fold_seed = _fold_seed(seed, di, fold)
+                where = f"fold {fold}: "
+                accs, kinds = _evaluate_fold(ds, plan, fold, specs, _fold_seed(seed, di, fold))
                 for si, spec in enumerate(specs):
-                    model = fit(train, spec, seed=fold_seed, _ctx=ctx)
-                    ba = balanced_accuracy(test.y, predict_batch(model, test.X))
-                    per_spec[si].append(ba)
+                    per_spec[si].append(accs[si])
                     if spec.kind == "comb":
-                        rk = model.resolved.kind
-                        counts[rk] = counts.get(rk, 0) + 1
-            for si in range(len(specs)):
-                acc[di, si] = float(np.mean(per_spec[si]))
-                fold_accuracies[(name, spec_names[si])] = per_spec[si]
-            if counts:
-                usage_counts[name] = counts
-        except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-            failures[name] = f"{type(exc).__name__}: {exc}"
+                        counts[kinds[si]] = counts.get(kinds[si], 0) + 1
+        except (DomainError, DataFormatError) as exc:
+            failures[name] = f"{where}{type(exc).__name__}: {exc}"
+            continue
+        for si in range(len(specs)):
+            acc[di, si] = float(np.mean(per_spec[si]))
+            fold_accuracies[(name, spec_names[si])] = per_spec[si]
+        if counts:
+            usage_counts[name] = counts
 
     ok = ~np.isnan(acc).any(axis=1)
     n_specs = len(specs)

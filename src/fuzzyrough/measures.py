@@ -5,11 +5,16 @@ inclusion, but is generally non-additive. Besides evaluation on arbitrary
 subsets, each kind supports ``chain_values``: given the ascending ordering
 produced while integrating a function, it returns the measures of the whole
 descending chain X = A*_1 >= A*_2 >= ... >= A*_n in one pass, which is the
-only access pattern Choquet integration needs.
+only access pattern Choquet integration needs. ``chain_values`` takes a
+leading row axis: a 2-D array with one ordering per row gives one chain per
+row.
 
 Subsets may be given as boolean masks, index collections, or crisp fuzzy
 sets. The fuzzy set ``o`` appearing in several constructors carries one
-distrust/outlierness degree per element.
+distrust/outlierness degree per element. The degree-driven measures (fuzzy
+removal, WOWA, ordered two-block) also accept a 2-D ``o`` with one degree
+vector per row: a stack of measures on equally sized universes, which
+integrates one function per row. A stack has no single ``value``.
 """
 
 from __future__ import annotations
@@ -42,29 +47,48 @@ def _as_mask(subset, n: int) -> np.ndarray:
     return mask
 
 
-def _degrees_of(o, n: int | None = None) -> tuple[np.ndarray, Universe | None]:
+def _degrees_of(o) -> tuple[np.ndarray, Universe | None]:
     if isinstance(o, FuzzySet):
         return o.memberships, o.universe
-    arr = np.asarray(o, dtype=float).ravel()
+    # a stack is kept row-contiguous so each row's sums equal its own measure's
+    arr = np.ascontiguousarray(o, dtype=float)
+    if arr.ndim != 2:
+        arr = arr.ravel()
     if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
         raise DomainError("degrees must lie in [0, 1]")
-    if n is not None and arr.size != n:
-        raise DomainError("degree vector length must match the universe size")
     return arr, None
 
 
-class MonotoneMeasure:
-    """Base capacity: subclasses fill in ``_value`` and ``chain_values``."""
+def _stack_rows(degrees: np.ndarray) -> int | None:
+    return degrees.shape[0] if degrees.ndim == 2 else None
 
-    def __init__(self, n: int, universe: Universe | None = None):
+
+def _gather(params: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Per-element parameters in chain order, one row per ordering."""
+    if params.ndim == 1:
+        return params[order]
+    return np.take_along_axis(params, order, axis=-1)
+
+
+class MonotoneMeasure:
+    """Base capacity: subclasses fill in ``_value`` and ``chain_values``.
+
+    ``rows`` is None for a single measure and the number of measures in a
+    stack.
+    """
+
+    def __init__(self, n: int, universe: Universe | None = None, rows: int | None = None):
         if n < 1:
             raise DomainError("measures require a nonempty universe")
         if universe is not None and universe.size != n:
             raise DomainError("universe size mismatch")
         self.n = int(n)
         self.universe = universe
+        self.rows = rows
 
     def value(self, subset) -> float:
+        if self.rows is not None:
+            raise DomainError("a stack of measures has no single value; build one per row")
         mask = _as_mask(subset, self.n)
         k = int(mask.sum())
         if k == 0:
@@ -77,7 +101,12 @@ class MonotoneMeasure:
         raise NotImplementedError
 
     def chain_values(self, order: np.ndarray) -> np.ndarray:
-        """Measures of the suffix sets {order[i], ..., order[n-1]} for all i."""
+        """Measures of the suffix sets {order[i], ..., order[n-1]} for all i.
+
+        ``order`` is a permutation of the element indices, or a 2-D array
+        with one permutation per row (one per measure of a stack); the chain
+        has the same shape.
+        """
         raise NotImplementedError
 
     def dual(self) -> "MonotoneMeasure":
@@ -96,7 +125,8 @@ class SymmetricMeasure(MonotoneMeasure):
 
     def chain_values(self, order):
         sizes = np.arange(self.n, 0, -1, dtype=float)
-        return np.asarray(self.quantifier(sizes / self.n), dtype=float)
+        chain = np.asarray(self.quantifier(sizes / self.n), dtype=float)
+        return np.broadcast_to(chain, np.shape(order)).copy()
 
 
 class _DistortedAdditiveMeasure(MonotoneMeasure):
@@ -104,11 +134,11 @@ class _DistortedAdditiveMeasure(MonotoneMeasure):
 
     def __init__(self, base_weights: np.ndarray, quantifier: RIMQuantifier | None,
                  n: int, universe: Universe | None = None):
-        super().__init__(n, universe)
         w = np.asarray(base_weights, dtype=float)
-        if w.shape != (self.n,) or np.any(w < 0.0):
+        super().__init__(n, universe, _stack_rows(w))
+        if w.ndim > 2 or w.shape[-1] != self.n or np.any(w < 0.0):
             raise DomainError("base weights must be nonnegative, one per element")
-        if abs(w.sum() - 1.0) > 1e-9:
+        if np.any(np.abs(w.sum(axis=-1) - 1.0) > 1e-9):
             raise DomainError("base weights must sum to 1")
         self.base_weights = w
         self.quantifier = quantifier
@@ -122,8 +152,9 @@ class _DistortedAdditiveMeasure(MonotoneMeasure):
         return float(self._distort(float(self.base_weights[mask].sum())))
 
     def chain_values(self, order):
-        suffix = np.cumsum(self.base_weights[order][::-1])[::-1]
-        suffix[0] = 1.0
+        picked = _gather(self.base_weights, np.asarray(order))
+        suffix = np.cumsum(picked[..., ::-1], axis=-1)[..., ::-1]
+        suffix[..., 0] = 1.0
         return np.asarray(self._distort(suffix), dtype=float)
 
 
@@ -144,9 +175,9 @@ class WowaMeasure(_DistortedAdditiveMeasure):
 
     def __init__(self, quantifier: RIMQuantifier, o, universe: Universe | None = None):
         degrees, uni = _degrees_of(o)
-        n = degrees.size
-        denom = n - degrees.sum()
-        if denom <= 0.0:
+        n = degrees.shape[-1]
+        denom = n - degrees.sum(axis=-1, keepdims=True)
+        if np.any(denom <= 0.0):
             raise DomainError("wowa measure needs some confidence mass: sum of o must be < n")
         super().__init__((1.0 - degrees) / denom, quantifier, n, universe or uni)
         self.o = degrees
@@ -168,13 +199,13 @@ class OrderedTwoSymmetricMeasure(_DistortedAdditiveMeasure):
         if not 0.0 <= contamination < 1.0:
             raise DomainError("contamination must lie in [0, 1)")
         degrees, uni = _degrees_of(o)
-        n = degrees.size
+        n = degrees.shape[-1]
         k = int(np.ceil((1.0 - contamination) * n))
         if k < 1:
             raise DomainError("two-symmetric measure needs at least one trusted element")
-        rank = np.argsort(degrees, kind="stable")
-        w = np.full(n, t / n)
-        w[rank[:k]] += (1.0 - t) / k
+        rank = np.argsort(degrees, axis=-1, kind="stable")
+        w = np.full(degrees.shape, t / n)
+        np.put_along_axis(w, rank[..., :k], t / n + (1.0 - t) / k, axis=-1)
         super().__init__(w, quantifier, n, universe or uni)
         self.o = degrees
         self.t = float(t)
@@ -190,7 +221,7 @@ class FuzzyRemovalMeasure(MonotoneMeasure):
 
     def __init__(self, o, tnorm: str = connectives.MINIMUM, universe: Universe | None = None):
         degrees, uni = _degrees_of(o)
-        super().__init__(degrees.size, universe or uni)
+        super().__init__(degrees.shape[-1], universe or uni, _stack_rows(degrees))
         if tnorm not in connectives.tnorm_kinds():
             raise DomainError(f"unknown t-norm {tnorm!r}")
         self.o = degrees
@@ -200,17 +231,18 @@ class FuzzyRemovalMeasure(MonotoneMeasure):
         return connectives.tnorm_eval(self.tnorm, self.o[~mask])
 
     def chain_values(self, order):
-        out = np.empty(self.n)
-        out[0] = 1.0
-        excluded = self.o[order]
-        if self.tnorm == connectives.MINIMUM:
-            # excluded prefix grows one element per chain step: running minimum
-            if self.n > 1:
-                out[1:] = np.minimum.accumulate(excluded[:-1])
-        else:
-            for i in range(1, self.n):
-                out[i] = connectives.tnorm_eval(self.tnorm, excluded[:i])
+        excluded = _gather(self.o, np.asarray(order))
+        out = np.empty(excluded.shape)
+        out[..., 0] = 1.0
+        if self.n > 1:
+            # the excluded prefix grows one element per chain step: one fold
+            out[..., 1:] = connectives.tnorm_accumulate(self.tnorm, excluded[..., :-1])
         return out
+
+
+def _positions(order) -> np.ndarray:
+    """Chain position of every element: the inverse of each ordering."""
+    return np.argsort(order, axis=-1)
 
 
 class PartialUniversalMeasure(MonotoneMeasure):
@@ -237,10 +269,8 @@ class PartialUniversalMeasure(MonotoneMeasure):
         return 1.0 if np.all(mask[self.trusted]) else 0.0
 
     def chain_values(self, order):
-        pos = np.empty(self.n, dtype=int)
-        pos[order] = np.arange(self.n)
-        first_trusted = pos[self.trusted].min()
-        return (np.arange(self.n) <= first_trusted).astype(float)
+        first_trusted = _positions(order)[..., self.trusted].min(axis=-1)
+        return (np.arange(self.n) <= np.expand_dims(first_trusted, -1)).astype(float)
 
 
 class PartialExistentialMeasure(MonotoneMeasure):
@@ -256,31 +286,29 @@ class PartialExistentialMeasure(MonotoneMeasure):
         return 1.0 if np.any(mask[self.trusted]) else 0.0
 
     def chain_values(self, order):
-        pos = np.empty(self.n, dtype=int)
-        pos[order] = np.arange(self.n)
-        last_trusted = pos[self.trusted].max()
-        return (np.arange(self.n) <= last_trusted).astype(float)
+        last_trusted = _positions(order)[..., self.trusted].max(axis=-1)
+        return (np.arange(self.n) <= np.expand_dims(last_trusted, -1)).astype(float)
 
 
 class DualMeasure(MonotoneMeasure):
     """mu'(A) = 1 - mu(complement of A)."""
 
     def __init__(self, inner: MonotoneMeasure):
-        super().__init__(inner.n, inner.universe)
+        super().__init__(inner.n, inner.universe, inner.rows)
         self.inner = inner
 
     def _value(self, mask, k):
         return 1.0 - self.inner.value(~mask)
 
     def chain_values(self, order):
-        n = self.n
-        out = np.empty(n)
-        out[0] = 1.0
-        if n > 1:
+        order = np.asarray(order)
+        out = np.empty(order.shape)
+        out[..., 0] = 1.0
+        if self.n > 1:
             # complement of suffix i is the prefix order[:i], i.e. a suffix
             # of the reversed order; one inner chain pass covers them all
-            rev = self.inner.chain_values(order[::-1])
-            out[1:] = 1.0 - rev[np.arange(n - 1, 0, -1)]
+            rev = self.inner.chain_values(order[..., ::-1])
+            out[..., 1:] = 1.0 - rev[..., :0:-1]
         return out
 
     def dual(self):

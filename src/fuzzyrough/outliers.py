@@ -111,21 +111,27 @@ def per_class_scores(ds: DecisionSystem, k: int = DEFAULT_NEIGHBORS) -> OutlierS
     return OutlierScores(raw, norm)
 
 
+def top_fraction(degrees: np.ndarray, contamination: float) -> np.ndarray:
+    """Boolean mask flagging the ceil(c*n) highest degrees, ties by index."""
+    if not 0.0 <= contamination < 1.0:
+        raise DomainError("contamination must lie in [0, 1)")
+    degrees = np.asarray(degrees, dtype=float).ravel()
+    n = degrees.size
+    count = math.ceil(contamination * n)
+    mask = np.zeros(n, dtype=bool)
+    if count:
+        # sort by (-degree, index): highest degrees first, index breaks ties
+        order = np.lexsort((np.arange(n), -degrees))
+        mask[order[:count]] = True
+    return mask
+
+
 def label_outliers(scores: OutlierScores, contamination: float) -> np.ndarray:
     """Boolean mask flagging the ceil(c*n) highest normalized scores.
 
     Ties are broken by instance index, so the mask is deterministic.
     """
-    if not 0.0 <= contamination < 1.0:
-        raise DomainError("contamination must lie in [0, 1)")
-    n = scores.normalized.size
-    count = math.ceil(contamination * n)
-    mask = np.zeros(n, dtype=bool)
-    if count:
-        # sort by (-score, index): highest scores first, index breaks ties
-        order = np.lexsort((np.arange(n), -scores.normalized))
-        mask[order[:count]] = True
-    return mask
+    return top_fraction(scores.normalized, contamination)
 
 
 def scored_with_labels(ds: DecisionSystem, k: int, contamination: float) -> OutlierScores:

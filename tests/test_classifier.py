@@ -64,6 +64,12 @@ class TestAggregate:
         with pytest.raises(DomainError):
             aggregate([0.5], [0.0], spec("comb"))
 
+    @pytest.mark.parametrize("alpha,beta", [(0.9, 0.3), (0.5, 0.5), (-0.1, 0.5), (0.2, 1.5)])
+    def test_bad_quadratic_knots_rejected_at_construction(self, alpha, beta):
+        with pytest.raises(DomainError):
+            spec("owa", quantifier="quadratic", alpha=alpha, beta=beta)
+        spec("owa", quantifier="additive", alpha=alpha, beta=beta)  # knots unused
+
 
 class TestAggregateReductions:
     def setup_method(self):
@@ -283,18 +289,16 @@ class TestCombSelect:
 
 
 def _loocv_accuracies(ds, candidates):
-    from fuzzyrough.classifier import _FoldContext, _predict_index
+    # per-row scalar reference, independent of the batched leave-one-out
+    from fuzzyrough.classifier import FittedModel
     from fuzzyrough.evaluation import balanced_accuracy
+    from tests import scalar_reference
 
-    ctx = _FoldContext(ds)
+    model = FittedModel(ds)
     out = {}
     for cand in candidates:
-        scores = ctx.scores_for(cand)
-        preds = [
-            ctx.classes[_predict_index(ctx.classes, ctx.class_masks, ctx.similarity[i],
-                                       scores, cand, exclude=i)]
-            for i in range(ds.n)
-        ]
+        ms = scalar_reference.memberships(model, model.similarity, cand, loo=True)
+        preds = [model.classes[scalar_reference.predict_index(row)] for row in ms]
         out[cand.kind] = balanced_accuracy(ds.y, np.array(preds, dtype=object))
     return out
 

@@ -201,6 +201,25 @@ class TestRunBenchmark:
         assert "bad" in report.failures
         assert not np.isnan(report.accuracies[1, 0])
 
+    def test_failure_names_the_fold(self):
+        # two instances of "a" over two folds leave one per training fold,
+        # too few for comb's leave-one-out
+        X = np.arange(8, dtype=float)[:, None]
+        y = np.array(["a", "a"] + ["b"] * 6, dtype=object)
+        small = DecisionSystem(("f0",), X, y)
+        report = run_benchmark([("small", small)], [AggregatorSpec(kind="comb")], k=2, seed=0)
+        assert report.failures["small"].startswith("fold 0: DomainError: ")
+
+    def test_program_errors_propagate(self, monkeypatch):
+        import fuzzyrough.evaluation as evaluation
+
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a property of the dataset")
+
+        monkeypatch.setattr(evaluation, "predict_batch", broken)
+        with pytest.raises(TypeError):
+            run_benchmark([("toy", tiny_dataset(1))], [AggregatorSpec(kind="min")], k=2, seed=0)
+
     def test_byte_identical_reports(self, tmp_path):
         datasets = [(f"d{i}", tiny_dataset(10 + i)) for i in range(3)]
         specs = [AggregatorSpec(kind=k) for k in ("min", "comb")]

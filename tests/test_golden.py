@@ -25,7 +25,7 @@ import os
 import numpy as np
 import pytest
 
-from fuzzyrough.classifier import AGGREGATOR_KINDS, AggregatorSpec, class_memberships, fit
+from fuzzyrough.classifier import AGGREGATOR_KINDS, AggregatorSpec, fit, membership_matrix
 from fuzzyrough.data import DecisionSystem
 from fuzzyrough.evaluation import _fold_seed, run_benchmark, stratified_kfold, write_report_csvs
 
@@ -98,9 +98,8 @@ def protocol_rows(ds: DecisionSystem, config: str) -> list:
         train = ds.subset(train_idx)
         for spec in _specs(config):
             model = fit(train, spec, seed=_fold_seed(SEED, dataset_index, fold))
-            for i in test_idx:
-                ms = class_memberships(model, ds.X[i])
-                values = np.array([ms[c] for c in model.classes])
+            block = membership_matrix(model, ds.X[test_idx])
+            for i, values in zip(test_idx, block):
                 top = np.sort(values)[::-1]
                 tie = top.size > 1 and top[0] - top[1] <= TOL
                 label = model.classes[int(np.argmax(values))]
