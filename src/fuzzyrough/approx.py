@@ -49,21 +49,28 @@ def attribute_scales(ds: DecisionSystem) -> np.ndarray:
     return np.std(ds.X, axis=0, ddof=1)
 
 
-def _per_attribute_similarity(diff: np.ndarray, sigma: float) -> np.ndarray:
-    if sigma == 0.0:
-        # constant attribute: the formula's sigma -> 0 limit is an equality test
-        return (diff == 0.0).astype(float)
-    return np.maximum(1.0 - diff / sigma, 0.0)
-
-
 def _similarity_block(rows: np.ndarray, X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Mean over attributes of max(1 - |a(x) - a(y)| / sigma_a, 0), rows x X.
+
+    One scratch block is reused for every attribute, so memory stays at two
+    rows x X blocks.
+    """
     m = X.shape[1]
     if m == 0:
         raise DomainError("similarity needs at least one attribute")
     acc = np.zeros((rows.shape[0], X.shape[0]))
+    diff = np.empty_like(acc)
     for a in range(m):
-        diff = np.abs(rows[:, a][:, None] - X[:, a][None, :])
-        acc += _per_attribute_similarity(diff, sigmas[a])
+        np.subtract(rows[:, a][:, None], X[:, a][None, :], out=diff)
+        np.abs(diff, out=diff)
+        if sigmas[a] == 0.0:
+            # constant attribute: the formula's sigma -> 0 limit is an equality test
+            acc += diff == 0.0
+            continue
+        diff /= sigmas[a]
+        np.subtract(1.0, diff, out=diff)
+        np.maximum(diff, 0.0, out=diff)
+        acc += diff
     return acc / m
 
 

@@ -122,6 +122,24 @@ def _without_outliers(spec: AggregatorSpec, values, order, asc, labels) -> np.nd
     return out
 
 
+def _strategy(spec: AggregatorSpec, values, order, asc, o, labels) -> np.ndarray:
+    kind = spec.kind
+    n = values.shape[1]
+    if kind in ("min", "avg", "owa"):
+        return _plain(kind, spec, values, asc)
+    if kind in ("mino", "avgo", "owao"):
+        return _without_outliers(spec, values, order, asc, labels)
+    if kind == "fr":
+        mu = FuzzyRemovalMeasure(o, spec.tnorm)
+    elif kind == "wowa":
+        mu = WowaMeasure(spec.quantifier_for(n), o)
+    elif kind == "ts":
+        mu = OrderedTwoSymmetricMeasure(spec.quantifier_for(n), o, spec.t, spec.contamination)
+    else:
+        raise DomainError("comb must be resolved to a concrete strategy before aggregation")
+    return choquet_integral(values, mu, order)
+
+
 def _aggregate_rows(values: np.ndarray, o: np.ndarray, labels: np.ndarray,
                     specs: list[AggregatorSpec]) -> np.ndarray:
     """Every row of ``values`` aggregated under every spec: (len(specs), rows).
@@ -132,30 +150,9 @@ def _aggregate_rows(values: np.ndarray, o: np.ndarray, labels: np.ndarray,
     """
     # means run along contiguous rows, so each equals its one-row mean bit for bit
     values = np.ascontiguousarray(values)
-    n = values.shape[1]
     order = np.argsort(values, axis=1, kind="stable")
     asc = np.take_along_axis(values, order, axis=1)
-    done: dict = {}
-    for spec in specs:
-        kind = spec.kind
-        if spec in done:
-            continue
-        if kind in ("min", "avg", "owa"):
-            done[spec] = _plain(kind, spec, values, asc)
-        elif kind in ("mino", "avgo", "owao"):
-            done[spec] = _without_outliers(spec, values, order, asc, labels)
-        elif kind == "fr":
-            done[spec] = choquet_integral(values, FuzzyRemovalMeasure(o, spec.tnorm), order)
-        elif kind == "wowa":
-            mu = WowaMeasure(spec.quantifier_for(n), o)
-            done[spec] = choquet_integral(values, mu, order)
-        elif kind == "ts":
-            mu = OrderedTwoSymmetricMeasure(spec.quantifier_for(n), o, spec.t,
-                                            spec.contamination)
-            done[spec] = choquet_integral(values, mu, order)
-        else:
-            raise DomainError("comb must be resolved to a concrete strategy before aggregation")
-    return np.array([done[spec] for spec in specs])
+    return np.array([_strategy(spec, values, order, asc, o, labels) for spec in specs])
 
 
 def aggregate(values, o_sub, spec: AggregatorSpec, outliers=None) -> float:
@@ -259,6 +256,7 @@ class FittedModel:
 
     @property
     def n(self) -> int:
+        """Number of training instances."""
         return self.train.n
 
     @cached_property
@@ -306,35 +304,33 @@ def comb_select(ds_train, candidate_specs: list[AggregatorSpec], seed: int) -> A
 
 
 def fit(ds_train: DecisionSystem, spec: AggregatorSpec, seed: int = 0) -> FittedModel:
-    """Precompute scales and outlier scores; resolve comb."""
+    """Prepare the training fold (scales, class masks) and resolve comb."""
     return FittedModel(ds_train, spec, seed)
 
 
-def _memberships(model: FittedModel, X_test, specs: list[AggregatorSpec]) -> np.ndarray:
+def membership_matrix(model: FittedModel, X_test,
+                      specs: list[AggregatorSpec] | None = None) -> np.ndarray:
+    """Per-class lower-approximation memberships of each row of X_test.
+
+    rows x classes under the model's resolved strategy; with ``specs``
+    (resolved strategies) specs x rows x classes, all scored from one
+    similarity block.
+    """
     X_test = np.asarray(X_test, dtype=float)
     if X_test.ndim != 2:
         raise DomainError("test instances must form a 2-D array, one instance per row")
-    for spec in specs:
+    scored = [model.resolved] if specs is None else specs
+    for spec in scored:
         model.scores_for(spec)  # before the block exists: LOF is the memory peak
     S = similarity_to_test(model.train.X, model.sigmas, X_test)
-    return _block_memberships(model, S, specs)
-
-
-def membership_matrix(model: FittedModel, X_test) -> np.ndarray:
-    """Per-class lower-approximation memberships of each row: rows x classes."""
-    return _memberships(model, X_test, [model.resolved])[0]
+    block = _block_memberships(model, S, scored)
+    return block[0] if specs is None else block
 
 
 def predict_batch(model: FittedModel, X_test, specs: list[AggregatorSpec] | None = None):
-    """Labels of the rows of X_test under the model's resolved strategy.
-
-    With ``specs`` (resolved strategies) the result has one row of labels
-    per spec, all scored from one similarity block. Exact ties go to the
-    smallest label in sorted order.
-    """
-    if specs is None:
-        return _labels(model, membership_matrix(model, X_test))
-    return _labels(model, _memberships(model, X_test, specs))
+    """Labels of the rows of X_test, shaped like ``membership_matrix`` minus
+    its class axis. Exact ties go to the smallest label in sorted order."""
+    return _labels(model, membership_matrix(model, X_test, specs))
 
 
 def predict(model: FittedModel, instance) -> object:

@@ -152,11 +152,6 @@ class EvaluationReport:
     seed: int = 0
 
 
-def _fold_seed(seed: int, dataset_index: int, fold: int) -> int:
-    ss = np.random.SeedSequence([seed, dataset_index, fold])
-    return int(ss.generate_state(1)[0])
-
-
 def _evaluate_fold(ds: DecisionSystem, plan: FoldPlan, fold: int, specs: list,
                    seed: int) -> tuple[list, list]:
     """Balanced accuracy and resolved strategy of every spec on one fold.
@@ -184,6 +179,11 @@ def crossval_accuracies(ds: DecisionSystem, spec: AggregatorSpec, k: int, seed: 
         accs.append(acc)
         resolved_kinds.append(kind)
     return accs, resolved_kinds
+
+
+def _fold_seed(seed: int, dataset_index: int, fold: int) -> int:
+    ss = np.random.SeedSequence([seed, dataset_index, fold])
+    return int(ss.generate_state(1)[0])
 
 
 def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
