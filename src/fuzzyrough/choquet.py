@@ -62,7 +62,11 @@ def _extract(f, mu: MonotoneMeasure | None = None) -> np.ndarray:
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.dot of each row of a with b, or with the same row of a 2-D b."""
+    """np.dot of each row of a with b, or with the same row of a 2-D b.
+
+    One call per row keeps each result bit-identical to the one-row product;
+    a matrix product would sum in another order.
+    """
     if b.ndim == 1:
         return np.array([np.dot(row, b) for row in a])
     return np.array([np.dot(x, y) for x, y in zip(a, b)])
