@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from fuzzyrough.cli import main
-from fuzzyrough.data import DataFormatError, ingest_csv
+from fuzzyrough.classifier import AGGREGATOR_KINDS, AggregatorSpec
+from fuzzyrough.cli import _spec_from, build_parser, main
+from fuzzyrough.data import DataFormatError, ingest_csv, load_features
 
 
 def write(path, text):
@@ -60,6 +62,107 @@ class TestIngestCsv:
         p = write(tmp_path / "t.csv", "x,y,cls\n1,2,a\n1,oops,b\n")
         with pytest.raises(DataFormatError, match=r":3:.*'y'"):
             ingest_csv(p)
+
+
+def read_with(reader, path):
+    """Attributes, features and labels of a file whose decision column is
+    ``cls``, read as training data or as test data."""
+    if reader == "ingest_csv":
+        ds = ingest_csv(path)
+        return ds.attributes, ds.X, list(ds.y)
+    X, y = load_features(path, ("x", "y"), "cls")
+    return ("x", "y"), X, list(y)
+
+
+@pytest.mark.parametrize("reader", ["ingest_csv", "load_features"])
+class TestBothReaders:
+    def test_crlf_line_endings(self, tmp_path, reader):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"x,y,cls\r\n1,2,a\r\n3,4,b\r\n")
+        attributes, X, y = read_with(reader, str(p))
+        assert attributes == ("x", "y")
+        assert X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert y == ["a", "b"]
+
+    def test_quoted_numbers(self, tmp_path, reader):
+        p = write(tmp_path / "t.csv", 'x,y,cls\n"1.5","2",a\n3,"-4e1",b\n')
+        _, X, y = read_with(reader, p)
+        assert X.tolist() == [[1.5, 2.0], [3.0, -40.0]]
+        assert y == ["a", "b"]
+
+    def test_whitespace_around_names_numbers_and_labels(self, tmp_path, reader):
+        p = write(tmp_path / "t.csv", " x , y ,cls \n 1 ,2,  a \n3, 4 ,b\t\n")
+        attributes, X, y = read_with(reader, p)
+        assert attributes == ("x", "y")
+        assert X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert y == ["a", "b"]
+
+    def test_blank_lines_skipped(self, tmp_path, reader):
+        p = write(tmp_path / "t.csv", "x,y,cls\n\n1,2,a\n , , \n3,4,b\n\n")
+        _, X, y = read_with(reader, p)
+        assert X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert y == ["a", "b"]
+
+    def test_wrong_cell_count_names_line(self, tmp_path, reader):
+        p = write(tmp_path / "t.csv", "x,y,cls\n1,2,a\n3,4\n")
+        with pytest.raises(DataFormatError, match=r":3: expected 3 cells, got 2"):
+            read_with(reader, p)
+
+
+class TestLoadFeatures:
+    ATTRIBUTES = ("x", "y")
+
+    def test_columns_matched_by_name(self, tmp_path):
+        p = write(tmp_path / "t.csv", "cls,y,x\na,2,1\nb,4,3\n")
+        X, y = load_features(p, self.ATTRIBUTES, "cls")
+        assert X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert y.tolist() == ["a", "b"]
+
+    def test_decision_column_optional(self, tmp_path):
+        p = write(tmp_path / "t.csv", "y,x\n2,1\n4,3\n")
+        X, y = load_features(p, self.ATTRIBUTES, "cls")
+        assert X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert y is None
+
+    def test_missing_attribute_column(self, tmp_path):
+        p = write(tmp_path / "t.csv", "x,cls\n1,a\n")
+        with pytest.raises(DataFormatError, match=r"missing attribute columns \['y'\]"):
+            load_features(p, self.ATTRIBUTES, "cls")
+
+    def test_extra_column_rejected(self, tmp_path):
+        p = write(tmp_path / "t.csv", "x,y,z,cls\n1,2,3,a\n")
+        with pytest.raises(DataFormatError, match=r"unexpected columns \['z'\]"):
+            load_features(p, self.ATTRIBUTES, "cls")
+
+    def test_header_only_rejected(self, tmp_path):
+        p = write(tmp_path / "t.csv", "x,y\n")
+        with pytest.raises(DataFormatError, match="no data rows"):
+            load_features(p, self.ATTRIBUTES, "cls")
+
+
+class TestCliDefaults:
+    KNOBS = ["--quantifier", "quadratic", "--alpha", "0.2", "--beta", "0.8", "--t", "0.4",
+             "--contamination", "0.2", "--lof-k", "7", "--tnorm", "product"]
+
+    @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+    def test_no_flags_give_the_spec_defaults(self, kind):
+        for command in ("lof-scores", "crossval", "benchmark"):
+            args = build_parser().parse_args([command, "--dataset", "d.csv"])
+            assert _spec_from(args, kind) == AggregatorSpec(kind=kind)
+
+    def test_every_knob_reaches_the_spec(self):
+        args = build_parser().parse_args(["crossval", "--dataset", "d.csv", *self.KNOBS])
+        spec = _spec_from(args, "ts")
+        assert spec == AggregatorSpec(kind="ts", quantifier="quadratic", alpha=0.2, beta=0.8,
+                                      t=0.4, contamination=0.2, lof_k=7, tnorm="product")
+        defaults = AggregatorSpec(kind="ts")
+        for f in dataclasses.fields(AggregatorSpec):
+            if f.name != "kind":
+                assert getattr(spec, f.name) != getattr(defaults, f.name), f.name
+
+    def test_default_single_strategy_is_the_spec_default(self):
+        args = build_parser().parse_args(["classify", "--dataset", "d.csv", "--test", "t.csv"])
+        assert args.aggregator == AggregatorSpec().kind
 
 
 class TestCliCommands:
