@@ -46,6 +46,7 @@ from .sets import DomainError
 
 AGGREGATOR_KINDS = ("min", "mino", "fr", "avg", "avgo", "ts", "owa", "owao", "wowa", "comb")
 BASE_KINDS = AGGREGATOR_KINDS[:-1]
+QUANTIFIER_KINDS = ("additive", "quadratic")
 DISPLAY_NAMES = {
     "min": "Min", "mino": "Mino", "fr": "FR", "avg": "Avg", "avgo": "Avgo",
     "ts": "TS", "owa": "OWA", "owao": "OWAo", "wowa": "WOWA", "comb": "COMB",
@@ -68,7 +69,7 @@ class AggregatorSpec:
     def __post_init__(self):
         if self.kind not in AGGREGATOR_KINDS:
             raise DomainError(f"unknown aggregator {self.kind!r}; known: {AGGREGATOR_KINDS}")
-        if self.quantifier not in ("additive", "quadratic"):
+        if self.quantifier not in QUANTIFIER_KINDS:
             raise DomainError("quantifier must be 'additive' or 'quadratic'")
         if self.quantifier == "quadratic" and not 0.0 <= self.alpha < self.beta <= 1.0:
             raise DomainError("quadratic quantifier requires 0 <= alpha < beta <= 1")
@@ -224,12 +225,6 @@ def _block_memberships(model: "FittedModel", S: np.ndarray, specs: list[Aggregat
     return out
 
 
-def _labels(model: "FittedModel", memberships: np.ndarray) -> np.ndarray:
-    """Class of the largest membership along the last axis; ties go to the
-    smallest label in sorted order."""
-    return np.array(model.classes, dtype=object)[memberships.argmax(axis=-1)]
-
-
 class FittedModel:
     """A training fold prepared for scoring, and the strategy fitted on it.
 
@@ -258,6 +253,11 @@ class FittedModel:
     def n(self) -> int:
         """Number of training instances."""
         return self.train.n
+
+    def labels(self, memberships: np.ndarray) -> np.ndarray:
+        """Class of the largest membership along the last axis; ties go to the
+        smallest label in sorted order."""
+        return np.array(self.classes, dtype=object)[memberships.argmax(axis=-1)]
 
     @cached_property
     def similarity(self) -> np.ndarray:
@@ -295,7 +295,7 @@ def comb_select(ds_train, candidate_specs: list[AggregatorSpec], seed: int) -> A
 
     memberships = _block_memberships(model, model.similarity, candidate_specs, loo=True)
     accs = np.array([balanced_accuracy(model.train.y, predicted)
-                     for predicted in _labels(model, memberships)])
+                     for predicted in model.labels(memberships)])
     best = np.flatnonzero(accs >= accs.max() - 1e-12)
     if best.size == 1:
         return candidate_specs[int(best[0])]
@@ -330,7 +330,7 @@ def membership_matrix(model: FittedModel, X_test,
 def predict_batch(model: FittedModel, X_test, specs: list[AggregatorSpec] | None = None):
     """Labels of the rows of X_test, shaped like ``membership_matrix`` minus
     its class axis. Exact ties go to the smallest label in sorted order."""
-    return _labels(model, membership_matrix(model, X_test, specs))
+    return model.labels(membership_matrix(model, X_test, specs))
 
 
 def predict(model: FittedModel, instance) -> object:

@@ -1,8 +1,8 @@
 """Command-line driver: lof-scores, classify, crossval, and benchmark workflows.
 
-All defaults mirror the evaluation protocol the library reproduces: additive
-quantifier, t = 0.3, contamination = 0.1, 20 LOF neighbors, minimum t-norm,
-5 folds. Outputs are UTF-8 CSV/JSON with LF endings and floats printed at 17
+The strategy knobs default to the fields of ``AggregatorSpec``, the
+evaluation protocol the library reproduces; cross-validation uses 5 folds.
+Outputs are UTF-8 CSV/JSON with LF endings and floats printed at 17
 significant digits, so identical configurations yield byte-identical files.
 """
 
@@ -12,13 +12,16 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import connectives
-from .classifier import AGGREGATOR_KINDS, AggregatorSpec, fit, membership_matrix
+from .classifier import AGGREGATOR_KINDS, QUANTIFIER_KINDS, AggregatorSpec, fit, membership_matrix
 from .data import DataFormatError, ingest_csv, load_features
 from .evaluation import (
+    _fmt,
+    balanced_accuracy,
     crossval_accuracies,
     run_benchmark,
     write_csv_rows,
@@ -27,6 +30,8 @@ from .evaluation import (
 )
 from .outliers import scored_with_labels
 from .sets import DomainError
+
+_DEFAULTS = AggregatorSpec()
 
 
 def _nonnegative_int(text: str) -> int:
@@ -44,28 +49,25 @@ def _add_common(p: argparse.ArgumentParser, multi_dataset: bool = False) -> None
                        default=None, help="strategy to include; repeatable (default: all)")
     else:
         p.add_argument("--dataset", required=True, metavar="CSV", help="dataset CSV path")
-        p.add_argument("--aggregator", choices=AGGREGATOR_KINDS, default="owa",
-                       help="aggregation strategy (default: owa)")
+        p.add_argument("--aggregator", choices=AGGREGATOR_KINDS, default=_DEFAULTS.kind,
+                       help="aggregation strategy (default: %(default)s)")
     p.add_argument("--decision-col", default=None,
                    help="decision column name (default: last column)")
-    p.add_argument("--alpha", type=float, default=0.3,
+    p.add_argument("--alpha", type=float, default=_DEFAULTS.alpha,
                    help="quadratic quantifier lower knot, used with --quantifier quadratic "
-                        "(default: 0.3)")
-    p.add_argument("--beta", type=float, default=0.9,
-                   help="quadratic quantifier upper knot (default: 0.9)")
-    p.add_argument("--quantifier", choices=("additive", "quadratic"), default="additive",
-                   help="quantifier family (default: additive, the protocol default)")
-    p.add_argument("--t", type=float, default=0.3,
-                   help="outlier weight of the two-block measure (protocol default: 0.3)")
-    p.add_argument("--contamination", type=float, default=0.1,
-                   help="fraction labeled as outliers (protocol default: 0.1)")
-    p.add_argument("--lof-k", type=int, default=20,
-                   help="LOF neighbor count (protocol default: 20)")
-    p.add_argument("--tnorm", choices=connectives.tnorm_kinds(), default=connectives.MINIMUM,
-                   help="t-norm for the fuzzy removal measure (protocol default: minimum)")
-    p.add_argument("--implicator", choices=connectives.implicator_kinds(),
-                   default=connectives.KLEENE_DIENES,
-                   help="implicator; the three supported ones coincide on crisp classes")
+                        "(default: %(default)s)")
+    p.add_argument("--beta", type=float, default=_DEFAULTS.beta,
+                   help="quadratic quantifier upper knot (default: %(default)s)")
+    p.add_argument("--quantifier", choices=QUANTIFIER_KINDS, default=_DEFAULTS.quantifier,
+                   help="quantifier family (default: %(default)s, the protocol default)")
+    p.add_argument("--t", type=float, default=_DEFAULTS.t,
+                   help="outlier weight of the two-block measure (protocol default: %(default)s)")
+    p.add_argument("--contamination", type=float, default=_DEFAULTS.contamination,
+                   help="fraction labeled as outliers (protocol default: %(default)s)")
+    p.add_argument("--lof-k", type=int, default=_DEFAULTS.lof_k,
+                   help="LOF neighbor count (protocol default: %(default)s)")
+    p.add_argument("--tnorm", choices=connectives.tnorm_kinds(), default=_DEFAULTS.tnorm,
+                   help="t-norm for the fuzzy removal measure (protocol default: %(default)s)")
     p.add_argument("--folds", type=int, default=5,
                    help="cross-validation folds (protocol default: 5)")
     p.add_argument("--seed", type=_nonnegative_int, default=0,
@@ -74,25 +76,14 @@ def _add_common(p: argparse.ArgumentParser, multi_dataset: bool = False) -> None
 
 
 def _spec_from(args, kind: str) -> AggregatorSpec:
-    return AggregatorSpec(
-        kind=kind,
-        quantifier=args.quantifier,
-        alpha=args.alpha,
-        beta=args.beta,
-        t=args.t,
-        contamination=args.contamination,
-        tnorm=args.tnorm,
-        lof_k=args.lof_k,
-    )
+    """The spec of one strategy; every other field comes from the flag of its name."""
+    knobs = {f.name: getattr(args, f.name) for f in fields(AggregatorSpec) if f.name != "kind"}
+    return AggregatorSpec(kind=kind, **knobs)
 
 
 def _config_echo(args) -> dict:
     echo = {k: v for k, v in vars(args).items() if k != "func"}
     return echo
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def cmd_lof_scores(args) -> int:
@@ -114,41 +105,26 @@ def cmd_lof_scores(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    decision = args.decision_col or _last_column(args.dataset)
-    train = ingest_csv(args.dataset, decision)
+    train = ingest_csv(args.dataset, args.decision_col)
     spec = _spec_from(args, args.aggregator)
     model = fit(train, spec, seed=args.seed)
-    X_test, y_test = load_features(args.test, train.attributes, decision)
+    X_test, y_test = load_features(args.test, train.attributes, train.decision)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "predictions.csv")
-    classes = model.classes
     memberships = membership_matrix(model, X_test)
-    # ties go to the smallest label: argmax keeps the first of equal maxima
-    predictions = np.array(classes, dtype=object)[memberships.argmax(axis=1)]
-    rows = [["instance_id", "prediction", *(f"score_{c}" for c in classes)]]
+    predictions = model.labels(memberships)
+    rows = [["instance_id", "prediction", *(f"score_{c}" for c in model.classes)]]
     for i, (label, scores) in enumerate(zip(predictions, memberships)):
         rows.append([str(i), str(label), *(_fmt(v) for v in scores)])
     write_csv_rows(path, rows)
     payload = {"command": "classify", "config": _config_echo(args),
-               "decision_column": decision, "resolved_aggregator": model.resolved.kind,
+               "decision_column": train.decision, "resolved_aggregator": model.resolved.kind,
                "outputs": [path]}
     if y_test is not None:
-        from .evaluation import balanced_accuracy
-
         payload["balanced_accuracy"] = balanced_accuracy(y_test, predictions)
     write_summary_json(os.path.join(args.out_dir, "summary.json"), payload)
     print(f"wrote {path}")
     return 0
-
-
-def _last_column(path: str) -> str:
-    import csv as _csv
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(_csv.reader(fh), None)
-    if not header:
-        raise DataFormatError(f"{path}: file is empty")
-    return header[-1].strip()
 
 
 def cmd_crossval(args) -> int:

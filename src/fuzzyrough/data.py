@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ class DecisionSystem:
     X: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
     ids: tuple = ()
+    decision: str | None = None  # the decision column's name, when read from a file
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -60,7 +62,65 @@ class DecisionSystem:
             self.X[idx],
             self.y[idx],
             tuple(self.ids[i] for i in np.atleast_1d(idx)),
+            self.decision,
         )
+
+
+def _bad_cell(path, lineno: int, header: list, row: list, cols: list) -> DataFormatError:
+    """The error naming the first cell of ``row`` among ``cols`` that is not a number."""
+    for i in cols:
+        try:
+            float(row[i])
+        except ValueError:
+            return DataFormatError(
+                f"{path}:{lineno}: column {header[i]!r}: cannot parse {row[i]!r} as a number")
+
+
+def _read_table(path, select):
+    """Parse a headered CSV into a float matrix and an optional label column.
+
+    The file is UTF-8 with or without a byte-order mark. Header names are
+    stripped and must be distinct; ``select(header)`` checks them and returns
+    the names of the feature columns, in the order wanted, and of the
+    decision column, or None when the file has none. Blank rows are skipped.
+    Returns (features, decision, X, labels), labels being None without a
+    decision column.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DataFormatError(f"{path}: file is empty") from None
+        repeated = [h for h, count in Counter(header).items() if count > 1]
+        if repeated:
+            raise DataFormatError(f"{path}: repeated column names {repeated}")
+        features, decision = select(header)
+        cols = [header.index(h) for h in features]
+        d_idx = None if decision is None else header.index(decision)
+
+        rows, labels, linenos = [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise DataFormatError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+            try:
+                rows.append([float(row[i]) for i in cols])
+            except ValueError:
+                raise _bad_cell(path, lineno, header, row, cols) from None
+            linenos.append(lineno)
+            if d_idx is not None:
+                labels.append(row[d_idx].strip())
+
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows after the header")
+    X = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        r, c = bad[0]
+        raise DataFormatError(f"{path}:{linenos[r]}: column {features[c]!r}: non-finite value")
+    return features, decision, X, (None if d_idx is None else np.array(labels, dtype=object))
 
 
 def ingest_csv(path, decision_column: str | None = None) -> DecisionSystem:
@@ -68,87 +128,34 @@ def ingest_csv(path, decision_column: str | None = None) -> DecisionSystem:
 
     The decision column defaults to the last one. Column order is preserved.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if decision_column is None:
-            decision_column = header[-1]
-        if decision_column not in header:
-            raise DataFormatError(f"{path}: decision column {decision_column!r} not in header {header}")
-        d_idx = header.index(decision_column)
-        attr_names = tuple(h for i, h in enumerate(header) if i != d_idx)
-        if not attr_names:
+    def select(header):
+        decision = header[-1] if decision_column is None else decision_column
+        if decision not in header:
+            raise DataFormatError(f"{path}: decision column {decision!r} not in header {header}")
+        attributes = tuple(h for h in header if h != decision)
+        if not attributes:
             raise DataFormatError(f"{path}: no conditional attributes besides the decision column")
+        return attributes, decision
 
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            feats = []
-            for i, cell in enumerate(row):
-                if i == d_idx:
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: column {header[i]!r}: cannot parse {cell!r} as a number"
-                    ) from None
-                if not np.isfinite(v):
-                    raise DataFormatError(f"{path}:{lineno}: column {header[i]!r}: non-finite value")
-                feats.append(v)
-            rows.append(feats)
-            labels.append(row[d_idx].strip())
-
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows after the header")
-    return DecisionSystem(attr_names, np.array(rows, dtype=float), np.array(labels, dtype=object))
+    attributes, decision, X, y = _read_table(path, select)
+    return DecisionSystem(attributes, X, y, decision=decision)
 
 
 def load_features(path, attributes: tuple, decision_column: str | None):
     """Load a feature matrix whose columns must cover the training attributes.
 
-    Returns (X, true_labels_or_None). The decision column is optional in the
-    file; extra columns are rejected so silent misalignment cannot happen.
+    Returns (X, true_labels_or_None). Columns are matched by name, in any
+    order. The decision column is optional in the file; extra columns are
+    rejected so silent misalignment cannot happen.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
+    def select(header):
         missing = [a for a in attributes if a not in header]
         if missing:
             raise DataFormatError(f"{path}: missing attribute columns {missing}")
         extra = [h for h in header if h not in attributes and h != decision_column]
         if extra:
             raise DataFormatError(f"{path}: unexpected columns {extra}")
-        col = {a: header.index(a) for a in attributes}
-        d_idx = header.index(decision_column) if decision_column in header else None
+        return attributes, (decision_column if decision_column in header else None)
 
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            try:
-                rows.append([float(row[col[a]]) for a in attributes])
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-numeric feature cell") from None
-            if d_idx is not None:
-                labels.append(row[d_idx].strip())
-
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows after the header")
-    X = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise DataFormatError(f"{path}: non-finite feature values")
-    y = np.array(labels, dtype=object) if d_idx is not None else None
+    _, _, X, y = _read_table(path, select)
     return X, y

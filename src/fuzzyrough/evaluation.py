@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm, rankdata
 
-from .classifier import AggregatorSpec, FittedModel, predict_batch
+from .classifier import BASE_KINDS, DISPLAY_NAMES, AggregatorSpec, FittedModel, predict_batch
 from .data import DataFormatError, DecisionSystem
 from .sets import DomainError
 
@@ -286,8 +286,6 @@ def write_report_csvs(report: EvaluationReport, out_dir: str) -> list:
         rows.append(["median", *(_fmt(v) for v in np.median(valid, axis=0))])
     write_csv_rows(results, rows)
     paths.append(results)
-
-    from .classifier import BASE_KINDS, DISPLAY_NAMES
 
     usage = os.path.join(out_dir, "usage_counts.csv")
     rows = [["dataset", *(DISPLAY_NAMES[k] for k in BASE_KINDS)]]

@@ -103,6 +103,24 @@ class TestBothReaders:
         assert X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert y == ["a", "b"]
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, reader):
+        p = tmp_path / "t.csv"
+        p.write_bytes("x,y,cls\n1,2,a\n3,4,b\n".encode("utf-8-sig"))
+        attributes, X, y = read_with(reader, str(p))
+        assert attributes == ("x", "y")
+        assert X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_repeated_column_name_rejected(self, tmp_path, reader):
+        p = write(tmp_path / "t.csv", "x,y,x,cls\n1,2,3,a\n")
+        with pytest.raises(DataFormatError, match=r"repeated column names \['x'\]"):
+            read_with(reader, p)
+
+    @pytest.mark.parametrize("cell", ["oops", "inf", "-inf", "nan", ""])
+    def test_bad_cell_names_line_and_column(self, tmp_path, reader, cell):
+        p = write(tmp_path / "t.csv", f"x,y,cls\n1,2,a\n1,{cell},b\n")
+        with pytest.raises(DataFormatError, match=r":3:.*'y'"):
+            read_with(reader, p)
+
     def test_wrong_cell_count_names_line(self, tmp_path, reader):
         p = write(tmp_path / "t.csv", "x,y,cls\n1,2,a\n3,4\n")
         with pytest.raises(DataFormatError, match=r":3: expected 3 cells, got 2"):
@@ -199,6 +217,20 @@ class TestCliCommands:
         lines = (out / "predictions.csv").read_text().strip().splitlines()
         assert [l.split(",")[1] for l in lines[1:]] == ["a", "b"]
         assert "balanced_accuracy" not in json.loads((out / "summary.json").read_text())
+
+    def test_classify_reads_the_decision_column_from_the_training_file(self, tmp_path):
+        train = tmp_path / "train.csv"
+        train.write_bytes(TOY_TRAIN.encode("utf-8-sig"))
+        test = tmp_path / "test.csv"
+        test.write_bytes("label,f1,f0\na,0.05,0.05\nb,5.05,5.05\n".encode("utf-8-sig"))
+        out = tmp_path / "out"
+        assert main(["classify", "--dataset", str(train), "--test", str(test),
+                     "--out-dir", str(out)]) == 0
+        lines = (out / "predictions.csv").read_text().strip().splitlines()
+        assert [l.split(",")[1] for l in lines[1:]] == ["a", "b"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["decision_column"] == "label"
+        assert summary["balanced_accuracy"] == 1.0
 
     def test_crossval_separable_is_perfect(self, tmp_path):
         rng = np.random.default_rng(0)
