@@ -106,9 +106,7 @@ def negator_eval(kind: str, x):
 def induced_conjunctor(implicator: str, negator: str, x, y):
     """Conjunctor obtained from an implicator by double negation: N(I(x, N(y)))."""
     _check_degrees(x, y)
-    i = _lookup(_IMPLICATORS, implicator, "implicator")
-    n = _lookup(_NEGATORS, negator, "negator")
-    return n(i(np.asarray(x, float), n(np.asarray(y, float))))
+    return conjunctor_fn(implicator, negator)(np.asarray(x, float), np.asarray(y, float))
 
 
 def conjunctor_fn(implicator: str = KLEENE_DIENES, negator: str = STANDARD):

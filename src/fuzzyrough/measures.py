@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import connectives
-from .quantifiers import RIMQuantifier, WeightVector, weights_from_quantifier
+from .quantifiers import RIMQuantifier, WeightVector
 from .sets import DomainError, FuzzySet, Universe
 
 
@@ -315,49 +315,20 @@ class DualMeasure(MonotoneMeasure):
         return self.inner
 
 
-# Constructors mirroring the measure families used by the classifier.
+# Function-style names for the measure families.
 
 def measure_eval(mu: MonotoneMeasure, subset) -> float:
     return mu.value(subset)
-
-
-def symmetric_from_quantifier(q: RIMQuantifier, n: int,
-                              universe: Universe | None = None) -> SymmetricMeasure:
-    return SymmetricMeasure(q, n, universe)
-
-
-def additive_from_weights(p: WeightVector, universe: Universe | None = None) -> AdditiveMeasure:
-    return AdditiveMeasure(p, universe)
 
 
 def dual_measure(mu: MonotoneMeasure) -> MonotoneMeasure:
     return mu.dual()
 
 
-def partial_universal(o, n: int | None = None,
-                      universe: Universe | None = None) -> PartialUniversalMeasure:
-    return PartialUniversalMeasure(o, n, universe)
-
-
-def partial_existential(o, n: int | None = None,
-                        universe: Universe | None = None) -> PartialExistentialMeasure:
-    return PartialExistentialMeasure(o, n, universe)
-
-
-def fuzzy_removal(o, tnorm: str = connectives.MINIMUM,
-                  universe: Universe | None = None) -> FuzzyRemovalMeasure:
-    return FuzzyRemovalMeasure(o, tnorm, universe)
-
-
-def wowa_measure(q: RIMQuantifier, o, universe: Universe | None = None) -> WowaMeasure:
-    return WowaMeasure(q, o, universe)
-
-
-def ordered_two_symmetric(q: RIMQuantifier, o, t: float, contamination: float,
-                          universe: Universe | None = None) -> OrderedTwoSymmetricMeasure:
-    return OrderedTwoSymmetricMeasure(q, o, t, contamination, universe)
-
-
-def symmetric_weights(mu: SymmetricMeasure) -> WeightVector:
-    """OWA weights equivalent to a symmetric measure on its universe."""
-    return weights_from_quantifier(mu.quantifier, mu.n)
+symmetric_from_quantifier = SymmetricMeasure
+additive_from_weights = AdditiveMeasure
+partial_universal = PartialUniversalMeasure
+partial_existential = PartialExistentialMeasure
+fuzzy_removal = FuzzyRemovalMeasure
+wowa_measure = WowaMeasure
+ordered_two_symmetric = OrderedTwoSymmetricMeasure

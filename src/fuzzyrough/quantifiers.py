@@ -160,8 +160,7 @@ def weights_from_quantifier(q: RIMQuantifier, n: int) -> WeightVector:
     return WeightVector(w)
 
 
-def quantifier_from_weights(w: WeightVector) -> RIMQuantifier:
-    return StepQuantifier(w)
+quantifier_from_weights = StepQuantifier
 
 
 def orness(w: WeightVector) -> float:
