@@ -16,13 +16,11 @@ import sys
 
 import numpy as np
 
-from fuzzyrough.classifier import AggregatorSpec
+from fuzzyrough.classifier import AGGREGATOR_KINDS, default_specs
 from fuzzyrough.data import DecisionSystem, ingest_csv
 from fuzzyrough.evaluation import run_benchmark, write_report_csvs
 
-SPEC_ORDER = ("min", "mino", "fr", "avg", "avgo", "ts", "owa", "owao", "wowa", "comb")
-
-# published mean balanced accuracies, same strategy order as SPEC_ORDER
+# published mean balanced accuracies, same strategy order as AGGREGATOR_KINDS
 REFERENCE_ROWS = {
     "appendicitis": (0.739, 0.704, 0.773, 0.768, 0.768, 0.793, 0.768, 0.774, 0.774, 0.754),
     "haberman": (0.540, 0.581, 0.583, 0.625, 0.628, 0.602, 0.622, 0.634, 0.629, 0.634),
@@ -72,7 +70,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
-    specs = [AggregatorSpec(kind=k) for k in SPEC_ORDER]
+    specs = default_specs()
     total = None
     for seed in args.seeds:
         report = run_benchmark(datasets, specs, k=args.folds, seed=seed)
@@ -86,7 +84,7 @@ def main(argv=None) -> int:
         write_report_csvs(report, args.out_dir)
         print(f"report CSVs (seed {args.seeds[-1]}) written to {args.out_dir}")
 
-    header = "dataset      " + "".join(f"{s:>8}" for s in SPEC_ORDER)
+    header = "dataset      " + "".join(f"{s:>8}" for s in AGGREGATOR_KINDS)
     print("\nmean balanced accuracy over seeds", args.seeds)
     print(header)
     worst = 0.0
