@@ -26,17 +26,20 @@ from .evaluation import (
     stratified_kfold,
     wilcoxon_signed_rank,
 )
+# The function-style names of the measure families are their classes. They are
+# bound here, not in measures, so that each class has one name in its module:
+# perfbench/tracer.py wraps a class's chain_values once per name it finds.
 from .measures import (
+    AdditiveMeasure as additive_from_weights,
+    FuzzyRemovalMeasure as fuzzy_removal,
     MonotoneMeasure,
-    additive_from_weights,
+    OrderedTwoSymmetricMeasure as ordered_two_symmetric,
+    PartialExistentialMeasure as partial_existential,
+    PartialUniversalMeasure as partial_universal,
+    SymmetricMeasure as symmetric_from_quantifier,
+    WowaMeasure as wowa_measure,
     dual_measure,
-    fuzzy_removal,
     measure_eval,
-    ordered_two_symmetric,
-    partial_existential,
-    partial_universal,
-    symmetric_from_quantifier,
-    wowa_measure,
 )
 from .outliers import OutlierScores, label_outliers, lof_scores, normalize_scores, per_class_scores
 from .quantifiers import (

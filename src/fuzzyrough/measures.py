@@ -315,20 +315,9 @@ class DualMeasure(MonotoneMeasure):
         return self.inner
 
 
-# Function-style names for the measure families.
-
 def measure_eval(mu: MonotoneMeasure, subset) -> float:
     return mu.value(subset)
 
 
 def dual_measure(mu: MonotoneMeasure) -> MonotoneMeasure:
     return mu.dual()
-
-
-symmetric_from_quantifier = SymmetricMeasure
-additive_from_weights = AdditiveMeasure
-partial_universal = PartialUniversalMeasure
-partial_existential = PartialExistentialMeasure
-fuzzy_removal = FuzzyRemovalMeasure
-wowa_measure = WowaMeasure
-ordered_two_symmetric = OrderedTwoSymmetricMeasure

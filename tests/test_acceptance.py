@@ -23,7 +23,7 @@ from fuzzyrough.evaluation import (
     run_benchmark,
     write_report_csvs,
 )
-from fuzzyrough.measures import (
+from fuzzyrough import (
     dual_measure,
     partial_existential,
     partial_universal,

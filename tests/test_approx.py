@@ -12,7 +12,7 @@ from fuzzyrough.approx import (
 )
 from fuzzyrough.choquet import owa_values
 from fuzzyrough.data import DecisionSystem
-from fuzzyrough.measures import (
+from fuzzyrough import (
     dual_measure,
     symmetric_from_quantifier,
 )

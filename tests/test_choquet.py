@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fuzzyrough.choquet import Valuation, choquet_integral, owa, owa_values
-from fuzzyrough.measures import (
+from fuzzyrough import (
     additive_from_weights,
     dual_measure,
     partial_existential,

@@ -20,7 +20,7 @@ from fuzzyrough.classifier import (
     predict_batch,
 )
 from fuzzyrough.data import DecisionSystem
-from fuzzyrough.measures import (
+from fuzzyrough import (
     fuzzy_removal,
     ordered_two_symmetric,
     partial_universal,

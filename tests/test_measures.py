@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fuzzyrough import connectives as con
-from fuzzyrough.measures import (
+from fuzzyrough import (
     additive_from_weights,
     dual_measure,
     fuzzy_removal,

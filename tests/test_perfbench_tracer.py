@@ -2,7 +2,8 @@
 
 ``perfbench/tracer.py`` looks its spans up by name when ``--trace 1``
 installs it; a function, method or measure class renamed or deleted in
-``fuzzyrough`` would break traced runs without failing any other test.
+``fuzzyrough`` would break traced runs without failing any other test, and
+a measure class bound under two names would have its calls counted twice.
 """
 
 import importlib
@@ -32,3 +33,12 @@ def test_traced_names_resolve():
     for kind in tracer.MEASURE_KINDS:
         cls = getattr(measures, kind, None)
         assert isinstance(cls, type) and issubclass(cls, measures.MonotoneMeasure), kind
+
+
+def test_each_measure_class_has_one_name_in_its_module():
+    # the tracer wraps chain_values once per module name bound to a class, so a
+    # second name would count every call twice
+    measures = importlib.import_module("fuzzyrough.measures")
+    bound = [value for value in vars(measures).values() if isinstance(value, type)
+             and issubclass(value, measures.MonotoneMeasure)]
+    assert len(bound) == len(set(bound))
