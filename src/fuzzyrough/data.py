@@ -100,7 +100,8 @@ def _read_table(path, select):
         d_idx = None if decision is None else header.index(decision)
 
         rows, labels, linenos = [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the row's last line: quoted cells may span lines
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):

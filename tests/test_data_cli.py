@@ -121,6 +121,11 @@ class TestBothReaders:
         with pytest.raises(DataFormatError, match=r":3:.*'y'"):
             read_with(reader, p)
 
+    def test_bad_cell_after_a_multiline_quoted_label_names_its_line(self, tmp_path, reader):
+        p = write(tmp_path / "t.csv", 'x,y,cls\n1,2,"a\nb"\n1,oops,b\n')
+        with pytest.raises(DataFormatError, match=r":4:.*'y'"):
+            read_with(reader, p)
+
     def test_wrong_cell_count_names_line(self, tmp_path, reader):
         p = write(tmp_path / "t.csv", "x,y,cls\n1,2,a\n3,4\n")
         with pytest.raises(DataFormatError, match=r":3: expected 3 cells, got 2"):
