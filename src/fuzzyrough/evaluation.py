@@ -15,7 +15,7 @@ from .classifier import BASE_KINDS, DISPLAY_NAMES, AggregatorSpec, FittedModel, 
 from .data import DataFormatError, DecisionSystem
 from .sets import DomainError
 
-EXACT_WILCOXON_LIMIT = 25  # enumerate 2^m sign patterns up to here
+EXACT_WILCOXON_LIMIT = 25  # exact null distribution up to here, normal beyond
 
 
 @dataclass(frozen=True)
@@ -73,22 +73,19 @@ class WilcoxonResult:
     method: str  # "exact", "normal", or "degenerate"
 
 
-def _exact_distribution_sums(double_ranks: np.ndarray) -> np.ndarray:
-    """All 2^m sign-pattern values of 2*W+, one entry per pattern."""
-    m = double_ranks.size
-    sums = np.zeros(1 << m, dtype=np.int32)
-    size = 1
-    for r in double_ranks:
-        sums[size:2 * size] = sums[:size] + r
-        size *= 2
-    return sums
-
-
 def _exact_p_value(double_ranks: np.ndarray, w2: int) -> float:
-    sums = _exact_distribution_sums(double_ranks)
-    n_le = int(np.count_nonzero(sums <= w2))
-    n_ge = int(np.count_nonzero(sums >= w2))
-    return min(1.0, 2.0 * min(n_le, n_ge) / sums.size)
+    """Two-sided exact p-value of 2*W+ = w2 over the 2^m equally likely sign patterns.
+
+    counts[s] is the number of sign patterns whose 2*W+ equals s; each rank
+    joins by adding the counts shifted by it, O(m * sum of double ranks).
+    """
+    counts = np.zeros(int(double_ranks.sum()) + 1, dtype=np.int64)
+    counts[0] = 1
+    for r in double_ranks.tolist():
+        counts[r:] += counts[:-r]  # numpy buffers the overlapping operands
+    n_le = int(counts[:w2 + 1].sum())
+    n_ge = int(counts[w2:].sum())
+    return min(1.0, 2.0 * min(n_le, n_ge) / (1 << double_ranks.size))
 
 
 def _normal_p_value(ranks: np.ndarray, w_pos: float) -> float:
@@ -106,10 +103,10 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     """Two-sided paired signed-rank test.
 
     Zero differences are dropped and tied absolute differences mid-ranked.
-    Up to m = 25 nonzero differences the p-value is exact (all 2^m sign
-    patterns enumerated); beyond that a normal approximation with tie
-    correction is used. Results with fewer than 5 nonzero differences are
-    flagged unreliable.
+    Up to m = 25 nonzero differences the p-value is exact (the 2^m sign
+    patterns counted by their rank sums); beyond that a normal approximation
+    with tie correction is used. Results with fewer than 5 nonzero
+    differences are flagged unreliable.
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
@@ -195,9 +192,14 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
     matrix compares strategies across the per-dataset mean accuracies. A
     dataset the computation is not defined on (DomainError, DataFormatError)
     is recorded as a failure naming the fold instead of aborting the run;
-    any other exception is a bug and propagates.
+    any other exception is a bug and propagates. Dataset names key the
+    reports, so a repeated name raises DomainError.
     """
     dataset_names = tuple(name for name, _ in datasets)
+    for name in dict.fromkeys(dataset_names):
+        positions = [i for i, other in enumerate(dataset_names) if other == name]
+        if len(positions) > 1:
+            raise DomainError(f"dataset name {name!r} is repeated at positions {positions}")
     spec_names = tuple(s.display_name for s in specs)
     acc = np.full((len(datasets), len(specs)), np.nan)
     fold_accuracies: dict = {}

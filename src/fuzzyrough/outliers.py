@@ -27,7 +27,8 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
     LOF(x) is the mean ratio of each neighbor's local reachability density to
     x's own; values near 1 mean x sits in a region as dense as its neighbors'.
     Neighbor ties are broken by index; zero distances are floored so duplicate
-    points score 1 rather than dividing by zero.
+    points score 1 rather than dividing by zero. The n x n distance matrix is
+    filled in row blocks, so memory grows with n^2 and not with n^2 * m.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -38,8 +39,12 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
     if n < k + 1:
         raise DomainError(f"need at least k+1={k + 1} points, got {n}")
 
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    # rows in blocks of about 2^20 difference elements (8 MB), not one n*n*m tensor
+    dist = np.empty((n, n))
+    step = max(1, (1 << 20) // max(1, n * points.shape[1]))
+    for i0 in range(0, n, step):
+        diff = points[i0:i0 + step, None, :] - points[None, :, :]
+        dist[i0:i0 + step] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     np.fill_diagonal(dist, np.inf)
 
     neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]

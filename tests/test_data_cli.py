@@ -276,6 +276,20 @@ class TestCliCommands:
             snapshots.append({f: (out / f).read_bytes() for f in files})
         assert snapshots[0] == snapshots[1]
 
+    def test_benchmark_repeated_basename_rejected(self, tmp_path, capsys):
+        # both files are named "x" in the reports, which key rows by name
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = write(tmp_path / "a" / "x.csv", TOY_TRAIN)
+        second = write(tmp_path / "b" / "x.csv", TOY_TRAIN.replace("5.2,5.0", "4.8,5.3"))
+        out = tmp_path / "out"
+        assert main(["benchmark", "--dataset", first, "--dataset", second,
+                     "--aggregator", "comb", "--folds", "2", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "computation" in err
+        assert "dataset name 'x' is repeated at positions [0, 1]" in err
+        assert not out.exists()
+
     def test_negative_seed_rejected(self, tmp_path):
         train = write(tmp_path / "train.csv", TOY_TRAIN)
         with pytest.raises(SystemExit):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from fuzzyrough.classifier import AggregatorSpec
@@ -96,6 +100,22 @@ def recurrence_p_value(double_ranks, w2):
     return min(1.0, 2.0 * min(n_le, n_ge) / total)
 
 
+def enumeration_p_value(double_ranks, w2):
+    """Brute-force reference: 2*W+ of every one of the 2^m sign patterns."""
+    sums = np.zeros(1 << len(double_ranks), dtype=np.int64)
+    size = 1
+    for r in double_ranks:
+        sums[size:2 * size] = sums[:size] + int(r)
+        size *= 2
+    n_le = int(np.count_nonzero(sums <= w2))
+    n_ge = int(np.count_nonzero(sums >= w2))
+    return min(1.0, 2.0 * min(n_le, n_ge) / sums.size)
+
+
+# few distinct magnitudes, so most ranks are tied mid-ranks
+tied_differences = st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=20)
+
+
 class TestWilcoxon:
     def test_all_positive_m5(self):
         res = wilcoxon_signed_rank(np.array([2.0, 3, 4, 5, 6]), np.array([1.0, 1, 1, 1, 1]))
@@ -166,6 +186,40 @@ class TestWilcoxon:
         assert not res.reliable
         assert 0.0 <= res.p_value <= 1.0
 
+    @given(tied_differences, st.data())
+    def test_recurrence_matches_enumeration(self, d, data):
+        d = np.asarray(d, dtype=float)
+        ranks = rankdata(np.abs(d))
+        double_ranks = np.rint(2 * ranks).astype(np.int32)
+        observed = int(round(2 * ranks[d > 0].sum()))
+        anywhere = data.draw(st.integers(0, int(double_ranks.sum())))
+        for w2 in (observed, anywhere):
+            assert _exact_p_value(double_ranks, w2) == enumeration_p_value(double_ranks, w2)
+
+    def test_pinned_m25_with_ties(self):
+        # four distinct magnitudes over 25 differences; p-value recorded from
+        # the 2^25 enumeration
+        d = np.array([3, -1, 2, 2, -3, 1, 4, 2, -2, 1, 3, 1, -4,
+                      2, 3, 1, 2, -1, 4, 3, 1, 2, -2, 3, 1], dtype=float)
+        res = wilcoxon_signed_rank(d / 4, np.zeros(25))
+        assert res.method == "exact"
+        assert (res.rank_sum_positive, res.rank_sum_negative) == (247.5, 77.5)
+        assert res.p_value == 0.019992530345916748
+
+    def test_exact_path_memory_at_limit(self):
+        # the exact distribution has sum(double ranks) + 1 <= 651 entries at
+        # m = 25; a 2^25 table would be 128 MiB
+        rng = np.random.default_rng(43)
+        a, b = rng.normal(size=25), rng.normal(size=25)
+        tracemalloc.start()
+        try:
+            res = wilcoxon_signed_rank(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.method == "exact"
+        assert peak < 1 << 20
+
 
 def tiny_dataset(seed, n_per=6, gap=8.0):
     rng = np.random.default_rng(seed)
@@ -200,6 +254,15 @@ class TestRunBenchmark:
                                [AggregatorSpec(kind="avg")], k=2, seed=0)
         assert "bad" in report.failures
         assert not np.isnan(report.accuracies[1, 0])
+
+    def test_repeated_dataset_names_rejected(self):
+        # usage_counts and failures are keyed by name, so a repeated name
+        # would let one dataset's entry stand for both rows
+        datasets = [("x", tiny_dataset(1)), ("y", tiny_dataset(2)),
+                    ("x", tiny_dataset(3)), ("y", tiny_dataset(4)), ("z", tiny_dataset(5))]
+        with pytest.raises(DomainError,
+                           match=r"dataset name 'x' is repeated at positions \[0, 2\]"):
+            run_benchmark(datasets, [AggregatorSpec(kind="comb")], k=2, seed=0)
 
     def test_failure_names_the_fold(self):
         # two instances of "a" over two folds leave one per training fold,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,25 @@ def brute_force_lof(points, k):
     return [sum(lrds[j] for j in nb[i]) / len(nb[i]) / lrds[i] for i in range(n)]
 
 
+def full_tensor_lof(points, k):
+    """LOF with the whole n x n x m difference tensor built at once.
+
+    The same arithmetic as lof_scores, without its row blocks; the two must
+    agree bit for bit.
+    """
+    points = np.asarray(points, dtype=float)
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, np.inf)
+    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    k_dist = np.maximum(np.take_along_axis(dist, neighbors[:, -1:], axis=1)[:, 0],
+                        DISTANCE_FLOOR)
+    reach = np.maximum(k_dist[neighbors],
+                       np.maximum(np.take_along_axis(dist, neighbors, axis=1), DISTANCE_FLOOR))
+    lrd = 1.0 / np.mean(reach, axis=1)
+    return np.mean(lrd[neighbors], axis=1) / lrd
+
+
 class TestLofScores:
     def test_identical_points_score_one(self):
         pts = np.ones((6, 2)) * 3.7
@@ -74,6 +94,35 @@ class TestLofScores:
                 if n < k + 1:
                     continue
                 assert np.allclose(lof_scores(pts, k), brute_force_lof(pts, k), atol=1e-9)
+
+    def test_row_blocks_equal_full_tensor(self):
+        # 400 x 30 spans several row blocks of 2^20 difference elements
+        rng = np.random.default_rng(44)
+        pts = rng.normal(size=(400, 30))
+        pts[50:60] = pts[7]  # duplicate points: zero distances, tied neighbors
+        pts[399] = pts[0]
+        for k in (1, 20, 399):  # 399 is the class-size clamp n - 1
+            assert np.array_equal(lof_scores(pts, k), full_tensor_lof(pts, k))
+
+    def test_row_blocks_equal_full_tensor_wide_and_narrow(self):
+        # one row per block at 8 x 70000, a partial last block at 20 x 4000
+        rng = np.random.default_rng(45)
+        for n, m in ((3, 1), (40, 1), (8, 70000), (20, 4000), (300, 4)):
+            pts = np.round(rng.normal(size=(n, m)), 1)  # coarse grid: ties
+            for k in (1, n - 1):
+                assert np.array_equal(lof_scores(pts, k), full_tensor_lof(pts, k))
+
+    def test_memory_stays_below_n_squared_m(self):
+        # a 1200 x 1200 x 30 difference tensor would be 345 MB; the distance
+        # matrix and the neighbor order are 11.5 MB each
+        pts = np.random.default_rng(46).normal(size=(1200, 30))
+        tracemalloc.start()
+        try:
+            lof_scores(pts, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 << 20
 
     def test_too_few_points_rejected(self):
         with pytest.raises(DomainError):
