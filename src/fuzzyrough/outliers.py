@@ -39,7 +39,7 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
     if n < k + 1:
         raise DomainError(f"need at least k+1={k + 1} points, got {n}")
 
-    # rows in blocks of about 2^20 difference elements (8 MB), not one n*n*m tensor
+    # each block of rows holds about 2^20 difference elements (8 MB)
     dist = np.empty((n, n))
     step = max(1, (1 << 20) // max(1, n * points.shape[1]))
     for i0 in range(0, n, step):
