@@ -10,7 +10,6 @@ from .approx import (
 from .choquet import Valuation, choquet_integral, owa
 from .classifier import AggregatorSpec, FittedModel, aggregate, comb_select, fit, predict
 from .connectives import (
-    ConnectiveSuite,
     complement,
     induced_conjunctor,
     implicator_eval,

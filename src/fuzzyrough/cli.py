@@ -21,6 +21,7 @@ from .classifier import AGGREGATOR_KINDS, QUANTIFIER_KINDS, AggregatorSpec, fit,
 from .data import DataFormatError, ingest_csv, load_features
 from .evaluation import (
     _fmt,
+    _reject_repeats,
     balanced_accuracy,
     crossval_accuracies,
     run_benchmark,
@@ -41,18 +42,30 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, multi_dataset: bool = False) -> None:
+def _add_data_flags(p: argparse.ArgumentParser, multi_dataset: bool = False) -> None:
+    """The flags every command reads: input, decision column, outlier labelling, output."""
     if multi_dataset:
         p.add_argument("--dataset", action="append", required=True, metavar="CSV",
                        help="dataset CSV path; repeat the flag for several datasets")
+    else:
+        p.add_argument("--dataset", required=True, metavar="CSV", help="dataset CSV path")
+    p.add_argument("--decision-col", default=None,
+                   help="decision column name (default: last column)")
+    p.add_argument("--contamination", type=float, default=_DEFAULTS.contamination,
+                   help="fraction labeled as outliers (protocol default: %(default)s)")
+    p.add_argument("--lof-k", type=int, default=_DEFAULTS.lof_k,
+                   help="LOF neighbor count (protocol default: %(default)s)")
+    p.add_argument("--out-dir", default=".", help="directory for output files")
+
+
+def _add_strategy_flags(p: argparse.ArgumentParser, multi_dataset: bool = False) -> None:
+    """The flags of the commands that classify: strategy, its knobs and the seed."""
+    if multi_dataset:
         p.add_argument("--aggregator", choices=AGGREGATOR_KINDS, action="append",
                        default=None, help="strategy to include; repeatable (default: all)")
     else:
-        p.add_argument("--dataset", required=True, metavar="CSV", help="dataset CSV path")
         p.add_argument("--aggregator", choices=AGGREGATOR_KINDS, default=_DEFAULTS.kind,
                        help="aggregation strategy (default: %(default)s)")
-    p.add_argument("--decision-col", default=None,
-                   help="decision column name (default: last column)")
     p.add_argument("--alpha", type=float, default=_DEFAULTS.alpha,
                    help="quadratic quantifier lower knot, used with --quantifier quadratic "
                         "(default: %(default)s)")
@@ -62,17 +75,10 @@ def _add_common(p: argparse.ArgumentParser, multi_dataset: bool = False) -> None
                    help="quantifier family (default: %(default)s, the protocol default)")
     p.add_argument("--t", type=float, default=_DEFAULTS.t,
                    help="outlier weight of the two-block measure (protocol default: %(default)s)")
-    p.add_argument("--contamination", type=float, default=_DEFAULTS.contamination,
-                   help="fraction labeled as outliers (protocol default: %(default)s)")
-    p.add_argument("--lof-k", type=int, default=_DEFAULTS.lof_k,
-                   help="LOF neighbor count (protocol default: %(default)s)")
     p.add_argument("--tnorm", choices=connectives.tnorm_kinds(), default=_DEFAULTS.tnorm,
                    help="t-norm for the fuzzy removal measure (protocol default: %(default)s)")
-    p.add_argument("--folds", type=int, default=5,
-                   help="cross-validation folds (protocol default: 5)")
     p.add_argument("--seed", type=_nonnegative_int, default=0,
-                   help="random seed recorded in all outputs (default: 0)")
-    p.add_argument("--out-dir", default=".", help="directory for output files")
+                   help="seed for comb's tie-break and any fold split (default: 0)")
 
 
 def _spec_from(args, kind: str) -> AggregatorSpec:
@@ -82,8 +88,7 @@ def _spec_from(args, kind: str) -> AggregatorSpec:
 
 
 def _config_echo(args) -> dict:
-    echo = {k: v for k, v in vars(args).items() if k != "func"}
-    return echo
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def cmd_lof_scores(args) -> int:
@@ -145,11 +150,13 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    kinds = args.aggregator if args.aggregator else list(AGGREGATOR_KINDS)
+    # run_benchmark accepts repeated specs; here a repeated flag would only duplicate columns
+    _reject_repeats(kinds, "aggregator")
     datasets = []
     for p in args.dataset:
         name = os.path.splitext(os.path.basename(p))[0]
         datasets.append((name, ingest_csv(p, args.decision_col)))
-    kinds = args.aggregator if args.aggregator else list(AGGREGATOR_KINDS)
     specs = [_spec_from(args, k) for k in kinds]
     report = run_benchmark(datasets, specs, k=args.folds, seed=args.seed)
     paths = write_report_csvs(report, args.out_dir)
@@ -174,21 +181,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lof-scores", help="per-instance LOF scores, normalized, with labels")
-    _add_common(p)
+    _add_data_flags(p)
     p.set_defaults(func=cmd_lof_scores)
 
     p = sub.add_parser("classify", help="fit on a training CSV and predict a test CSV")
-    _add_common(p)
+    _add_data_flags(p)
+    _add_strategy_flags(p)
     p.add_argument("--test", required=True, metavar="CSV", help="test CSV path")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("crossval", help="stratified k-fold balanced accuracy for one strategy")
-    _add_common(p)
-    p.set_defaults(func=cmd_crossval)
-
-    p = sub.add_parser("benchmark", help="full protocol over several datasets and strategies")
-    _add_common(p, multi_dataset=True)
-    p.set_defaults(func=cmd_benchmark)
+    for name, func, multi_dataset, summary in (
+            ("crossval", cmd_crossval, False,
+             "stratified k-fold balanced accuracy for one strategy"),
+            ("benchmark", cmd_benchmark, True,
+             "full protocol over several datasets and strategies")):
+        p = sub.add_parser(name, help=summary)
+        _add_data_flags(p, multi_dataset)
+        _add_strategy_flags(p, multi_dataset)
+        p.add_argument("--folds", type=int, default=5,
+                       help="cross-validation folds (protocol default: 5)")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -1,14 +1,12 @@
 """Fuzzy logical connectives: t-norms, implicators, negators, induced conjunctors.
 
 All binary connectives are numpy ufunc-compatible, so they apply elementwise
-to arrays as well as scalars. User-supplied connectives can be registered and
-are checked against the defining axioms on a sampled grid before being
-accepted.
+to arrays as well as scalars. User-supplied connectives can be registered:
+they must work elementwise on arrays too, and are checked against the
+defining axioms on a sampled grid before being accepted.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,12 +82,9 @@ def tnorm_accumulate(kind: str, xs) -> np.ndarray:
     t = _lookup(_TNORMS, kind, "t-norm")
     if isinstance(t, np.ufunc):
         return t.accumulate(values, axis=-1)
-    out = np.empty(values.shape)
-    acc = values[..., 0]
-    out[..., 0] = acc
+    out = values.copy()
     for i in range(1, values.shape[-1]):
-        acc = t(acc, values[..., i])
-        out[..., i] = acc
+        out[..., i] = t(out[..., i - 1], values[..., i])
     return out
 
 
@@ -127,68 +122,67 @@ def complement(a: FuzzySet, negator: str = STANDARD) -> FuzzySet:
     return FuzzySet(a.universe, n(a.memberships))
 
 
-@dataclass(frozen=True)
-class ConnectiveSuite:
-    """A coherent choice of connectives used throughout the approximations."""
-
-    tnorm: str = MINIMUM
-    implicator: str = KLEENE_DIENES
-    negator: str = STANDARD
-
-    def __post_init__(self):
-        _lookup(_TNORMS, self.tnorm, "t-norm")
-        _lookup(_IMPLICATORS, self.implicator, "implicator")
-        _lookup(_NEGATORS, self.negator, "negator")
-
-
-# Registration of user-supplied connectives. Axioms are sampled on a fixed
-# grid; violations fail fast so downstream identities can rely on them.
+# Registration of user-supplied connectives. Each axiom is checked once on
+# arrays built from a fixed grid, which also rejects a callable that does not
+# work elementwise; violations fail fast so downstream identities can rely on
+# them.
 
 _AXIOM_GRID = np.linspace(0.0, 1.0, 21)
 
 
+def _checked(fn):
+    """fn for the axiom checks: called on equally shaped arrays, it must give that shape back."""
+    def call(*args):
+        try:
+            out = np.asarray(fn(*args), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"connectives must work elementwise on arrays: {exc}") from None
+        if out.shape != args[0].shape:
+            raise DomainError(f"connectives must work elementwise on arrays: inputs of shape "
+                              f"{args[0].shape} gave shape {out.shape}")
+        return out
+    return call
+
+
 def register_tnorm(kind: str, fn) -> None:
+    t = _checked(fn)
     g = _AXIOM_GRID
-    for x in g:
-        if abs(fn(1.0, x) - x) > 1e-9 or abs(fn(x, 1.0) - x) > 1e-9:
-            raise DomainError("t-norm axiom violated: 1 is not neutral")
-        for y in g:
-            if abs(fn(x, y) - fn(y, x)) > 1e-9:
-                raise DomainError("t-norm axiom violated: not commutative")
-            if fn(x, y) < -1e-12 or fn(x, y) > 1 + 1e-12:
-                raise DomainError("t-norm axiom violated: range outside [0, 1]")
-    for x in g[::4]:
-        for y in g[::4]:
-            for z in g[::4]:
-                if abs(fn(fn(x, y), z) - fn(x, fn(y, z))) > 1e-9:
-                    raise DomainError("t-norm axiom violated: not associative")
-                if y <= z and fn(x, y) > fn(x, z) + 1e-12:
-                    raise DomainError("t-norm axiom violated: not increasing")
+    one = np.ones_like(g)
+    if np.any(np.abs(t(one, g) - g) > 1e-9) or np.any(np.abs(t(g, one) - g) > 1e-9):
+        raise DomainError("t-norm axiom violated: 1 is not neutral")
+    x, y = np.meshgrid(g, g, indexing="ij")
+    xy = t(x, y)
+    if np.any(np.abs(xy - t(y, x)) > 1e-9):
+        raise DomainError("t-norm axiom violated: not commutative")
+    if np.any(xy < -1e-12) or np.any(xy > 1 + 1e-12):
+        raise DomainError("t-norm axiom violated: range outside [0, 1]")
+    x, y, z = np.meshgrid(g[::4], g[::4], g[::4], indexing="ij")
+    if np.any(np.abs(t(t(x, y), z) - t(x, t(y, z))) > 1e-9):
+        raise DomainError("t-norm axiom violated: not associative")
+    if np.any((y <= z) & (t(x, y) > t(x, z) + 1e-12)):
+        raise DomainError("t-norm axiom violated: not increasing")
     _TNORMS[kind] = fn
 
 
 def register_implicator(kind: str, fn) -> None:
-    g = _AXIOM_GRID
-    corners = [(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 0, 0)]
-    for x, y, expect in corners:
-        if abs(fn(float(x), float(y)) - expect) > 1e-9:
-            raise DomainError("implicator axiom violated: boundary values")
-    for x1 in g[::2]:
-        for x2 in g[::2]:
-            for y in g[::2]:
-                if x1 <= x2 and fn(x1, y) < fn(x2, y) - 1e-12:
-                    raise DomainError("implicator axiom violated: not decreasing in first argument")
-                if x1 <= x2 and fn(y, x1) > fn(y, x2) + 1e-12:
-                    raise DomainError("implicator axiom violated: not increasing in second argument")
+    i = _checked(fn)
+    x, y, expect = np.array([(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 0, 0)], dtype=float).T
+    if np.any(np.abs(i(x, y) - expect) > 1e-9):
+        raise DomainError("implicator axiom violated: boundary values")
+    g = _AXIOM_GRID[::2]
+    x1, x2, y = np.meshgrid(g, g, g, indexing="ij")
+    if np.any((x1 <= x2) & (i(x1, y) < i(x2, y) - 1e-12)):
+        raise DomainError("implicator axiom violated: not decreasing in first argument")
+    if np.any((x1 <= x2) & (i(y, x1) > i(y, x2) + 1e-12)):
+        raise DomainError("implicator axiom violated: not increasing in second argument")
     _IMPLICATORS[kind] = fn
 
 
 def register_negator(kind: str, fn) -> None:
-    g = _AXIOM_GRID
-    if abs(fn(0.0) - 1.0) > 1e-9 or abs(fn(1.0) - 0.0) > 1e-9:
+    n = _checked(fn)
+    if np.any(np.abs(n(np.array([0.0, 1.0])) - [1.0, 0.0]) > 1e-9):
         raise DomainError("negator axiom violated: boundary values")
-    for x1 in g:
-        for x2 in g:
-            if x1 <= x2 and fn(x1) < fn(x2) - 1e-12:
-                raise DomainError("negator axiom violated: not non-increasing")
+    x1, x2 = np.meshgrid(_AXIOM_GRID, _AXIOM_GRID, indexing="ij")
+    if np.any((x1 <= x2) & (n(x1) < n(x2) - 1e-12)):
+        raise DomainError("negator axiom violated: not non-increasing")
     _NEGATORS[kind] = fn

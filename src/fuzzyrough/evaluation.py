@@ -183,6 +183,14 @@ def _fold_seed(seed: int, dataset_index: int, fold: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _reject_repeats(names, what: str) -> None:
+    """Raise DomainError naming the first repeated name and all its positions."""
+    for name in dict.fromkeys(names):
+        positions = [i for i, other in enumerate(names) if other == name]
+        if len(positions) > 1:
+            raise DomainError(f"{what} {name!r} is repeated at positions {positions}")
+
+
 def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
                   seed: int = 0) -> EvaluationReport:
     """Full evaluation protocol over several datasets and strategies.
@@ -196,10 +204,7 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
     reports, so a repeated name raises DomainError.
     """
     dataset_names = tuple(name for name, _ in datasets)
-    for name in dict.fromkeys(dataset_names):
-        positions = [i for i, other in enumerate(dataset_names) if other == name]
-        if len(positions) > 1:
-            raise DomainError(f"dataset name {name!r} is repeated at positions {positions}")
+    _reject_repeats(dataset_names, "dataset name")
     spec_names = tuple(s.display_name for s in specs)
     acc = np.full((len(datasets), len(specs)), np.nan)
     fold_accuracies: dict = {}

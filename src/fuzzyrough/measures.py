@@ -240,25 +240,17 @@ class FuzzyRemovalMeasure(MonotoneMeasure):
         return out
 
 
-def _positions(order) -> np.ndarray:
-    """Chain position of every element: the inverse of each ordering."""
-    return np.argsort(order, axis=-1)
-
-
 class PartialUniversalMeasure(MonotoneMeasure):
     """mu(B) = 1 iff B contains every trusted element (those outside o)."""
 
     def __init__(self, o, n: int | None = None, universe: Universe | None = None):
         if isinstance(o, FuzzySet):
-            mask = _as_mask(o, o.universe.size)
-            universe = universe or o.universe
-        else:
-            if n is None:
-                arr = np.asarray(o)
-                if arr.dtype != bool:
-                    raise DomainError("pass n when giving outlier indices")
-                n = arr.size
-            mask = _as_mask(o, n)
+            n, universe = o.universe.size, universe or o.universe
+        elif n is None:
+            if np.asarray(o).dtype != bool:
+                raise DomainError("pass n when giving outlier indices")
+            n = np.size(o)
+        mask = _as_mask(o, n)
         super().__init__(mask.size, universe)
         if mask.all():
             raise DomainError("partial universal measure needs at least one trusted element")
@@ -269,25 +261,9 @@ class PartialUniversalMeasure(MonotoneMeasure):
         return 1.0 if np.all(mask[self.trusted]) else 0.0
 
     def chain_values(self, order):
-        first_trusted = _positions(order)[..., self.trusted].min(axis=-1)
+        # the argsort of an ordering is its inverse: each element's chain position
+        first_trusted = np.argsort(order, axis=-1)[..., self.trusted].min(axis=-1)
         return (np.arange(self.n) <= np.expand_dims(first_trusted, -1)).astype(float)
-
-
-class PartialExistentialMeasure(MonotoneMeasure):
-    """mu(B) = 0 iff B lies entirely inside the outlier set o."""
-
-    def __init__(self, o, n: int | None = None, universe: Universe | None = None):
-        inner = PartialUniversalMeasure(o, n, universe)
-        super().__init__(inner.n, inner.universe)
-        self.outliers = inner.outliers
-        self.trusted = inner.trusted
-
-    def _value(self, mask, k):
-        return 1.0 if np.any(mask[self.trusted]) else 0.0
-
-    def chain_values(self, order):
-        last_trusted = _positions(order)[..., self.trusted].max(axis=-1)
-        return (np.arange(self.n) <= np.expand_dims(last_trusted, -1)).astype(float)
 
 
 class DualMeasure(MonotoneMeasure):
@@ -313,6 +289,19 @@ class DualMeasure(MonotoneMeasure):
 
     def dual(self):
         return self.inner
+
+
+class PartialExistentialMeasure(DualMeasure):
+    """mu(B) = 0 iff B lies entirely inside the outlier set o.
+
+    The dual of the partial universal measure on the same outliers: B misses
+    every trusted element exactly when its complement contains them all.
+    """
+
+    def __init__(self, o, n: int | None = None, universe: Universe | None = None):
+        super().__init__(PartialUniversalMeasure(o, n, universe))
+        self.outliers = self.inner.outliers
+        self.trusted = self.inner.trusted
 
 
 def measure_eval(mu: MonotoneMeasure, subset) -> float:

@@ -18,7 +18,6 @@ from .data import DecisionSystem
 from .sets import DomainError
 
 DISTANCE_FLOOR = 1e-12  # keeps densities finite when points coincide
-DEFAULT_NEIGHBORS = 20
 
 
 def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
@@ -93,7 +92,7 @@ class OutlierScores:
         object.__setattr__(self, "normalized", norm)
 
 
-def per_class_scores(ds: DecisionSystem, k: int = DEFAULT_NEIGHBORS) -> OutlierScores:
+def per_class_scores(ds: DecisionSystem, k: int) -> OutlierScores:
     """Fit one scorer per decision class and score each member in-sample.
 
     k is clamped to class size - 1 for small classes; a singleton class gets

@@ -9,6 +9,7 @@ identical protocol end to end against published reference accuracies.
 import contextlib
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,5 +297,5 @@ def test_criterion_6_determinism(tmp_path):
             out = tmp_path / f"run{run}"
             report = run_benchmark(frames, specs, k=3, seed=99)
             paths = write_report_csvs(report, str(out))
-            contents.append(tuple(open(p, "rb").read() for p in paths))
+            contents.append(tuple(Path(p).read_bytes() for p in paths))
         assert contents[0] == contents[1]

@@ -4,11 +4,30 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzyrough import connectives as con
+from fuzzyrough import fuzzy_removal, symmetric_from_quantifier
+from fuzzyrough.approx import SimilarityRelation, upper_approximation
+from fuzzyrough.choquet import choquet_integral
+from fuzzyrough.quantifiers import QuadraticQuantifier
 from fuzzyrough.sets import DomainError, FuzzySet, Universe, intersect_min
 
 degrees = st.floats(min_value=0.0, max_value=1.0)
 
 TOL = 1e-12
+
+
+def drastic(x, y):
+    """The drastic t-norm, elementwise on arrays."""
+    return np.where(np.maximum(x, y) == 1.0, np.minimum(x, y), 0.0)
+
+
+def choquet_by_definition(f, mu):
+    """Sum of the sorted increments of f, each times the measure of its suffix set."""
+    order = np.argsort(f, kind="stable")
+    total, previous = 0.0, 0.0
+    for i, j in enumerate(order):
+        total += (f[j] - previous) * mu.value(order[i:])
+        previous = f[j]
+    return total
 
 
 class TestTnormEval:
@@ -128,7 +147,7 @@ class TestFuzzySetOps:
 
 class TestRegistration:
     def test_valid_tnorm_accepted(self):
-        con.register_tnorm("drastic_test", lambda x, y: min(x, y) if max(x, y) == 1.0 else 0.0)
+        con.register_tnorm("drastic_test", drastic)
         assert con.tnorm_eval("drastic_test", (1.0, 0.4)) == 0.4
         del con._TNORMS["drastic_test"]
 
@@ -141,3 +160,39 @@ class TestRegistration:
         with pytest.raises(DomainError):
             con.register_implicator("bogus", lambda x, y: x)
         assert "bogus" not in con.implicator_kinds()
+
+    @pytest.mark.parametrize("register, fn", [
+        (con.register_tnorm, lambda x, y: min(x, y) if max(x, y) == 1.0 else 0.0),
+        (con.register_tnorm, lambda x, y: np.minimum(x, y).ravel()),
+        (con.register_implicator, lambda x, y: max(1.0 - x, y)),
+        (con.register_negator, lambda x: 1.0 - x if x < 1.0 else 0.0),
+    ])
+    def test_connective_not_elementwise_on_arrays_rejected(self, register, fn):
+        kinds = (con.tnorm_kinds(), con.implicator_kinds(), con.negator_kinds())
+        with pytest.raises(DomainError, match="elementwise"):
+            register("scalar_only", fn)
+        assert (con.tnorm_kinds(), con.implicator_kinds(), con.negator_kinds()) == kinds
+
+    def test_registered_tnorm_works_in_approximation_and_stacked_removal(self):
+        con.register_tnorm("drastic_test", drastic)
+        try:
+            rng = np.random.default_rng(5)
+            u = Universe.of_size(6)
+            m = rng.uniform(0, 1, (6, 6))
+            m = (m + m.T) / 2
+            m[[0, 2], [2, 0]] = 1.0
+            np.fill_diagonal(m, 1.0)
+            r = SimilarityRelation(u, m)
+            a = FuzzySet(u, [0.3, 1.0, 0.6, 0.2, 1.0, 0.9])
+            mu = symmetric_from_quantifier(QuadraticQuantifier(0.2, 1.0), 6)
+            got = upper_approximation(r, a, mu, "drastic_test", 0)
+            assert abs(got - choquet_by_definition(drastic(m[0], a.memberships), mu)) < TOL
+
+            o = np.array([[1.0, 0.4, 1.0, 0.7, 1.0, 0.2], [0.9, 1.0, 1.0, 1.0, 0.5, 1.0]])
+            f = rng.uniform(0, 1, (2, 6))
+            got = choquet_integral(f, fuzzy_removal(o, "drastic_test"))
+            for row in range(2):
+                expected = choquet_by_definition(f[row], fuzzy_removal(o[row], "drastic_test"))
+                assert abs(got[row] - expected) < TOL
+        finally:
+            del con._TNORMS["drastic_test"]

@@ -169,9 +169,14 @@ class TestCliDefaults:
 
     @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
     def test_no_flags_give_the_spec_defaults(self, kind):
-        for command in ("lof-scores", "crossval", "benchmark"):
-            args = build_parser().parse_args([command, "--dataset", "d.csv"])
+        for argv in (["classify", "--test", "t.csv"], ["crossval"], ["benchmark"]):
+            args = build_parser().parse_args([*argv, "--dataset", "d.csv"])
             assert _spec_from(args, kind) == AggregatorSpec(kind=kind)
+
+    def test_lof_scores_defaults_are_the_spec_defaults(self):
+        args = build_parser().parse_args(["lof-scores", "--dataset", "d.csv"])
+        defaults = AggregatorSpec()
+        assert (args.lof_k, args.contamination) == (defaults.lof_k, defaults.contamination)
 
     def test_every_knob_reaches_the_spec(self):
         args = build_parser().parse_args(["crossval", "--dataset", "d.csv", *self.KNOBS])
@@ -186,6 +191,42 @@ class TestCliDefaults:
     def test_default_single_strategy_is_the_spec_default(self):
         args = build_parser().parse_args(["classify", "--dataset", "d.csv", "--test", "t.csv"])
         assert args.aggregator == AggregatorSpec().kind
+
+
+FLAG_VALUES = {"--dataset": "d.csv", "--decision-col": "cls", "--contamination": "0.2",
+               "--lof-k": "7", "--out-dir": "out", "--aggregator": "min", "--alpha": "0.2",
+               "--beta": "0.8", "--quantifier": "quadratic", "--t": "0.4",
+               "--tnorm": "product", "--seed": "3", "--folds": "3", "--test": "t.csv"}
+LOF_FLAGS = ("--dataset", "--decision-col", "--contamination", "--lof-k", "--out-dir")
+STRATEGY_FLAGS = ("--aggregator", "--alpha", "--beta", "--quantifier", "--t", "--tnorm",
+                  "--seed")
+COMMAND_FLAGS = {
+    "lof-scores": LOF_FLAGS,
+    "classify": (*LOF_FLAGS, *STRATEGY_FLAGS, "--test"),
+    "crossval": (*LOF_FLAGS, *STRATEGY_FLAGS, "--folds"),
+    "benchmark": (*LOF_FLAGS, *STRATEGY_FLAGS, "--folds"),
+}
+DROPPED_FLAGS = {"lof-scores": (*STRATEGY_FLAGS, "--folds"), "classify": ("--folds",)}
+
+
+class TestCliFlags:
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_each_command_takes_exactly_the_flags_it_reads(self, command):
+        flags = COMMAND_FLAGS[command]
+        argv = [command, *(x for flag in flags for x in (flag, FLAG_VALUES[flag]))]
+        args = build_parser().parse_args(argv)
+        dests = set(vars(args)) - {"command", "func"}
+        assert dests == {flag[2:].replace("-", "_") for flag in flags}
+
+    @pytest.mark.parametrize("command", DROPPED_FLAGS)
+    def test_dropped_flags_are_usage_errors(self, command, capsys):
+        required = ["--test", "t.csv"] if command == "classify" else []
+        argv = [command, "--dataset", "d.csv", *required]
+        for flag in DROPPED_FLAGS[command]:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([*argv, flag, FLAG_VALUES[flag]])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestCliCommands:
@@ -288,6 +329,17 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "computation" in err
         assert "dataset name 'x' is repeated at positions [0, 1]" in err
+        assert not out.exists()
+
+    def test_benchmark_repeated_aggregator_rejected(self, tmp_path, capsys):
+        train = write(tmp_path / "train.csv", TOY_TRAIN)
+        out = tmp_path / "out"
+        assert main(["benchmark", "--dataset", train, "--aggregator", "min",
+                     "--aggregator", "owa", "--aggregator", "min", "--folds", "2",
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "computation" in err
+        assert "aggregator 'min' is repeated at positions [0, 2]" in err
         assert not out.exists()
 
     def test_negative_seed_rejected(self, tmp_path):
