@@ -15,24 +15,26 @@ aggregation operator is what distinguishes the strategies:
 All outlier-aware strategies consume per-class normalized outlier scores, and
 their measures live on the universe each row actually aggregates.
 
-Scoring is batched. The similarities of a block of rows to the training fold
-are computed at once; for each class the values 1 - R of every row are sorted
-once, and all strategies read the same sorted rows: min, avg and owa (and
-their outlier-free variants) directly, fr, wowa and ts as Choquet integrals
-over the row axis. Comb's leave-one-out is the same computation on the
-training block with each row's own element deleted.
+Scoring is batched and streamed. Rows are scored in blocks of about
+``BLOCK_ELEMENTS`` similarities: each block's similarities to the training
+fold are computed at once; for each class the values 1 - R of every row are
+sorted once, and all strategies read the same sorted rows: min, avg and owa
+(and their outlier-free variants) directly, fr, wowa and ts as Choquet
+integrals over the row axis. Every row's result ignores the other rows, so
+the block size never changes a bit of it, and no rows x train array is ever
+whole. Comb's leave-one-out is the same computation on blocks of training
+rows with each row's own element deleted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from . import connectives
-from .approx import attribute_scales, similarity_matrix, similarity_to_test
-from .choquet import choquet_integral, owa_values
+from .approx import attribute_scales, similarity_to_test
+from .choquet import _dot_rows, choquet_integral
 from .data import DecisionSystem
 from .measures import FuzzyRemovalMeasure, OrderedTwoSymmetricMeasure, WowaMeasure
 from .outliers import OutlierScores, scored_with_labels, top_fraction
@@ -51,6 +53,7 @@ DISPLAY_NAMES = {
     "min": "Min", "mino": "Mino", "fr": "FR", "avg": "Avg", "avgo": "Avgo",
     "ts": "TS", "owa": "OWA", "owao": "OWAo", "wowa": "WOWA", "comb": "COMB",
 }
+BLOCK_ELEMENTS = 1 << 18  # similarities per scored row block (2 MB)
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,9 @@ def _plain(kind: str, spec: AggregatorSpec, values: np.ndarray, asc: np.ndarray)
     if kind == "avg":
         return values.mean(axis=1)
     n = asc.shape[1]
-    return owa_values(asc[:, ::-1], weights_from_quantifier(spec.quantifier_for(n), n))
+    # the rows are already sorted, so the OWA is one dot product per descending row
+    desc = np.ascontiguousarray(asc[:, ::-1])
+    return _dot_rows(desc, weights_from_quantifier(spec.quantifier_for(n), n).weights)
 
 
 def _without_outliers(spec: AggregatorSpec, values, order, asc, labels) -> np.ndarray:
@@ -177,38 +182,43 @@ def aggregate(values, o_sub, spec: AggregatorSpec, outliers=None) -> float:
     return float(_aggregate_rows(values[None], o_sub, labels, [spec])[0, 0])
 
 
-def _row_groups(S: np.ndarray, cols: np.ndarray, scores: OutlierScores, loo: bool):
+def _row_groups(S: np.ndarray, cols: np.ndarray, scores: OutlierScores,
+                loo_start: int | None):
     """The values 1 - R each row of S aggregates over the columns ``cols``.
 
     Yields (rows, values, degrees, labels) for groups of rows of one length;
     degrees and labels are shared vectors, or one row each where rows
-    deleted different elements. With ``loo`` the rows of S are the training
-    instances and each one drops its own column; a row left with nothing to
-    aggregate is not yielded.
+    deleted different elements. With ``loo_start`` the rows of S are the
+    training instances loo_start, loo_start + 1, ... and each one drops its
+    own column; a row left with nothing to aggregate is not yielded.
     """
     o, labels = scores.normalized[cols], scores.labels[cols]
-    if not loo:
-        yield np.arange(S.shape[0]), 1.0 - S[:, cols], o, labels
+    rows = np.arange(S.shape[0])
+    if loo_start is None:
+        yield rows, 1.0 - S[:, cols], o, labels
         return
-    outside = np.setdiff1d(np.arange(S.shape[0]), cols)
+    member = np.isin(rows + loo_start, cols)
+    outside, inside = rows[~member], rows[member]
     if outside.size:
         yield outside, 1.0 - S[np.ix_(outside, cols)], o, labels
-    if cols.size > 1:
-        # rows inside the aggregated set delete their own element: the diagonal
-        keep = ~np.eye(cols.size, dtype=bool)
-        shape = (cols.size, cols.size - 1)
-        yield (cols, (1.0 - S[np.ix_(cols, cols)])[keep].reshape(shape),
+    if inside.size and cols.size > 1:
+        # rows inside the aggregated set delete their own element
+        keep = np.ones((inside.size, cols.size), dtype=bool)
+        keep[np.arange(inside.size), np.searchsorted(cols, inside + loo_start)] = False
+        shape = (inside.size, cols.size - 1)
+        yield (inside, (1.0 - S[np.ix_(inside, cols)])[keep].reshape(shape),
                np.broadcast_to(o, keep.shape)[keep].reshape(shape),
                np.broadcast_to(labels, keep.shape)[keep].reshape(shape))
 
 
 def _block_memberships(model: "FittedModel", S: np.ndarray, specs: list[AggregatorSpec],
-                       loo: bool = False) -> np.ndarray:
+                       loo_start: int | None = None) -> np.ndarray:
     """Membership of each row of S in each class under each spec.
 
     S holds the rows' similarities to the training instances; the result has
-    shape (len(specs), rows, classes). With ``loo`` S is the training block
-    and each row leaves itself out; an emptied class complement gives 0.
+    shape (len(specs), rows, classes). With ``loo_start`` S holds the rows of
+    the training instances loo_start, loo_start + 1, ... and each row leaves
+    itself out; an emptied class complement gives 0.
     """
     out = np.zeros((len(specs), S.shape[0], len(model.classes)))
     by_scores: dict = {}
@@ -219,9 +229,27 @@ def _block_memberships(model: "FittedModel", S: np.ndarray, specs: list[Aggregat
         scores = model.scores_for(group[0])
         for ci, label in enumerate(model.classes):
             cols = np.flatnonzero(~model.class_masks[label])
-            for rows, values, o, labels in _row_groups(S, cols, scores, loo):
+            for rows, values, o, labels in _row_groups(S, cols, scores, loo_start):
                 out[np.ix_(indices, rows, [ci])] = _aggregate_rows(values, o, labels,
                                                                    group)[..., None]
+    return out
+
+
+def _streamed_memberships(model: "FittedModel", X: np.ndarray, specs: list[AggregatorSpec],
+                          loo: bool = False) -> np.ndarray:
+    """``_block_memberships`` of the rows of X, one block of rows at a time.
+
+    Each block holds about BLOCK_ELEMENTS similarities to the training fold
+    and is scored before the next is built. With ``loo`` X is the training
+    data itself and each row leaves itself out. Zero rows still form one
+    (empty) block, so a bad column count is reported as for any other X.
+    """
+    out = np.empty((len(specs), X.shape[0], len(model.classes)))
+    step = max(1, BLOCK_ELEMENTS // model.n)
+    for start in range(0, max(X.shape[0], 1), step):
+        S = similarity_to_test(model.train.X, model.sigmas, X[start:start + step])
+        out[:, start:start + step] = _block_memberships(model, S, specs,
+                                                        start if loo else None)
     return out
 
 
@@ -230,8 +258,8 @@ class FittedModel:
 
     Scales, class masks and the outlier scores of each (lof_k, contamination)
     setting are computed once and shared by every strategy scored on the
-    fold; the train x train similarity is built only when comb's
-    leave-one-out needs it. ``spec`` is the requested strategy and
+    fold. Similarities are not kept: scoring and comb's leave-one-out
+    compute them block by block. ``spec`` is the requested strategy and
     ``resolved`` the one predictions use, with comb replaced by its choice.
     """
 
@@ -259,10 +287,6 @@ class FittedModel:
         smallest label in sorted order."""
         return np.array(self.classes, dtype=object)[memberships.argmax(axis=-1)]
 
-    @cached_property
-    def similarity(self) -> np.ndarray:
-        return similarity_matrix(self.train.X, self.sigmas)
-
     def scores_for(self, spec: AggregatorSpec) -> OutlierScores:
         key = (spec.lof_k, spec.contamination)
         if key not in self._scores:
@@ -280,9 +304,10 @@ def comb_select(ds_train, candidate_specs: list[AggregatorSpec], seed: int) -> A
     """Pick the candidate with the best leave-one-out balanced accuracy.
 
     ``ds_train`` is the training fold, or a FittedModel built on it whose
-    outlier scores and similarities are then reused. Each instance is
-    predicted with itself removed from the aggregation universe (outlier
-    scores and scales stay those of the full training fold). Exact ties are
+    outlier scores are then reused. Each instance is predicted with itself
+    removed from the aggregation universe (outlier scores and scales stay
+    those of the full training fold); the training rows are scored in
+    blocks, so the train x train similarity is never whole. Exact ties are
     broken uniformly at random by the seeded generator.
     """
     from .evaluation import balanced_accuracy
@@ -293,7 +318,7 @@ def comb_select(ds_train, candidate_specs: list[AggregatorSpec], seed: int) -> A
     if min(int(m.sum()) for m in model.class_masks.values()) < 2:
         raise DomainError("leave-one-out selection needs at least two instances per class")
 
-    memberships = _block_memberships(model, model.similarity, candidate_specs, loo=True)
+    memberships = _streamed_memberships(model, model.train.X, candidate_specs, loo=True)
     accs = np.array([balanced_accuracy(model.train.y, predicted)
                      for predicted in model.labels(memberships)])
     best = np.flatnonzero(accs >= accs.max() - 1e-12)
@@ -313,18 +338,15 @@ def membership_matrix(model: FittedModel, X_test,
     """Per-class lower-approximation memberships of each row of X_test.
 
     rows x classes under the model's resolved strategy; with ``specs``
-    (resolved strategies) specs x rows x classes, all scored from one
-    similarity block.
+    (resolved strategies) specs x rows x classes. X_test is scored in row
+    blocks of about BLOCK_ELEMENTS similarities, every spec from the same
+    block, so memory does not grow with rows x train.
     """
     X_test = np.asarray(X_test, dtype=float)
     if X_test.ndim != 2:
         raise DomainError("test instances must form a 2-D array, one instance per row")
-    scored = [model.resolved] if specs is None else specs
-    for spec in scored:
-        model.scores_for(spec)  # before the block exists: LOF is the memory peak
-    S = similarity_to_test(model.train.X, model.sigmas, X_test)
-    block = _block_memberships(model, S, scored)
-    return block[0] if specs is None else block
+    scored = _streamed_memberships(model, X_test, [model.resolved] if specs is None else specs)
+    return scored[0] if specs is None else scored
 
 
 def predict_batch(model: FittedModel, X_test, specs: list[AggregatorSpec] | None = None):

@@ -161,9 +161,12 @@ def cmd_benchmark(args) -> int:
     report = run_benchmark(datasets, specs, k=args.folds, seed=args.seed)
     paths = write_report_csvs(report, args.out_dir)
     summary = os.path.join(args.out_dir, "summary.json")
+    # the config records what ran: every strategy and each dataset's decision column
+    config = {**_config_echo(args), "aggregator": kinds,
+              "decision_col": {name: ds.decision for name, ds in datasets}}
     write_summary_json(summary, {
         "command": "benchmark",
-        "config": _config_echo(args),
+        "config": config,
         "outputs": paths,
         "failures": report.failures,
         "unreliable_wilcoxon_pairs": [list(p) for p in report.unreliable_pairs],

@@ -24,7 +24,6 @@ class FoldPlan:
 
     k: int
     assignments: np.ndarray = field(repr=False)
-    seed: int = 0
 
     def train_test(self, fold: int):
         test = np.flatnonzero(self.assignments == fold)
@@ -46,7 +45,7 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
         members = np.flatnonzero(labels == label)
         rng.shuffle(members)
         assignments[members] = np.arange(members.size) % k
-    return FoldPlan(k, assignments, seed)
+    return FoldPlan(k, assignments)
 
 
 def balanced_accuracy(y_true, y_pred) -> float:
@@ -153,8 +152,9 @@ def _evaluate_fold(ds: DecisionSystem, plan: FoldPlan, fold: int, specs: list,
                    seed: int) -> tuple[list, list]:
     """Balanced accuracy and resolved strategy of every spec on one fold.
 
-    One model holds the training fold; every spec is resolved on it and all
-    of them are scored from one similarity block of the held-out rows.
+    One model holds the training fold; every spec is resolved on it, and
+    all of them are scored from the same row blocks of the held-out rows,
+    whose similarities are computed one block at a time.
     """
     train_idx, test_idx = plan.train_test(fold)
     train, test = ds.subset(train_idx), ds.subset(test_idx)
@@ -165,10 +165,31 @@ def _evaluate_fold(ds: DecisionSystem, plan: FoldPlan, fold: int, specs: list,
             [spec.kind for spec in resolved])
 
 
+def _check_comb_folds(ds: DecisionSystem, specs: list, k: int) -> None:
+    """Raise DomainError when comb is requested and some training fold would
+    keep fewer than two members of a class.
+
+    Round-robin dealing puts ceil(c/k) of a class's c members in fold 0, so
+    its smallest training fold keeps c - ceil(c/k) of them, and comb's
+    leave-one-out needs two.
+    """
+    if not any(spec.kind == "comb" for spec in specs):
+        return
+    for label in ds.classes:
+        c = int(np.sum(ds.y == label))
+        kept = c - math.ceil(c / k)
+        if kept < 2:
+            raise DomainError(
+                f"comb needs at least two instances of each class in every training fold; "
+                f"class {label!r} has {c} instances, so with k={k} folds one training "
+                f"fold keeps {kept}")
+
+
 def crossval_accuracies(ds: DecisionSystem, spec: AggregatorSpec, k: int, seed: int,
                         dataset_index: int = 0) -> tuple[list, list]:
     """Per-fold balanced accuracies plus the resolved strategy per fold."""
     plan = stratified_kfold(ds.y, k, seed)
+    _check_comb_folds(ds, [spec], k)
     accs, resolved_kinds = [], []
     for fold in range(k):
         (acc,), (kind,) = _evaluate_fold(ds, plan, fold, [spec],
@@ -199,7 +220,8 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
     every spec, balanced accuracy on the held-out fold. The pairwise Wilcoxon
     matrix compares strategies across the per-dataset mean accuracies. A
     dataset the computation is not defined on (DomainError, DataFormatError)
-    is recorded as a failure naming the fold instead of aborting the run;
+    is recorded as a failure naming the fold instead of aborting the run (a
+    class too small for comb's leave-one-out fails before the first fold);
     any other exception is a bug and propagates. Dataset names key the
     reports, so a repeated name raises DomainError.
     """
@@ -217,6 +239,7 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
         where = ""
         try:
             plan = stratified_kfold(ds.y, k, seed)
+            _check_comb_folds(ds, specs, k)
             for fold in range(k):
                 where = f"fold {fold}: "
                 accs, kinds = _evaluate_fold(ds, plan, fold, specs, _fold_seed(seed, di, fold))

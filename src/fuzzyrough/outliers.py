@@ -26,8 +26,10 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
     LOF(x) is the mean ratio of each neighbor's local reachability density to
     x's own; values near 1 mean x sits in a region as dense as its neighbors'.
     Neighbor ties are broken by index; zero distances are floored so duplicate
-    points score 1 rather than dividing by zero. The n x n distance matrix is
-    filled in row blocks, so memory grows with n^2 and not with n^2 * m.
+    points score 1 rather than dividing by zero. Distances are computed for
+    one block of rows at a time, and each block keeps only its rows' k
+    nearest neighbors and their distances, so memory grows with
+    block * n + n * k and no n x n matrix is built.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -38,21 +40,24 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
     if n < k + 1:
         raise DomainError(f"need at least k+1={k + 1} points, got {n}")
 
-    # each block of rows holds about 2^20 difference elements (8 MB)
-    dist = np.empty((n, n))
+    neighbors = np.empty((n, k), dtype=np.intp)
+    near = np.empty((n, k))  # distance to each neighbor
+    # each block of rows holds about 2^20 difference elements (8 MB), in one buffer
     step = max(1, (1 << 20) // max(1, n * points.shape[1]))
+    buffer = np.empty((min(step, n), n, points.shape[1]))
     for i0 in range(0, n, step):
-        diff = points[i0:i0 + step, None, :] - points[None, :, :]
-        dist[i0:i0 + step] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(dist, np.inf)
-
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    k_dist = np.maximum(np.take_along_axis(dist, neighbors[:, -1:], axis=1)[:, 0],
-                        DISTANCE_FLOOR)
+        diff = np.subtract(points[i0:i0 + step, None, :], points[None, :, :],
+                           out=buffer[:min(step, n - i0)])
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        own = np.arange(dist.shape[0])
+        dist[own, own + i0] = np.inf
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        neighbors[i0:i0 + step] = order
+        near[i0:i0 + step] = np.take_along_axis(dist, order, axis=1)
+    k_dist = np.maximum(near[:, -1], DISTANCE_FLOOR)
 
     # reach(x, o) = max(k_dist(o), d(x, o)) over x's neighbors o
-    reach = np.maximum(k_dist[neighbors],
-                       np.maximum(np.take_along_axis(dist, neighbors, axis=1), DISTANCE_FLOOR))
+    reach = np.maximum(k_dist[neighbors], np.maximum(near, DISTANCE_FLOOR))
     lrd = 1.0 / np.mean(reach, axis=1)
     return np.mean(lrd[neighbors], axis=1) / lrd
 

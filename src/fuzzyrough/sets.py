@@ -77,10 +77,6 @@ class FuzzySet:
         """Sigma-count: the sum of all membership degrees."""
         return float(self.memberships.sum())
 
-    def is_subset_of(self, other: "FuzzySet") -> bool:
-        _check_same_universe(self, other)
-        return bool(np.all(self.memberships <= other.memberships))
-
 
 def _check_same_universe(a: FuzzySet, b: FuzzySet) -> None:
     if a.universe is not b.universe and a.universe != b.universe:

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fuzzyrough import classifier
 from fuzzyrough import connectives as con
-from fuzzyrough.approx import similarity_to_test
+from fuzzyrough.approx import similarity_matrix, similarity_to_test
 from fuzzyrough.choquet import choquet_integral, owa_values
 from fuzzyrough.classifier import (
     BASE_KINDS,
@@ -23,9 +24,11 @@ from fuzzyrough.classifier import (
     FittedModel,
     _aggregate_rows,
     _block_memberships,
+    _streamed_memberships,
     aggregate,
     class_memberships,
     fit,
+    membership_matrix,
     predict_batch,
 )
 from fuzzyrough.data import DecisionSystem
@@ -111,9 +114,10 @@ class TestClassifierEquivalence:
     @given(decision_systems(), spec_lists)
     def test_leave_one_out_rows(self, ds, spec_list):
         model = FittedModel(ds)
-        got = _block_memberships(model, model.similarity, spec_list, loo=True)
+        S = similarity_matrix(model.train.X, model.sigmas)
+        got = _block_memberships(model, S, spec_list, loo_start=0)
         for k, spec in enumerate(spec_list):
-            want = scalar_reference.memberships(model, model.similarity, spec, loo=True)
+            want = scalar_reference.memberships(model, S, spec, loo=True)
             assert np.array_equal(got[k], want)
 
     @given(decision_systems(), specs(), st.data())
@@ -131,15 +135,76 @@ class TestClassifierEquivalence:
         ds = DecisionSystem(("f",), np.array([[0.0], [1.0], [2.0]]),
                             np.array(["a", "a", "b"], dtype=object))
         model = FittedModel(ds)
+        S = similarity_matrix(model.train.X, model.sigmas)
         for kind in BASE_KINDS:
-            got = _block_memberships(model, model.similarity, [AggregatorSpec(kind=kind)],
-                                     loo=True)[0]
+            got = _block_memberships(model, S, [AggregatorSpec(kind=kind)], loo_start=0)[0]
             # instance 2 is the whole complement of class "a"; without it
             # nothing is left to aggregate
             assert got[2, 0] == 0.0
-            want = scalar_reference.memberships(model, model.similarity,
-                                                AggregatorSpec(kind=kind), loo=True)
+            want = scalar_reference.memberships(model, S, AggregatorSpec(kind=kind), loo=True)
             assert np.array_equal(got, want)
+
+
+def _sorted_classes():
+    """11 training rows in runs of 5, 4 and 2 per class, with duplicate rows,
+    so row blocks of 2 to 4 cut through classes; 7 test rows."""
+    X = np.array([[0.0, 1.0], [0.5, 1.0], [0.5, 1.0], [1.0, 2.0], [0.0, 0.5],
+                  [2.0, 1.5], [1.5, 2.0], [2.0, 1.5], [1.0, 1.0],
+                  [0.5, 2.0], [1.5, 0.5]])
+    y = np.array(["a"] * 5 + ["b"] * 4 + ["c"] * 2, dtype=object)
+    X_test = np.array([[0.5, 1.0], [1.0, 1.5], [2.0, 2.0], [0.0, 0.0], [1.5, 0.5],
+                       [0.25, 1.75], [1.0, 1.0]])
+    return DecisionSystem(("f0", "f1"), X, y), X_test
+
+
+ROW_BLOCK_SPECS = ([AggregatorSpec(kind=k) for k in BASE_KINDS]
+                   + [AggregatorSpec(kind=k, quantifier="quadratic", contamination=0.3,
+                                     tnorm=con.PRODUCT, lof_k=2) for k in BASE_KINDS])
+
+
+class TestRowBlocks:
+    """Scoring in row blocks equals the scalar reference at every block size.
+
+    The block budget is set to a multiple of the training size, so blocks
+    hold that many rows: one-row blocks, blocks that cut through classes and
+    one-row last blocks all come up.
+    """
+
+    @pytest.mark.parametrize("rows_per_block", (1, 2, 3, 4, 6, 11, 20))
+    def test_prediction_and_leave_one_out(self, monkeypatch, rows_per_block):
+        ds, X_test = _sorted_classes()
+        model = FittedModel(ds)
+        monkeypatch.setattr(classifier, "BLOCK_ELEMENTS", rows_per_block * model.n)
+        got = membership_matrix(model, X_test, ROW_BLOCK_SPECS)
+        loo = _streamed_memberships(model, ds.X, ROW_BLOCK_SPECS, loo=True)
+        S_test = similarity_to_test(ds.X, model.sigmas, X_test)
+        S_train = similarity_matrix(ds.X, model.sigmas)
+        for k, spec in enumerate(ROW_BLOCK_SPECS):
+            assert np.array_equal(got[k], scalar_reference.memberships(model, S_test, spec))
+            assert np.array_equal(loo[k], scalar_reference.memberships(model, S_train, spec,
+                                                                       loo=True))
+
+    @given(decision_systems(), spec_lists, st.integers(1, 3), st.data())
+    def test_prediction_blocks(self, ds, spec_list, rows_per_block, data):
+        model = FittedModel(ds)
+        X_test = _test_rows(data, ds)
+        S = similarity_to_test(ds.X, model.sigmas, X_test)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifier, "BLOCK_ELEMENTS", rows_per_block * model.n)
+            got = membership_matrix(model, X_test, spec_list)
+        for k, spec in enumerate(spec_list):
+            assert np.array_equal(got[k], scalar_reference.memberships(model, S, spec))
+
+    @given(decision_systems(), spec_lists, st.integers(1, 4))
+    def test_leave_one_out_blocks(self, ds, spec_list, rows_per_block):
+        model = FittedModel(ds)
+        S = similarity_matrix(ds.X, model.sigmas)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifier, "BLOCK_ELEMENTS", rows_per_block * model.n)
+            got = _streamed_memberships(model, ds.X, spec_list, loo=True)
+        for k, spec in enumerate(spec_list):
+            assert np.array_equal(got[k], scalar_reference.memberships(model, S, spec,
+                                                                       loo=True))
 
 
 values_grid = st.lists(st.integers(0, 4), min_size=1, max_size=20)

@@ -1,21 +1,27 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from fuzzyrough import classifier
 from fuzzyrough import connectives as con
 from fuzzyrough.approx import (
     SimilarityRelation,
     attribute_scales,
     build_similarity,
     lower_approximation,
+    similarity_matrix,
     similarity_to_test,
 )
 from fuzzyrough.classifier import (
     BASE_KINDS,
     AggregatorSpec,
+    FittedModel,
     aggregate,
     comb_select,
     fit,
+    membership_matrix,
     predict,
     predict_batch,
 )
@@ -249,6 +255,61 @@ class TestFitPredict:
         assert np.all(sims == 0.0)
 
 
+    def test_bad_test_rows_raise_the_same_errors_in_blocks(self, monkeypatch):
+        rng = np.random.default_rng(113)
+        model = fit(toy_two_cluster(rng), spec("min"))
+        assert membership_matrix(model, np.empty((0, 2))).shape == (0, 2)
+        with pytest.raises(DomainError, match="missing conditional attributes"):
+            membership_matrix(model, np.empty((0, 3)))
+        with pytest.raises(DomainError, match="2-D array"):
+            membership_matrix(model, np.zeros(2))
+        monkeypatch.setattr(classifier, "BLOCK_ELEMENTS", model.n)  # one row per block
+        rows = np.zeros((5, 2))
+        rows[4, 1] = np.nan  # in the last block only
+        with pytest.raises(DomainError, match="must be finite"):
+            membership_matrix(model, rows)
+        with pytest.raises(DomainError, match="missing conditional attributes"):
+            membership_matrix(model, np.zeros((5, 3)))
+
+
+def _gaussian(rng, n, m):
+    X = np.vstack([rng.normal(0.0, 1.0, size=(n // 2, m)),
+                   rng.normal(0.7, 1.3, size=(n - n // 2, m))])
+    y = np.array(["a"] * (n // 2) + ["b"] * (n - n // 2), dtype=object)
+    perm = rng.permutation(n)
+    return DecisionSystem(tuple(f"f{j}" for j in range(m)), X[perm], y[perm])
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedMemory:
+    """Scoring holds one row block of similarities at a time (about 2 MB each),
+    never a whole rows x train or train x train array."""
+
+    def test_comb_selection(self):
+        # 2000 x 10, LOF included: the train x train similarity alone is 32 MB,
+        # and the leave-one-out on whole arrays peaked at about 110 MB
+        model = FittedModel(_gaussian(np.random.default_rng(127), 2000, 10))
+        candidates = [spec(k) for k in BASE_KINDS]
+        assert _peak_bytes(lambda: comb_select(model, candidates, 0)) < 24 << 20
+
+    def test_nine_spec_prediction(self):
+        # 1000 train x 1000 test, LOF included: one test x train array is
+        # 8 MB, and scoring on whole arrays peaked at about 42 MB
+        rng = np.random.default_rng(131)
+        model = FittedModel(_gaussian(rng, 1000, 10))
+        X_test = rng.normal(0.3, 1.2, size=(1000, 10))
+        specs = [spec(k) for k in BASE_KINDS]
+        assert _peak_bytes(lambda: membership_matrix(model, X_test, specs)) < 20 << 20
+
+
 class TestCombSelect:
     def test_single_candidate(self):
         rng = np.random.default_rng(109)
@@ -295,9 +356,10 @@ def _loocv_accuracies(ds, candidates):
     from tests import scalar_reference
 
     model = FittedModel(ds)
+    S = similarity_matrix(model.train.X, model.sigmas)
     out = {}
     for cand in candidates:
-        ms = scalar_reference.memberships(model, model.similarity, cand, loo=True)
+        ms = scalar_reference.memberships(model, S, cand, loo=True)
         preds = [model.classes[scalar_reference.predict_index(row)] for row in ms]
         out[cand.kind] = balanced_accuracy(ds.y, np.array(preds, dtype=object))
     return out

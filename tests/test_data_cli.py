@@ -300,6 +300,22 @@ class TestCliCommands:
         assert lines[0] == "dataset,Min"
         assert lines[1].startswith("train,")
 
+    def test_benchmark_summary_records_what_ran(self, tmp_path):
+        first = write(tmp_path / "first.csv", TOY_TRAIN)
+        second = write(tmp_path / "second.csv", TOY_TRAIN.replace("label", "cls"))
+        out = tmp_path / "out"
+        assert main(["benchmark", "--dataset", first, "--dataset", second,
+                     "--folds", "3", "--out-dir", str(out)]) == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert config["aggregator"] == list(AGGREGATOR_KINDS)
+        assert config["decision_col"] == {"first": "label", "second": "cls"}
+        assert main(["benchmark", "--dataset", first, "--decision-col", "label",
+                     "--aggregator", "owa", "--aggregator", "min", "--folds", "3",
+                     "--out-dir", str(out)]) == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert config["aggregator"] == ["owa", "min"]
+        assert config["decision_col"] == {"first": "label"}
+
     def test_benchmark_deterministic_bytes(self, tmp_path):
         # identical config (same out dir) and seed: every file byte-identical
         rng = np.random.default_rng(4)

@@ -12,6 +12,7 @@ from fuzzyrough.evaluation import (
     _exact_p_value,
     _normal_p_value,
     balanced_accuracy,
+    crossval_accuracies,
     run_benchmark,
     stratified_kfold,
     wilcoxon_signed_rank,
@@ -265,13 +266,42 @@ class TestRunBenchmark:
             run_benchmark(datasets, [AggregatorSpec(kind="comb")], k=2, seed=0)
 
     def test_failure_names_the_fold(self):
+        # the one instance of "a" is dealt to fold 0, whose training fold
+        # then holds a single class
+        X = np.arange(7, dtype=float)[:, None]
+        y = np.array(["a"] + ["b"] * 6, dtype=object)
+        small = DecisionSystem(("f0",), X, y)
+        report = run_benchmark([("small", small)], [AggregatorSpec(kind="avg")], k=2, seed=0)
+        assert report.failures["small"].startswith("fold 0: DomainError: ")
+
+    def test_comb_class_too_small_fails_before_the_folds(self):
         # two instances of "a" over two folds leave one per training fold,
         # too few for comb's leave-one-out
         X = np.arange(8, dtype=float)[:, None]
         y = np.array(["a", "a"] + ["b"] * 6, dtype=object)
         small = DecisionSystem(("f0",), X, y)
-        report = run_benchmark([("small", small)], [AggregatorSpec(kind="comb")], k=2, seed=0)
-        assert report.failures["small"].startswith("fold 0: DomainError: ")
+        report = run_benchmark([("small", small), ("good", tiny_dataset(5))],
+                               [AggregatorSpec(kind="min"), AggregatorSpec(kind="comb")],
+                               k=2, seed=0)
+        assert report.failures["small"] == (
+            "DomainError: comb needs at least two instances of each class in every "
+            "training fold; class 'a' has 2 instances, so with k=2 folds one training "
+            "fold keeps 1")
+        assert "good" not in report.failures
+        # without comb the same dataset runs every fold
+        report = run_benchmark([("small", small)], [AggregatorSpec(kind="min")], k=2, seed=0)
+        assert not report.failures
+
+    def test_crossval_checks_comb_class_sizes_first(self):
+        # 28/2 over 5 folds: fold 0 takes one of the two "b", its training fold keeps one
+        rng = np.random.default_rng(3)
+        ds = DecisionSystem(("f0", "f1"), rng.normal(size=(30, 2)),
+                            np.array(["a"] * 28 + ["b"] * 2, dtype=object))
+        with pytest.raises(DomainError, match=r"class 'b' has 2 instances, so with k=5 "
+                                              r"folds one training fold keeps 1$"):
+            crossval_accuracies(ds, AggregatorSpec(kind="comb"), 5, 0)
+        accs, kinds = crossval_accuracies(ds, AggregatorSpec(kind="min"), 5, 0)
+        assert len(accs) == 5 and kinds == ["min"] * 5
 
     def test_program_errors_propagate(self, monkeypatch):
         import fuzzyrough.evaluation as evaluation

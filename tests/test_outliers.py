@@ -124,6 +124,18 @@ class TestLofScores:
             tracemalloc.stop()
         assert peak < 40 << 20
 
+    def test_memory_holds_no_distance_matrix(self):
+        # one 8 MB difference block plus k neighbors per point; the 1200 x
+        # 1200 distance matrix and its argsort would add 23 MB
+        pts = np.random.default_rng(46).normal(size=(1200, 30))
+        tracemalloc.start()
+        try:
+            lof_scores(pts, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 << 20
+
     def test_too_few_points_rejected(self):
         with pytest.raises(DomainError):
             lof_scores(np.zeros((3, 2)), 3)
