@@ -24,6 +24,12 @@ integrals over the row axis. Every row's result ignores the other rows, so
 the block size never changes a bit of it, and no rows x train array is ever
 whole. Comb's leave-one-out is the same computation on blocks of training
 rows with each row's own element deleted.
+
+The sort is ``choquet.sort_rows``: equal values keep their training order,
+as in a stable sort. Rows of at least ``choquet.SHORT_ROW`` values are
+sorted with the faster unstable sort, and only rows that hold a repeated
+value are sorted again stably; shorter rows keep the stable sort, which is
+faster there.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 
 from . import connectives
 from .approx import attribute_scales, similarity_to_test
-from .choquet import _dot_rows, choquet_integral
+from .choquet import _dot_rows, choquet_integral, sort_rows
 from .data import DecisionSystem
 from .measures import FuzzyRemovalMeasure, OrderedTwoSymmetricMeasure, WowaMeasure
 from .outliers import OutlierScores, scored_with_labels, top_fraction
@@ -156,8 +162,7 @@ def _aggregate_rows(values: np.ndarray, o: np.ndarray, labels: np.ndarray,
     """
     # means run along contiguous rows, so each equals its one-row mean bit for bit
     values = np.ascontiguousarray(values)
-    order = np.argsort(values, axis=1, kind="stable")
-    asc = np.take_along_axis(values, order, axis=1)
+    order, asc = sort_rows(values)
     return np.array([_strategy(spec, values, order, asc, o, labels) for spec in specs])
 
 

@@ -31,12 +31,17 @@ class FoldPlan:
         return train, test
 
 
+def _check_fold_count(k: int) -> None:
+    """Raise DomainError unless k folds leave every fold a training part."""
+    if k < 2:
+        raise DomainError(f"cross-validation needs at least 2 folds, got {k}")
+
+
 def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     """Shuffle each class with the seeded generator, then deal round-robin."""
+    _check_fold_count(k)
     labels = np.asarray(labels, dtype=object)
     n = labels.size
-    if k < 1:
-        raise DomainError("fold count must be positive")
     if k > n:
         raise DomainError(f"cannot split {n} instances into {k} folds")
     rng = np.random.default_rng(seed)
@@ -223,10 +228,12 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
     is recorded as a failure naming the fold instead of aborting the run (a
     class too small for comb's leave-one-out fails before the first fold);
     any other exception is a bug and propagates. Dataset names key the
-    reports, so a repeated name raises DomainError.
+    reports, so a repeated name raises DomainError, and so does k < 2, which
+    no dataset could be split by.
     """
     dataset_names = tuple(name for name, _ in datasets)
     _reject_repeats(dataset_names, "dataset name")
+    _check_fold_count(k)
     spec_names = tuple(s.display_name for s in specs)
     acc = np.full((len(datasets), len(specs)), np.nan)
     fold_accuracies: dict = {}

@@ -261,8 +261,11 @@ class PartialUniversalMeasure(MonotoneMeasure):
         return 1.0 if np.all(mask[self.trusted]) else 0.0
 
     def chain_values(self, order):
-        # the argsort of an ordering is its inverse: each element's chain position
-        first_trusted = np.argsort(order, axis=-1)[..., self.trusted].min(axis=-1)
+        order = np.asarray(order)
+        # scatter the inverse permutation: each element's chain position
+        position = np.empty_like(order)
+        np.put_along_axis(position, order, np.arange(self.n), axis=-1)
+        first_trusted = position[..., self.trusted].min(axis=-1)
         return (np.arange(self.n) <= np.expand_dims(first_trusted, -1)).astype(float)
 
 

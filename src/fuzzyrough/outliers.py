@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
+from .choquet import SHORT_ROW
 from .data import DecisionSystem
 from .sets import DomainError
 
@@ -29,7 +30,11 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
     points score 1 rather than dividing by zero. Distances are computed for
     one block of rows at a time, and each block keeps only its rows' k
     nearest neighbors and their distances, so memory grows with
-    block * n + n * k and no n x n matrix is built.
+    block * n + n * k and no n x n matrix is built. In rows of at least
+    SHORT_ROW distances, ``_nearest`` selects the k nearest with a partial
+    sort and sorts a whole row only where its k-th distance is tied; shorter
+    rows keep the full stable sort, which is faster there. Both give the
+    neighbors of the stable sort, ties broken by index.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -51,7 +56,7 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         own = np.arange(dist.shape[0])
         dist[own, own + i0] = np.inf
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        order = _nearest(dist, k)
         neighbors[i0:i0 + step] = order
         near[i0:i0 + step] = np.take_along_axis(dist, order, axis=1)
     k_dist = np.maximum(near[:, -1], DISTANCE_FLOOR)
@@ -60,6 +65,28 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
     reach = np.maximum(k_dist[neighbors], np.maximum(near, DISTANCE_FLOOR))
     lrd = 1.0 / np.mean(reach, axis=1)
     return np.mean(lrd[neighbors], axis=1) / lrd
+
+
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(dist, axis=1, kind="stable")[:, :k]``: each row's k
+    smallest entries, nearest first, ties broken by index.
+
+    For rows of at least SHORT_ROW distances, ``np.argpartition`` picks k
+    entries no farther than any other, and only those are sorted by
+    (distance, index). They are the stable k nearest unless the k-th
+    distance also occurs outside them (or is NaN); only such rows are sorted
+    in full. Shorter rows keep the full stable sort, which is faster there.
+    """
+    if dist.shape[1] < SHORT_ROW:
+        return np.argsort(dist, axis=1, kind="stable")[:, :k]
+    chosen = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
+    by_distance = np.argsort(np.take_along_axis(dist, chosen, axis=1), axis=1, kind="stable")
+    order = np.take_along_axis(chosen, by_distance, axis=1)
+    kth = np.take_along_axis(dist, order[:, -1:], axis=1)
+    redo = np.count_nonzero(dist <= kth, axis=1) != k
+    if redo.any():
+        order[redo] = np.argsort(dist[redo], axis=1, kind="stable")[:, :k]
+    return order
 
 
 def normalize_scores(raw: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ identical protocol end to end against published reference accuracies.
 """
 
 import contextlib
+import importlib.util
 import os
 import time
 from pathlib import Path
@@ -44,16 +45,18 @@ from tests.test_outliers import brute_force_lof
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
+
+def _load_script(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # Published mean balanced accuracies the desk-scale reproduction must hit
-# within +/- 0.05 (strategy order: Min Mino FR Avg Avgo TS OWA OWAo WOWA COMB).
-REFERENCE_ROWS = {
-    "appendicitis": (0.739, 0.704, 0.773, 0.768, 0.768, 0.793, 0.768, 0.774, 0.774, 0.754),
-    "haberman": (0.540, 0.581, 0.583, 0.625, 0.628, 0.602, 0.622, 0.634, 0.629, 0.634),
-    "somerville": (0.566, 0.567, 0.573, 0.623, 0.640, 0.612, 0.624, 0.655, 0.613, 0.583),
-    "wisconsin": (0.963, 0.958, 0.958, 0.894, 0.892, 0.922, 0.926, 0.926, 0.926, 0.967),
-    "wdbc": (0.942, 0.943, 0.943, 0.911, 0.910, 0.915, 0.923, 0.927, 0.930, 0.943),
-}
-SPEC_ORDER = ("min", "mino", "fr", "avg", "avgo", "ts", "owa", "owao", "wowa", "comb")
+# within +/- 0.05, in AGGREGATOR_KINDS order; the benchmark script keeps them.
+REFERENCE_ROWS = _load_script("run_benchmark").REFERENCE_ROWS
 
 
 @contextlib.contextmanager
@@ -227,7 +230,7 @@ def test_criterion_4_wilcoxon_exactness():
 
 
 def _desk_scale_mean_accuracies(datasets, seeds=(0, 1, 2), k=5):
-    specs = [AggregatorSpec(kind=kind) for kind in SPEC_ORDER]
+    specs = [AggregatorSpec(kind=kind) for kind in AGGREGATOR_KINDS]
     total = None
     for seed in seeds:
         report = run_benchmark(datasets, specs, k=k, seed=seed)
@@ -239,7 +242,7 @@ def _desk_scale_mean_accuracies(datasets, seeds=(0, 1, 2), k=5):
 def _check_rows(names, mean_acc, tolerance=0.05):
     for di, name in enumerate(names):
         expected = REFERENCE_ROWS[name]
-        for si, kind in enumerate(SPEC_ORDER):
+        for si, kind in enumerate(AGGREGATOR_KINDS):
             got = mean_acc[di, si]
             assert abs(got - expected[si]) <= tolerance, (
                 f"{name}/{kind}: got {got:.3f}, published {expected[si]:.3f}"

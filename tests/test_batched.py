@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from fuzzyrough import classifier
 from fuzzyrough import connectives as con
 from fuzzyrough.approx import similarity_matrix, similarity_to_test
-from fuzzyrough.choquet import choquet_integral, owa_values
+from fuzzyrough.choquet import SHORT_ROW, choquet_integral, owa_values
 from fuzzyrough.classifier import (
     BASE_KINDS,
     AggregatorSpec,
@@ -45,6 +45,7 @@ from fuzzyrough.measures import (
 from fuzzyrough.quantifiers import AdditiveQuantifier, QuadraticQuantifier, WeightVector
 from fuzzyrough.sets import DomainError
 from tests import scalar_reference
+from tests.test_outliers import full_tensor_lof
 
 TNORMS = (con.MINIMUM, con.PRODUCT, con.LUKASIEWICZ)
 TOL = 1e-12
@@ -205,6 +206,61 @@ class TestRowBlocks:
         for k, spec in enumerate(spec_list):
             assert np.array_equal(got[k], scalar_reference.memberships(model, S, spec,
                                                                        loo=True))
+
+
+def _long_classes():
+    """Two classes of 160 training rows, so every class complement a row
+    aggregates holds at least SHORT_ROW similarities and LOF selects
+    neighbors from at least SHORT_ROW distances. Class "a" lies on an
+    integer grid with 20 duplicated rows, so its similarities and neighbor
+    distances tie; class "b" is continuous, so rows without ties reach the
+    long-row sort too. The fifth attribute is constant, and 10 of the 40
+    test rows copy training rows."""
+    rng = np.random.default_rng(48)
+    a = np.round(rng.normal(0.0, 1.0, (160, 4)))  # integer grid: tied distances
+    a[140:] = a[rng.choice(140, size=20, replace=False)]
+    b = rng.normal(1.0, 1.0, (160, 4))
+    X = np.column_stack([np.vstack([a, b]), np.full(320, 2.0)])
+    y = np.repeat(np.array(["a", "b"], dtype=object), 160)
+    perm = rng.permutation(320)
+    X_test = np.vstack([np.column_stack([rng.normal(0.5, 1.0, (30, 4)), np.full(30, 2.0)]),
+                        X[rng.choice(320, size=10, replace=False)]])
+    return DecisionSystem(tuple(f"f{j}" for j in range(5)), X[perm], y[perm]), X_test
+
+
+class TestLongRows:
+    """Rows of SHORT_ROW or more values take the fast sorts (the unstable
+    argsort with its tie check, and LOF's partial neighbor selection); with
+    duplicated rows and a constant attribute they still equal the scalar
+    reference, whose sorts are numpy's stable ones."""
+
+    def test_prediction_and_leave_one_out(self):
+        ds, X_test = _long_classes()
+        model = FittedModel(ds)
+        for spec in (ROW_BLOCK_SPECS[0], ROW_BLOCK_SPECS[-1]):
+            raw = model.scores_for(spec).raw
+            for label in model.classes:
+                idx = np.flatnonzero(ds.y == label)
+                assert idx.size >= SHORT_ROW
+                assert np.array_equal(raw[idx], full_tensor_lof(ds.X[idx], spec.lof_k))
+        S_test = similarity_to_test(ds.X, model.sigmas, X_test)
+        S_train = similarity_matrix(ds.X, model.sigmas)
+        # the rows each class aggregates: with ties over "a", some without over "b"
+        for label, some_tie_free in (("a", False), ("b", True)):
+            rows = np.sort(1.0 - S_test[:, ds.y == label], axis=1)
+            tied = np.any(rows[:, 1:] == rows[:, :-1], axis=1)
+            assert tied.any() and (not tied.all()) == some_tie_free
+        # each kind once, from both settings; the reference is slow, so
+        # leave-one-out is checked on every eighth training row
+        spec_list = ROW_BLOCK_SPECS[::2]
+        got = membership_matrix(model, X_test, spec_list)
+        loo = _streamed_memberships(model, ds.X, spec_list, loo=True)
+        checked = np.arange(0, ds.n, 8)
+        for k, spec in enumerate(spec_list):
+            assert np.array_equal(got[k], scalar_reference.memberships(model, S_test, spec))
+            want = [[scalar_reference.class_membership(model, S_train[i], spec, label, i)
+                     for label in model.classes] for i in checked]
+            assert np.array_equal(loo[k][checked], np.array(want))
 
 
 values_grid = st.lists(st.integers(0, 4), min_size=1, max_size=20)

@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from fuzzyrough.choquet import Valuation, choquet_integral, owa, owa_values
+from fuzzyrough.choquet import (
+    SHORT_ROW,
+    Valuation,
+    choquet_integral,
+    owa,
+    owa_values,
+    sort_rows,
+)
 from fuzzyrough import (
     additive_from_weights,
     dual_measure,
@@ -194,3 +201,54 @@ class TestTieAndMonotonicity:
         a = FuzzySet(u, [0.2, 0.9, 0.5])
         mu = symmetric_from_quantifier(AdditiveQuantifier(3), 3, u)
         assert abs(choquet_integral(a, mu) - choquet_integral(a.memberships, mu)) < TOL
+
+
+def _assert_stable_sort(values):
+    """sort_rows(values) is numpy's stable argsort and the rows it sorts, bit
+    for bit (signed zeros and NaNs included)."""
+    order, asc = sort_rows(values)
+    want = np.argsort(values, axis=-1, kind="stable")
+    assert order.shape == want.shape and np.array_equal(order, want)
+    assert asc.tobytes() == np.take_along_axis(values, want, axis=-1).tobytes()
+
+
+ROW_LENGTHS = (1, 2, SHORT_ROW - 1, SHORT_ROW, SHORT_ROW + 1, 300)
+
+
+class TestSortRows:
+    """sort_rows gives exactly numpy's stable argsort, on rows below the
+    SHORT_ROW threshold (the stable sort itself) and at or above it (the
+    unstable sort, with rows that hold ties sorted again)."""
+
+    @pytest.mark.parametrize("n", ROW_LENGTHS)
+    def test_tie_heavy_grid_and_tie_free_rows(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.integers(0, 4, (30, n)).astype(float)
+        values[::3] = rng.random((10, n))  # every third row without ties
+        _assert_stable_sort(values)
+
+    @pytest.mark.parametrize("n", ROW_LENGTHS)
+    def test_mixed_signed_zeros(self, n):
+        rng = np.random.default_rng(100 + n)
+        values = rng.choice([0.0, -0.0, 0.5], size=(12, n))
+        # distinct values but for one 0.0 and one -0.0, which compare equal
+        distinct = rng.permutation(n).astype(float) + 1.0
+        distinct[rng.choice(n, size=min(n, 2), replace=False)] = [0.0, -0.0][:min(n, 2)]
+        _assert_stable_sort(np.vstack([values, distinct]))
+
+    @pytest.mark.parametrize("n", ROW_LENGTHS)
+    def test_one_dimensional_input(self, n):
+        rng = np.random.default_rng(200 + n)
+        for values in (rng.random(n), rng.integers(0, 3, n).astype(float)):
+            _assert_stable_sort(values)
+
+    def test_stacked_rows_and_nan(self):
+        rng = np.random.default_rng(7)
+        values = rng.random((2, 3, 2 * SHORT_ROW))
+        values[0, 1, 5] = values[0, 1, 9]
+        values[1, 2, [3, 40]] = np.nan  # NaNs compare unequal to themselves
+        _assert_stable_sort(values)
+
+    def test_empty_rows(self):
+        for shape in ((0, SHORT_ROW), (3, 0), (0,)):
+            _assert_stable_sort(np.zeros(shape))

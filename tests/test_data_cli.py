@@ -358,6 +358,18 @@ class TestCliCommands:
         assert "aggregator 'min' is repeated at positions [0, 2]" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ("crossval", "benchmark"))
+    def test_one_fold_rejected(self, tmp_path, capsys, command):
+        train = write(tmp_path / "train.csv", TOY_TRAIN)
+        out = tmp_path / "out"
+        assert main([command, "--dataset", train, "--aggregator", "min", "--folds", "1",
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "computation" in err
+        assert "cross-validation needs at least 2 folds, got 1" in err
+        assert "at least one instance" not in err
+        assert not out.exists()
+
     def test_negative_seed_rejected(self, tmp_path):
         train = write(tmp_path / "train.csv", TOY_TRAIN)
         with pytest.raises(SystemExit):

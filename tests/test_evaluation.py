@@ -42,6 +42,13 @@ class TestStratifiedKFold:
         rare_folds = plan.assignments[:3]
         assert len(set(rare_folds.tolist())) == 3
 
+    @pytest.mark.parametrize("k", (1, 0, -2))
+    def test_fewer_than_two_folds_rejected(self, k):
+        labels = np.array(["a", "b"] * 5, dtype=object)
+        with pytest.raises(DomainError, match=rf"^cross-validation needs at least 2 folds, "
+                                              rf"got {k}$"):
+            stratified_kfold(labels, k, seed=0)
+
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(DomainError):
             stratified_kfold(np.array(["a", "b"], dtype=object), 3, seed=0)
@@ -255,6 +262,14 @@ class TestRunBenchmark:
                                [AggregatorSpec(kind="avg")], k=2, seed=0)
         assert "bad" in report.failures
         assert not np.isnan(report.accuracies[1, 0])
+
+    def test_one_fold_raised_before_any_dataset(self):
+        # one fold leaves no training data; that is a bad argument, not a
+        # failure of each dataset
+        datasets = [("x", tiny_dataset(1)), ("y", tiny_dataset(2))]
+        with pytest.raises(DomainError, match=r"^cross-validation needs at least 2 folds, "
+                                              r"got 1$"):
+            run_benchmark(datasets, [AggregatorSpec(kind="min")], k=1, seed=0)
 
     def test_repeated_dataset_names_rejected(self):
         # usage_counts and failures are keyed by name, so a repeated name

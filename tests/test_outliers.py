@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fuzzyrough.choquet import SHORT_ROW
 from fuzzyrough.data import DecisionSystem
 from fuzzyrough.outliers import (
     DISTANCE_FLOOR,
+    _nearest,
     label_outliers,
     lof_scores,
     normalize_scores,
@@ -112,6 +114,15 @@ class TestLofScores:
             for k in (1, n - 1):
                 assert np.array_equal(lof_scores(pts, k), full_tensor_lof(pts, k))
 
+    def test_partial_neighbor_selection_equals_full_tensor(self):
+        # 160 points on a coarse grid with 20 duplicates: every row is long
+        # enough for partial selection, and k-th distances recur
+        rng = np.random.default_rng(47)
+        pts = np.round(rng.normal(size=(160, 3)), 1)
+        pts[140:] = pts[rng.choice(140, size=20, replace=False)]
+        for k in (1, 5, 20, 159):
+            assert np.array_equal(lof_scores(pts, k), full_tensor_lof(pts, k))
+
     def test_memory_stays_below_n_squared_m(self):
         # a 1200 x 1200 x 30 difference tensor would be 345 MB; the distance
         # matrix and the neighbor order are 11.5 MB each
@@ -141,6 +152,63 @@ class TestLofScores:
             lof_scores(np.zeros((3, 2)), 3)
         with pytest.raises(DomainError):
             lof_scores(np.zeros((3, 2)), 0)
+
+
+def stable_knn(dist, k):
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+
+class TestNearest:
+    """_nearest gives exactly the first k columns of the stable argsort, on
+    rows below the SHORT_ROW threshold and at or above it (partial selection,
+    with rows whose k-th distance is tied sorted in full)."""
+
+    @pytest.mark.parametrize("n", (2, SHORT_ROW - 1, SHORT_ROW, SHORT_ROW + 1, 300))
+    def test_tie_heavy_grid(self, n):
+        rng = np.random.default_rng(n)
+        dist = rng.integers(0, 5, (30, n)).astype(float)
+        dist[::3] = rng.random((10, n))  # every third row without ties
+        dist[np.arange(30), np.arange(30) % n] = np.inf  # each row's own point
+        for k in sorted({1, 2, min(20, n - 1), n - 1}):
+            assert np.array_equal(_nearest(dist, k), stable_knn(dist, k))
+
+    @pytest.mark.parametrize("n", (SHORT_ROW - 1, SHORT_ROW, 300))
+    def test_mixed_signed_zeros(self, n):
+        rng = np.random.default_rng(100 + n)
+        dist = rng.choice([0.0, -0.0, 1.0, 2.0], size=(20, n))
+        for k in (1, 5, n - 1):
+            assert np.array_equal(_nearest(dist, k), stable_knn(dist, k))
+
+    @pytest.mark.parametrize("n", (SHORT_ROW - 1, SHORT_ROW, 300))
+    def test_kth_distance_recurs_outside_the_chosen(self, n):
+        k = 5
+        dist = np.tile(np.arange(n, dtype=float) + 10.0, (4, 1))
+        dist[:, [n - 20, 20, 90, 3]] = [1.0, 2.0, 3.0, 4.0]
+        # the 5th smallest distance, 5.0, at three points: stable takes index 60
+        dist[0, [n - 10, 60, n - 40]] = 5.0
+        # and at two points, one of them before every chosen index
+        dist[1, [n - 1, 0]] = 5.0
+        # rows 2 and 3: a unique k-th distance; row 3 repeats a farther one
+        dist[3, [n - 30, 50, n - 2]] = 1e3
+        assert np.count_nonzero(dist[0] == 5.0) == 3
+        got = _nearest(dist, k)
+        assert np.array_equal(got, stable_knn(dist, k))
+        assert got[0, -1] == 60 and got[1, -1] == 0
+
+    @pytest.mark.parametrize("n", (SHORT_ROW - 1, SHORT_ROW, 300))
+    def test_k_is_n_minus_one(self, n):
+        rng = np.random.default_rng(300 + n)
+        dist = np.round(rng.random((n, n)), 1)
+        np.fill_diagonal(dist, np.inf)
+        assert np.array_equal(_nearest(dist, n - 1), stable_knn(dist, n - 1))
+
+    def test_nan_distances(self):
+        rng = np.random.default_rng(8)
+        dist = rng.random((6, 2 * SHORT_ROW))
+        dist[0, :SHORT_ROW] = np.nan  # half NaN: for k > SHORT_ROW the k-th is NaN
+        dist[1, [4, 9, 200]] = np.nan
+        for k in (3, SHORT_ROW + 5):
+            assert np.array_equal(_nearest(dist, k), stable_knn(dist, k))
 
 
 class TestNormalizeScores:
