@@ -25,7 +25,7 @@ from .measures import MonotoneMeasure
 from .quantifiers import WeightVector
 from .sets import DomainError, FuzzySet, Universe
 
-SHORT_ROW = 128  # rows shorter than this keep numpy's stable sort
+FAST_SORT_VALUES = 4096  # sort_rows calls on fewer values keep numpy's stable sort
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,16 @@ def sort_rows(values) -> tuple[np.ndarray, np.ndarray]:
     """Each row's stable ascending argsort, and the rows sorted by it.
 
     The order is ``np.argsort(values, axis=-1, kind="stable")``, ties broken
-    by index. Rows of at least SHORT_ROW values are sorted with numpy's
-    unstable sort: a row whose sorted values strictly increase has only one
-    ascending order, which is then the stable one, and only rows with an
-    equal neighbour (0.0 and -0.0 count as equal) or a NaN are sorted again
-    stably. Shorter rows keep the stable sort: there the check costs more
-    than the faster sort saves.
+    by index. A call on at least FAST_SORT_VALUES values in all is sorted
+    with numpy's unstable sort: a row whose sorted values strictly increase
+    has only one ascending order, which is then the stable one, and only
+    rows with an equal neighbour (0.0 and -0.0 count as equal) or a NaN are
+    sorted again stably. Smaller calls, such as one library integral over a
+    few hundred elements, keep the stable sort: the tie check's fixed cost
+    per call outweighs what the faster sort saves on so few values.
     """
     values = np.asarray(values)
-    if values.shape[-1] < SHORT_ROW:
+    if values.size < FAST_SORT_VALUES:
         order = np.argsort(values, axis=-1, kind="stable")
         return order, np.take_along_axis(values, order, axis=-1)
     order = np.argsort(values, axis=-1)

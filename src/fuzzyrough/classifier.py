@@ -26,10 +26,10 @@ whole. Comb's leave-one-out is the same computation on blocks of training
 rows with each row's own element deleted.
 
 The sort is ``choquet.sort_rows``: equal values keep their training order,
-as in a stable sort. Rows of at least ``choquet.SHORT_ROW`` values are
-sorted with the faster unstable sort, and only rows that hold a repeated
-value are sorted again stably; shorter rows keep the stable sort, which is
-faster there.
+as in a stable sort. A block of at least ``choquet.FAST_SORT_VALUES``
+values is sorted with the faster unstable sort, and only rows that hold a
+repeated value are sorted again stably; smaller blocks keep the stable
+sort, which is faster there.
 """
 
 from __future__ import annotations

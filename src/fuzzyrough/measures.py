@@ -262,8 +262,9 @@ class PartialUniversalMeasure(MonotoneMeasure):
 
     def chain_values(self, order):
         order = np.asarray(order)
-        # scatter the inverse permutation: each element's chain position
-        position = np.empty_like(order)
+        # scatter the inverse permutation: each element's chain position (an
+        # element missing from a malformed order counts as never reached)
+        position = np.full_like(order, self.n)
         np.put_along_axis(position, order, np.arange(self.n), axis=-1)
         first_trusted = position[..., self.trusted].min(axis=-1)
         return (np.arange(self.n) <= np.expand_dims(first_trusted, -1)).astype(float)

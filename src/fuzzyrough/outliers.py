@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .choquet import SHORT_ROW
 from .data import DecisionSystem
 from .sets import DomainError
 
 DISTANCE_FLOOR = 1e-12  # keeps densities finite when points coincide
+FAST_KNN_DISTANCES = 8192  # _nearest calls on fewer distances keep the full stable sort
 
 
 def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
@@ -30,11 +30,11 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
     points score 1 rather than dividing by zero. Distances are computed for
     one block of rows at a time, and each block keeps only its rows' k
     nearest neighbors and their distances, so memory grows with
-    block * n + n * k and no n x n matrix is built. In rows of at least
-    SHORT_ROW distances, ``_nearest`` selects the k nearest with a partial
-    sort and sorts a whole row only where its k-th distance is tied; shorter
-    rows keep the full stable sort, which is faster there. Both give the
-    neighbors of the stable sort, ties broken by index.
+    block * n + n * k and no n x n matrix is built. In blocks of at least
+    FAST_KNN_DISTANCES distances, ``_nearest`` selects the k nearest with a
+    partial sort and sorts a whole row only where its k-th distance is tied;
+    smaller blocks keep the full stable sort, which is faster there. Both
+    give the neighbors of the stable sort, ties broken by index.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -71,13 +71,14 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     """``np.argsort(dist, axis=1, kind="stable")[:, :k]``: each row's k
     smallest entries, nearest first, ties broken by index.
 
-    For rows of at least SHORT_ROW distances, ``np.argpartition`` picks k
-    entries no farther than any other, and only those are sorted by
+    For blocks of at least FAST_KNN_DISTANCES distances, ``np.argpartition``
+    picks k entries no farther than any other, and only those are sorted by
     (distance, index). They are the stable k nearest unless the k-th
     distance also occurs outside them (or is NaN); only such rows are sorted
-    in full. Shorter rows keep the full stable sort, which is faster there.
+    in full. Smaller blocks keep the full stable sort: the selection and its
+    tie check cost more per call than they save on so few distances.
     """
-    if dist.shape[1] < SHORT_ROW:
+    if dist.size < FAST_KNN_DISTANCES:
         return np.argsort(dist, axis=1, kind="stable")[:, :k]
     chosen = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
     by_distance = np.argsort(np.take_along_axis(dist, chosen, axis=1), axis=1, kind="stable")

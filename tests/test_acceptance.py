@@ -7,7 +7,6 @@ identical protocol end to end against published reference accuracies.
 """
 
 import contextlib
-import importlib.util
 import os
 import time
 from pathlib import Path
@@ -38,6 +37,7 @@ from fuzzyrough.quantifiers import (
     weights_from_quantifier,
 )
 from fuzzyrough.sets import FuzzySet, Universe
+from tests.scripts import load_script
 from tests.test_approx import partition_relation, random_relation
 from tests.test_evaluation import recurrence_p_value
 from tests.test_measures import random_measure
@@ -45,18 +45,9 @@ from tests.test_outliers import brute_force_lof
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
-
-def _load_script(name):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", f"{name}.py")
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # Published mean balanced accuracies the desk-scale reproduction must hit
 # within +/- 0.05, in AGGREGATOR_KINDS order; the benchmark script keeps them.
-REFERENCE_ROWS = _load_script("run_benchmark").REFERENCE_ROWS
+REFERENCE_ROWS = load_script("scripts/run_benchmark.py", "run_benchmark").REFERENCE_ROWS
 
 
 @contextlib.contextmanager

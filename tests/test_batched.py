@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from fuzzyrough import classifier
 from fuzzyrough import connectives as con
 from fuzzyrough.approx import similarity_matrix, similarity_to_test
-from fuzzyrough.choquet import SHORT_ROW, choquet_integral, owa_values
+from fuzzyrough.outliers import FAST_KNN_DISTANCES
+from fuzzyrough.choquet import FAST_SORT_VALUES, choquet_integral, owa_values
 from fuzzyrough.classifier import (
     BASE_KINDS,
     AggregatorSpec,
@@ -209,12 +210,12 @@ class TestRowBlocks:
 
 
 def _long_classes():
-    """Two classes of 160 training rows, so every class complement a row
-    aggregates holds at least SHORT_ROW similarities and LOF selects
-    neighbors from at least SHORT_ROW distances. Class "a" lies on an
+    """Two classes of 160 training rows, so every block of rows a class
+    scores holds at least FAST_SORT_VALUES similarities and each class's
+    LOF block at least FAST_KNN_DISTANCES distances. Class "a" lies on an
     integer grid with 20 duplicated rows, so its similarities and neighbor
     distances tie; class "b" is continuous, so rows without ties reach the
-    long-row sort too. The fifth attribute is constant, and 10 of the 40
+    fast sort too. The fifth attribute is constant, and 10 of the 40
     test rows copy training rows."""
     rng = np.random.default_rng(48)
     a = np.round(rng.normal(0.0, 1.0, (160, 4)))  # integer grid: tied distances
@@ -229,10 +230,10 @@ def _long_classes():
 
 
 class TestLongRows:
-    """Rows of SHORT_ROW or more values take the fast sorts (the unstable
-    argsort with its tie check, and LOF's partial neighbor selection); with
-    duplicated rows and a constant attribute they still equal the scalar
-    reference, whose sorts are numpy's stable ones."""
+    """Blocks this large take the fast sorts (the unstable argsort with its
+    tie check, and LOF's partial neighbor selection); with duplicated rows
+    and a constant attribute they still equal the scalar reference, whose
+    sorts are numpy's stable ones."""
 
     def test_prediction_and_leave_one_out(self):
         ds, X_test = _long_classes()
@@ -241,7 +242,8 @@ class TestLongRows:
             raw = model.scores_for(spec).raw
             for label in model.classes:
                 idx = np.flatnonzero(ds.y == label)
-                assert idx.size >= SHORT_ROW
+                assert idx.size ** 2 >= FAST_KNN_DISTANCES
+                assert X_test.shape[0] * idx.size >= FAST_SORT_VALUES
                 assert np.array_equal(raw[idx], full_tensor_lof(ds.X[idx], spec.lof_k))
         S_test = similarity_to_test(ds.X, model.sigmas, X_test)
         S_train = similarity_matrix(ds.X, model.sigmas)

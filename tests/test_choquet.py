@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from fuzzyrough import choquet
 from fuzzyrough.choquet import (
-    SHORT_ROW,
+    FAST_SORT_VALUES,
     Valuation,
     choquet_integral,
     owa,
@@ -212,13 +213,22 @@ def _assert_stable_sort(values):
     assert asc.tobytes() == np.take_along_axis(values, want, axis=-1).tobytes()
 
 
-ROW_LENGTHS = (1, 2, SHORT_ROW - 1, SHORT_ROW, SHORT_ROW + 1, 300)
+ROW_LENGTHS = (1, 2, 3, 127, 128, 300)
 
 
+@pytest.fixture(params=("stable", "fast"))
+def sort_kernel(request, monkeypatch):
+    """Run a test once with every call on the stable sort and once with
+    every call on the unstable sort and its tie check."""
+    threshold = {"stable": np.iinfo(np.int64).max, "fast": 0}[request.param]
+    monkeypatch.setattr(choquet, "FAST_SORT_VALUES", threshold)
+
+
+@pytest.mark.usefixtures("sort_kernel")
 class TestSortRows:
-    """sort_rows gives exactly numpy's stable argsort, on rows below the
-    SHORT_ROW threshold (the stable sort itself) and at or above it (the
-    unstable sort, with rows that hold ties sorted again)."""
+    """sort_rows gives exactly numpy's stable argsort, with either kernel:
+    the stable sort itself, or the unstable sort with the rows that hold
+    ties sorted again."""
 
     @pytest.mark.parametrize("n", ROW_LENGTHS)
     def test_tie_heavy_grid_and_tie_free_rows(self, n):
@@ -244,11 +254,22 @@ class TestSortRows:
 
     def test_stacked_rows_and_nan(self):
         rng = np.random.default_rng(7)
-        values = rng.random((2, 3, 2 * SHORT_ROW))
+        values = rng.random((2, 3, 300))
         values[0, 1, 5] = values[0, 1, 9]
         values[1, 2, [3, 40]] = np.nan  # NaNs compare unequal to themselves
         _assert_stable_sort(values)
 
     def test_empty_rows(self):
-        for shape in ((0, SHORT_ROW), (3, 0), (0,)):
+        for shape in ((0, 128), (3, 0), (0,)):
             _assert_stable_sort(np.zeros(shape))
+
+
+@pytest.mark.parametrize("size", (FAST_SORT_VALUES - 1, FAST_SORT_VALUES))
+def test_sort_rows_on_both_sides_of_the_threshold(size):
+    """One row just below and at FAST_SORT_VALUES values, with and without
+    ties, gives the stable argsort."""
+    rng = np.random.default_rng(size)
+    for shape in ((size,), (1, size)):
+        _assert_stable_sort(rng.random(shape))
+        _assert_stable_sort(rng.integers(0, 3, shape).astype(float))
+

@@ -1,22 +1,17 @@
 """The dataset preparers must produce benchmark-ready CSVs from raw payloads."""
 
-import importlib.util
 import io
-import os
 import zipfile
 
 import pytest
 
 from fuzzyrough.data import ingest_csv
+from tests.scripts import load_script
 
 
 @pytest.fixture(scope="module")
 def fetch():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "fetch_datasets.py")
-    spec = importlib.util.spec_from_file_location("fetch_datasets", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("scripts/fetch_datasets.py", "fetch_datasets")
 
 
 def test_haberman_passthrough(fetch, tmp_path):

@@ -167,6 +167,13 @@ class TestPartialMeasures:
         with pytest.raises(DomainError):
             partial_universal(np.ones(3, dtype=bool))
 
+    def test_chain_of_a_malformed_order_is_defined(self):
+        # the only trusted element is missing from the order: it counts as
+        # never reached, so every suffix of the chain keeps the measure at 1
+        mu = partial_universal(np.array([True, True, False]))
+        for _ in range(3):
+            assert np.array_equal(mu.chain_values(np.array([0, 0, 1])), np.ones(3))
+
 
 class TestFuzzyRemoval:
     def test_party_example(self):

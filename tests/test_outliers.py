@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fuzzyrough.choquet import SHORT_ROW
+from fuzzyrough import outliers
 from fuzzyrough.data import DecisionSystem
 from fuzzyrough.outliers import (
     DISTANCE_FLOOR,
+    FAST_KNN_DISTANCES,
     _nearest,
     label_outliers,
     lof_scores,
@@ -115,8 +116,10 @@ class TestLofScores:
                 assert np.array_equal(lof_scores(pts, k), full_tensor_lof(pts, k))
 
     def test_partial_neighbor_selection_equals_full_tensor(self):
-        # 160 points on a coarse grid with 20 duplicates: every row is long
-        # enough for partial selection, and k-th distances recur
+        # 160 points on a coarse grid with 20 duplicates: the one block of
+        # distances is large enough for partial selection, and k-th
+        # distances recur
+        assert 160 * 160 >= FAST_KNN_DISTANCES
         rng = np.random.default_rng(47)
         pts = np.round(rng.normal(size=(160, 3)), 1)
         pts[140:] = pts[rng.choice(140, size=20, replace=False)]
@@ -158,12 +161,21 @@ def stable_knn(dist, k):
     return np.argsort(dist, axis=1, kind="stable")[:, :k]
 
 
-class TestNearest:
-    """_nearest gives exactly the first k columns of the stable argsort, on
-    rows below the SHORT_ROW threshold and at or above it (partial selection,
-    with rows whose k-th distance is tied sorted in full)."""
+@pytest.fixture(params=("stable", "fast"))
+def knn_kernel(request, monkeypatch):
+    """Run a test once with every block on the full stable sort and once
+    with every block on the partial selection and its tie check."""
+    threshold = {"stable": np.iinfo(np.int64).max, "fast": 0}[request.param]
+    monkeypatch.setattr(outliers, "FAST_KNN_DISTANCES", threshold)
 
-    @pytest.mark.parametrize("n", (2, SHORT_ROW - 1, SHORT_ROW, SHORT_ROW + 1, 300))
+
+@pytest.mark.usefixtures("knn_kernel")
+class TestNearest:
+    """_nearest gives exactly the first k columns of the stable argsort, with
+    either kernel: the full stable sort, or partial selection with the rows
+    whose k-th distance is tied sorted in full."""
+
+    @pytest.mark.parametrize("n", (2, 3, 50, 127, 128, 300))
     def test_tie_heavy_grid(self, n):
         rng = np.random.default_rng(n)
         dist = rng.integers(0, 5, (30, n)).astype(float)
@@ -172,14 +184,14 @@ class TestNearest:
         for k in sorted({1, 2, min(20, n - 1), n - 1}):
             assert np.array_equal(_nearest(dist, k), stable_knn(dist, k))
 
-    @pytest.mark.parametrize("n", (SHORT_ROW - 1, SHORT_ROW, 300))
+    @pytest.mark.parametrize("n", (127, 128, 300))
     def test_mixed_signed_zeros(self, n):
         rng = np.random.default_rng(100 + n)
         dist = rng.choice([0.0, -0.0, 1.0, 2.0], size=(20, n))
         for k in (1, 5, n - 1):
             assert np.array_equal(_nearest(dist, k), stable_knn(dist, k))
 
-    @pytest.mark.parametrize("n", (SHORT_ROW - 1, SHORT_ROW, 300))
+    @pytest.mark.parametrize("n", (127, 128, 300))
     def test_kth_distance_recurs_outside_the_chosen(self, n):
         k = 5
         dist = np.tile(np.arange(n, dtype=float) + 10.0, (4, 1))
@@ -195,7 +207,7 @@ class TestNearest:
         assert np.array_equal(got, stable_knn(dist, k))
         assert got[0, -1] == 60 and got[1, -1] == 0
 
-    @pytest.mark.parametrize("n", (SHORT_ROW - 1, SHORT_ROW, 300))
+    @pytest.mark.parametrize("n", (127, 128, 300))
     def test_k_is_n_minus_one(self, n):
         rng = np.random.default_rng(300 + n)
         dist = np.round(rng.random((n, n)), 1)
@@ -204,10 +216,20 @@ class TestNearest:
 
     def test_nan_distances(self):
         rng = np.random.default_rng(8)
-        dist = rng.random((6, 2 * SHORT_ROW))
-        dist[0, :SHORT_ROW] = np.nan  # half NaN: for k > SHORT_ROW the k-th is NaN
+        dist = rng.random((6, 256))
+        dist[0, :128] = np.nan  # half NaN: for k > 128 the k-th is NaN
         dist[1, [4, 9, 200]] = np.nan
-        for k in (3, SHORT_ROW + 5):
+        for k in (3, 133):
+            assert np.array_equal(_nearest(dist, k), stable_knn(dist, k))
+
+
+@pytest.mark.parametrize("size", (FAST_KNN_DISTANCES - 1, FAST_KNN_DISTANCES))
+def test_nearest_on_both_sides_of_the_threshold(size):
+    """A block of distances just below and at FAST_KNN_DISTANCES, with and
+    without tied k-th distances, gives the stable k nearest."""
+    rng = np.random.default_rng(size)
+    for dist in (rng.random((1, size)), rng.integers(0, 5, (1, size)).astype(float)):
+        for k in (1, 20, size - 1):
             assert np.array_equal(_nearest(dist, k), stable_knn(dist, k))
 
 

@@ -7,17 +7,12 @@ a measure class bound under two names would have its calls counted twice.
 """
 
 import importlib
-import importlib.util
-import os
 
-TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+from tests.scripts import load_script
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("perfbench/tracer.py", "perfbench_tracer")
 
 
 def test_traced_names_resolve():
