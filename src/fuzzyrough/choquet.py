@@ -7,12 +7,14 @@ this is the weighted mean, for symmetric measures the OWA operator.
 
 Both operators take a leading row axis: a 2-D array of values is integrated
 row by row and gives one result per row, and a one-dimensional input is the
-one-row case of the same code. Each row's final product is its own
-``np.dot``, so a row's result is bit-identical to integrating it alone.
+one-row case of the same code; input with three or more dimensions is
+rejected. Each row's final product is its own ``np.dot``, so a row's result
+is bit-identical to integrating it alone.
 
-The chain order is the stable ascending argsort of each row, ties broken by
-index; ``sort_rows`` computes it with the faster unstable sort where that
-gives the same integers (see there).
+Every integral and OWA sorts its rows once with ``sort_rows`` (the stable
+ascending argsort, ties broken by index) and reads them through one private
+kernel per operator, ``_choquet_sorted`` and ``_owa_sorted``, which the
+classifier's scoring calls too.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ def _extract(f, mu: MonotoneMeasure | None = None) -> np.ndarray:
     elif isinstance(f, FuzzySet):
         values, universe = f.memberships, f.universe
     else:
-        values = np.asarray(f, dtype=float)
-        if values.ndim != 2:
-            values = values.ravel()
+        values = np.atleast_1d(np.asarray(f, dtype=float))
+        if values.ndim > 2:
+            raise DomainError("values must form a vector or a 2-D array of rows")
         if not np.all(np.isfinite(values)):
             raise DomainError("values must be finite")
         universe = None
@@ -104,25 +106,30 @@ def sort_rows(values) -> tuple[np.ndarray, np.ndarray]:
     return order, asc
 
 
-def choquet_integral(f, mu: MonotoneMeasure, order: np.ndarray | None = None):
+def _choquet_sorted(asc: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """Choquet integrals of rows sorted ascending, given the chains of their order."""
+    out = asc[:, 0] * chain[:, 0]
+    if asc.shape[1] > 1:
+        out += _dot_rows(asc[:, 1:] - asc[:, :-1], chain[:, 1:])
+    return out
+
+
+def _owa_sorted(asc: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """OWA of rows sorted ascending: each reversed row dotted with the weights."""
+    return _dot_rows(np.ascontiguousarray(asc[:, ::-1]), weights)
+
+
+def choquet_integral(f, mu: MonotoneMeasure):
     """Integrate f (Valuation, FuzzySet, vector, or 2-D array) against the capacity mu.
 
     A 2-D array integrates each row against mu, or against the matching
-    measure of a stack, and returns one float per row; anything else returns
-    a float. ``order`` may pass the stable ascending argsort of f along its
-    last axis when the caller already has it.
+    measure of a stack, and returns one float per row; a Valuation, FuzzySet
+    or vector gives a float. The rows are sorted by ``sort_rows``; input with
+    three or more dimensions raises DomainError.
     """
     values = _extract(f, mu)
-    rows = np.atleast_2d(values)
-    if order is None:
-        order, fs = sort_rows(rows)
-    else:
-        order = np.atleast_2d(order)
-        fs = np.take_along_axis(rows, order, axis=-1)
-    chain = mu.chain_values(order)
-    out = fs[:, 0] * chain[:, 0]
-    if fs.shape[1] > 1:
-        out += _dot_rows(fs[:, 1:] - fs[:, :-1], chain[:, 1:])
+    order, asc = sort_rows(np.atleast_2d(values))
+    out = _choquet_sorted(asc, mu.chain_values(order))
     return out if values.ndim == 2 else float(out[0])
 
 
@@ -131,8 +138,8 @@ def owa_values(values: np.ndarray, w: WeightVector):
     values = np.asarray(values, dtype=float)
     if values.ndim > 2 or values.shape[-1] != len(w):
         raise DomainError("value and weight lengths differ")
-    desc = np.take_along_axis(values, np.argsort(-values, axis=-1, kind="stable"), axis=-1)
-    out = _dot_rows(np.atleast_2d(desc), w.weights)
+    _, asc = sort_rows(np.atleast_2d(values))
+    out = _owa_sorted(asc, w.weights)
     return out if values.ndim == 2 else float(out[0])
 
 

@@ -18,18 +18,14 @@ their measures live on the universe each row actually aggregates.
 Scoring is batched and streamed. Rows are scored in blocks of about
 ``BLOCK_ELEMENTS`` similarities: each block's similarities to the training
 fold are computed at once; for each class the values 1 - R of every row are
-sorted once, and all strategies read the same sorted rows: min, avg and owa
-(and their outlier-free variants) directly, fr, wowa and ts as Choquet
-integrals over the row axis. Every row's result ignores the other rows, so
-the block size never changes a bit of it, and no rows x train array is ever
+sorted once by ``choquet.sort_rows`` (equal values keep their training
+order), and all strategies read the same sorted rows: min and avg (and their
+outlier-free variants) directly, the OWAs and the Choquet integrals of fr,
+wowa and ts through the kernels behind ``owa_values`` and
+``choquet_integral``. Every row's result ignores the other rows, so the
+block size never changes a bit of it, and no rows x train array is ever
 whole. Comb's leave-one-out is the same computation on blocks of training
 rows with each row's own element deleted.
-
-The sort is ``choquet.sort_rows``: equal values keep their training order,
-as in a stable sort. A block of at least ``choquet.FAST_SORT_VALUES``
-values is sorted with the faster unstable sort, and only rows that hold a
-repeated value are sorted again stably; smaller blocks keep the stable
-sort, which is faster there.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ import numpy as np
 
 from . import connectives
 from .approx import attribute_scales, similarity_to_test
-from .choquet import _dot_rows, choquet_integral, sort_rows
+from .choquet import _choquet_sorted, _owa_sorted, sort_rows
 from .data import DecisionSystem
 from .measures import FuzzyRemovalMeasure, OrderedTwoSymmetricMeasure, WowaMeasure
 from .outliers import OutlierScores, scored_with_labels, top_fraction
@@ -111,9 +107,7 @@ def _plain(kind: str, spec: AggregatorSpec, values: np.ndarray, asc: np.ndarray)
     if kind == "avg":
         return values.mean(axis=1)
     n = asc.shape[1]
-    # the rows are already sorted, so the OWA is one dot product per descending row
-    desc = np.ascontiguousarray(asc[:, ::-1])
-    return _dot_rows(desc, weights_from_quantifier(spec.quantifier_for(n), n).weights)
+    return _owa_sorted(asc, weights_from_quantifier(spec.quantifier_for(n), n).weights)
 
 
 def _without_outliers(spec: AggregatorSpec, values, order, asc, labels) -> np.ndarray:
@@ -149,7 +143,7 @@ def _strategy(spec: AggregatorSpec, values, order, asc, o, labels) -> np.ndarray
         mu = OrderedTwoSymmetricMeasure(spec.quantifier_for(n), o, spec.t, spec.contamination)
     else:
         raise DomainError("comb must be resolved to a concrete strategy before aggregation")
-    return choquet_integral(values, mu, order)
+    return _choquet_sorted(asc, mu.chain_values(order))
 
 
 def _aggregate_rows(values: np.ndarray, o: np.ndarray, labels: np.ndarray,
@@ -184,6 +178,8 @@ def aggregate(values, o_sub, spec: AggregatorSpec, outliers=None) -> float:
     if outliers is None:
         outliers = top_fraction(o_sub, spec.contamination)
     labels = np.asarray(outliers, dtype=bool).ravel()
+    if labels.shape != values.shape:
+        raise DomainError("outlier labels must align with the values")
     return float(_aggregate_rows(values[None], o_sub, labels, [spec])[0, 0])
 
 

@@ -190,18 +190,15 @@ def _check_comb_folds(ds: DecisionSystem, specs: list, k: int) -> None:
                 f"fold keeps {kept}")
 
 
-def crossval_accuracies(ds: DecisionSystem, spec: AggregatorSpec, k: int, seed: int,
-                        dataset_index: int = 0) -> tuple[list, list]:
+def crossval_accuracies(ds: DecisionSystem, spec: AggregatorSpec, k: int,
+                        seed: int) -> tuple[list, list]:
     """Per-fold balanced accuracies plus the resolved strategy per fold."""
     plan = stratified_kfold(ds.y, k, seed)
     _check_comb_folds(ds, [spec], k)
-    accs, resolved_kinds = [], []
-    for fold in range(k):
-        (acc,), (kind,) = _evaluate_fold(ds, plan, fold, [spec],
-                                         _fold_seed(seed, dataset_index, fold))
-        accs.append(acc)
-        resolved_kinds.append(kind)
-    return accs, resolved_kinds
+    # folds are seeded as run_benchmark seeds its first dataset's
+    folds = [_evaluate_fold(ds, plan, fold, [spec], _fold_seed(seed, 0, fold))
+             for fold in range(k)]
+    return [accs[0] for accs, _ in folds], [kinds[0] for _, kinds in folds]
 
 
 def _fold_seed(seed: int, dataset_index: int, fold: int) -> int:

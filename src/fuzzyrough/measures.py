@@ -52,8 +52,8 @@ def _degrees_of(o) -> tuple[np.ndarray, Universe | None]:
         return o.memberships, o.universe
     # a stack is kept row-contiguous so each row's sums equal its own measure's
     arr = np.ascontiguousarray(o, dtype=float)
-    if arr.ndim != 2:
-        arr = arr.ravel()
+    if arr.ndim > 2:
+        raise DomainError("degrees must form a vector or a 2-D array of rows")
     if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
         raise DomainError("degrees must lie in [0, 1]")
     return arr, None

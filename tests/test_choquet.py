@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import numpy as np
@@ -60,6 +61,19 @@ class TestChoquetBasics:
         mu = symmetric_from_quantifier(MOST, 4)
         with pytest.raises(DomainError):
             choquet_integral(f, mu)
+
+    def test_signature_takes_no_order(self):
+        # the integral sorts its own rows; no caller passes an unchecked order
+        assert list(inspect.signature(choquet_integral).parameters) == ["f", "mu"]
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 1, 8), (2, 1, 2, 2)])
+    def test_three_or_more_dimensions_rejected(self, shape):
+        values = np.linspace(0.0, 1.0, 8).reshape(shape)
+        mu = symmetric_from_quantifier(AdditiveQuantifier(8), 8)
+        with pytest.raises(DomainError, match="vector or a 2-D array of rows"):
+            choquet_integral(values, mu)
+        with pytest.raises(DomainError, match="vector or a 2-D array of rows"):
+            owa(values, weights_from_quantifier(AdditiveQuantifier(8), 8))
 
     def test_result_within_value_range(self):
         rng = np.random.default_rng(3)
@@ -273,3 +287,39 @@ def test_sort_rows_on_both_sides_of_the_threshold(size):
         _assert_stable_sort(rng.random(shape))
         _assert_stable_sort(rng.integers(0, 3, shape).astype(float))
 
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=float)).view(np.int64)
+
+
+def _owa_oracle(values, weights):
+    """owa_values as it was before it sorted through sort_rows: a stable
+    descending argsort, then one np.dot per row."""
+    desc = np.take_along_axis(values, np.argsort(-values, axis=-1, kind="stable"), -1)
+    return np.array([np.dot(row, weights) for row in np.atleast_2d(desc)])
+
+
+@pytest.mark.usefixtures("sort_kernel")
+class TestOwaValuesOracle:
+    """owa_values reads sort_rows' ascending rows backwards. Equal values then
+    meet the weights in the opposite index order, which may only move signed
+    zeros; the result keeps every bit of the descending-sort oracle."""
+
+    @pytest.mark.parametrize("n", ROW_LENGTHS)
+    def test_tie_heavy_grid_with_signed_zeros(self, n):
+        rng = np.random.default_rng(300 + n)
+        values = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0], size=(24, n))
+        values[1] = rng.choice([0.0, -0.0], size=n)  # all zeros, mixed signs
+        values[2] = -0.0
+        values[::4] = rng.random((6, n))  # rows without ties
+        for w in (WeightVector(rng.dirichlet(np.ones(n))), weights_from_quantifier(MOST, n)):
+            assert np.array_equal(_bits(owa_values(values, w)), _bits(_owa_oracle(values, w.weights)))
+            for row in values[:4]:
+                assert np.array_equal(_bits(owa_values(row, w)), _bits(_owa_oracle(row, w.weights)))
+
+    def test_signed_zero_ties_under_zero_weights(self):
+        # w = 0 times -0.0 is -0.0: each zero product lands wherever the sort put it
+        w = WeightVector(np.array([0.0, 0.5, 0.0, 0.5, 0.0]))
+        for row in itertools.product([0.0, -0.0, 1.0], repeat=5):
+            row = np.array(row)
+            assert np.array_equal(_bits(owa_values(row, w)), _bits(_owa_oracle(row, w.weights)))

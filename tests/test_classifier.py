@@ -66,6 +66,12 @@ class TestAggregate:
         with pytest.raises(DomainError):
             aggregate([], [], spec("min"))
 
+    @pytest.mark.parametrize("outliers", [[True], [True, False], [False] * 4])
+    def test_misaligned_outlier_labels_rejected(self, outliers):
+        # one label used to broadcast to every element: mino then gave the plain min
+        with pytest.raises(DomainError, match="outlier labels must align with the values"):
+            aggregate([0.4, 0.7, 0.2], np.zeros(3), spec("mino"), outliers=outliers)
+
     def test_comb_must_be_resolved(self):
         with pytest.raises(DomainError):
             aggregate([0.5], [0.0], spec("comb"))

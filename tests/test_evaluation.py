@@ -318,6 +318,13 @@ class TestRunBenchmark:
         accs, kinds = crossval_accuracies(ds, AggregatorSpec(kind="min"), 5, 0)
         assert len(accs) == 5 and kinds == ["min"] * 5
 
+    def test_crossval_folds_match_the_first_benchmark_dataset(self):
+        # crossval seeds its folds as run_benchmark seeds dataset 0
+        ds = tiny_dataset(4, n_per=10, gap=1.5)
+        accs, _ = crossval_accuracies(ds, AggregatorSpec(kind="comb"), 2, 7)
+        report = run_benchmark([("d", ds)], [AggregatorSpec(kind="comb")], k=2, seed=7)
+        assert accs == report.fold_accuracies[("d", "COMB")]
+
     def test_program_errors_propagate(self, monkeypatch):
         import fuzzyrough.evaluation as evaluation
 

@@ -214,6 +214,16 @@ class TestFuzzyRemoval:
             assert abs(chain[i] - mu.value(order[i:])) < TOL
 
 
+@pytest.mark.parametrize("build", [
+    lambda o: fuzzy_removal(o),
+    lambda o: wowa_measure(AdditiveQuantifier(8), o),
+    lambda o: ordered_two_symmetric(AdditiveQuantifier(8), o, 0.3, 0.1),
+], ids=["fuzzy_removal", "wowa", "ordered_two_symmetric"])
+def test_three_dimensional_degrees_rejected(build):
+    with pytest.raises(DomainError, match="vector or a 2-D array of rows"):
+        build(np.full((2, 2, 2), 0.1))
+
+
 class TestWowaMeasure:
     def test_party_example_formula_value(self):
         o = np.array([0.0, 0.0, 0.0, 0.3, 0.3])
