@@ -17,7 +17,7 @@ from . import connectives
 from .choquet import choquet_integral
 from .data import DecisionSystem
 from .measures import MonotoneMeasure
-from .sets import DomainError, FuzzySet, Universe
+from .sets import DomainError, FuzzySet, Universe, unit_degrees
 
 
 @dataclass(frozen=True)
@@ -28,12 +28,10 @@ class SimilarityRelation:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = unit_degrees(self.matrix, "similarities must lie in [0, 1]")
         n = self.universe.size
         if m.shape != (n, n):
             raise DomainError("similarity matrix shape must match the universe")
-        if np.any(m < 0.0) or np.any(m > 1.0):
-            raise DomainError("similarities must lie in [0, 1]")
         if not np.allclose(np.diag(m), 1.0):
             raise DomainError("similarity of an element with itself must be 1")
         if not np.allclose(m, m.T):

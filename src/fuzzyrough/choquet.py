@@ -25,7 +25,7 @@ import numpy as np
 
 from .measures import MonotoneMeasure
 from .quantifiers import WeightVector
-from .sets import DomainError, FuzzySet, Universe
+from .sets import DomainError, FuzzySet, Universe, value_rows
 
 FAST_SORT_VALUES = 4096  # sort_rows calls on fewer values keep numpy's stable sort
 
@@ -53,9 +53,7 @@ def _extract(f, mu: MonotoneMeasure | None = None) -> np.ndarray:
     elif isinstance(f, FuzzySet):
         values, universe = f.memberships, f.universe
     else:
-        values = np.atleast_1d(np.asarray(f, dtype=float))
-        if values.ndim > 2:
-            raise DomainError("values must form a vector or a 2-D array of rows")
+        values = value_rows(f, "values")
         if not np.all(np.isfinite(values)):
             raise DomainError("values must be finite")
         universe = None
@@ -133,16 +131,15 @@ def choquet_integral(f, mu: MonotoneMeasure):
     return out if values.ndim == 2 else float(out[0])
 
 
-def owa_values(values: np.ndarray, w: WeightVector):
-    """OWA of a vector (a float), or of each row of a 2-D array (an array)."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim > 2 or values.shape[-1] != len(w):
+def owa_values(f, w: WeightVector):
+    """Ordered weighted average of f, read as by ``choquet_integral``: w_1 goes
+    to the largest value, and a 2-D array gives one float per row."""
+    values = _extract(f)
+    if values.shape[-1] != len(w):
         raise DomainError("value and weight lengths differ")
     _, asc = sort_rows(np.atleast_2d(values))
     out = _owa_sorted(asc, w.weights)
     return out if values.ndim == 2 else float(out[0])
 
 
-def owa(f, w: WeightVector) -> float:
-    """Ordered weighted average: w_1 goes to the largest value."""
-    return owa_values(_extract(f), w)
+owa = owa_values

@@ -76,8 +76,8 @@ class AggregatorSpec:
             raise DomainError(f"unknown aggregator {self.kind!r}; known: {AGGREGATOR_KINDS}")
         if self.quantifier not in QUANTIFIER_KINDS:
             raise DomainError("quantifier must be 'additive' or 'quadratic'")
-        if self.quantifier == "quadratic" and not 0.0 <= self.alpha < self.beta <= 1.0:
-            raise DomainError("quadratic quantifier requires 0 <= alpha < beta <= 1")
+        if self.quantifier == "quadratic":
+            QuadraticQuantifier(self.alpha, self.beta)  # raises on knots outside 0 <= a < b <= 1
         if not 0.0 <= self.t <= 1.0:
             raise DomainError("t must lie in [0, 1]")
         if not 0.0 <= self.contamination < 1.0:
@@ -169,15 +169,17 @@ def aggregate(values, o_sub, spec: AggregatorSpec, outliers=None) -> float:
     exclusion would empty the subset the unrestricted variant is used. This
     is the one-row case of the batched scoring.
     """
-    values = np.asarray(values, dtype=float).ravel()
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if values.ndim != 1:
+        raise DomainError("aggregate takes one vector of values")
     if values.size == 0:
         raise DomainError("cannot aggregate an empty value vector")
-    o_sub = np.asarray(o_sub, dtype=float).ravel()
+    o_sub = np.atleast_1d(np.asarray(o_sub, dtype=float))
     if o_sub.shape != values.shape:
         raise DomainError("outlier degrees must align with the values")
     if outliers is None:
         outliers = top_fraction(o_sub, spec.contamination)
-    labels = np.asarray(outliers, dtype=bool).ravel()
+    labels = np.atleast_1d(np.asarray(outliers, dtype=bool))
     if labels.shape != values.shape:
         raise DomainError("outlier labels must align with the values")
     return float(_aggregate_rows(values[None], o_sub, labels, [spec])[0, 0])
@@ -268,8 +270,6 @@ class FittedModel:
                  seed: int = 0):
         if len(train.classes) < 2:
             raise DomainError("training data must contain at least two classes")
-        if train.n < 2:
-            raise DomainError("training data must contain at least two instances")
         self.train = train
         self.sigmas = attribute_scales(train)
         self.classes = train.classes

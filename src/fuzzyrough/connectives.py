@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sets import DomainError, FuzzySet
+from .sets import DomainError, FuzzySet, unit_degrees
 
 MINIMUM = "minimum"
 PRODUCT = "product"
@@ -18,6 +18,7 @@ LUKASIEWICZ = "lukasiewicz"
 KLEENE_DIENES = "kleene_dienes"
 REICHENBACH = "reichenbach"
 STANDARD = "standard"
+_DEGREES = "degrees must lie in [0, 1]"  # the message for a connective's arguments
 
 _TNORMS = {
     MINIMUM: np.minimum,
@@ -55,13 +56,6 @@ def _lookup(table: dict, kind: str, what: str):
         raise DomainError(f"unknown {what} {kind!r}; known: {sorted(table)}") from None
 
 
-def _check_degrees(*xs) -> None:
-    for x in xs:
-        a = np.asarray(x, dtype=float)
-        if np.any(a < 0.0) or np.any(a > 1.0) or not np.all(np.isfinite(a)):
-            raise DomainError("degrees must lie in [0, 1]")
-
-
 def tnorm_eval(kind: str, xs) -> float:
     """n-ary fold of a binary t-norm (valid by associativity)."""
     values = np.asarray(xs, dtype=float).ravel()
@@ -77,8 +71,7 @@ def tnorm_accumulate(kind: str, xs) -> np.ndarray:
     chain costs one t-norm evaluation per element and every entry equals the
     n-ary ``tnorm_eval`` of its prefix exactly.
     """
-    values = np.asarray(xs, dtype=float)
-    _check_degrees(values)
+    values = unit_degrees(xs, _DEGREES)
     t = _lookup(_TNORMS, kind, "t-norm")
     if isinstance(t, np.ufunc):
         return t.accumulate(values, axis=-1)
@@ -89,19 +82,19 @@ def tnorm_accumulate(kind: str, xs) -> np.ndarray:
 
 
 def implicator_eval(kind: str, x, y):
-    _check_degrees(x, y)
-    return _lookup(_IMPLICATORS, kind, "implicator")(np.asarray(x, float), np.asarray(y, float))
+    x, y = unit_degrees(x, _DEGREES), unit_degrees(y, _DEGREES)
+    return _lookup(_IMPLICATORS, kind, "implicator")(x, y)
 
 
 def negator_eval(kind: str, x):
-    _check_degrees(x)
-    return _lookup(_NEGATORS, kind, "negator")(np.asarray(x, float))
+    x = unit_degrees(x, _DEGREES)
+    return _lookup(_NEGATORS, kind, "negator")(x)
 
 
 def induced_conjunctor(implicator: str, negator: str, x, y):
     """Conjunctor obtained from an implicator by double negation: N(I(x, N(y)))."""
-    _check_degrees(x, y)
-    return conjunctor_fn(implicator, negator)(np.asarray(x, float), np.asarray(y, float))
+    x, y = unit_degrees(x, _DEGREES), unit_degrees(y, _DEGREES)
+    return conjunctor_fn(implicator, negator)(x, y)
 
 
 def conjunctor_fn(implicator: str = KLEENE_DIENES, negator: str = STANDARD):

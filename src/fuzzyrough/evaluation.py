@@ -149,8 +149,6 @@ class EvaluationReport:
     rank_sums: np.ndarray = field(repr=False)  # specs x specs, W+ of row vs col
     unreliable_pairs: tuple = ()
     failures: dict = field(default_factory=dict)
-    k: int = 5
-    seed: int = 0
 
 
 def _evaluate_fold(ds: DecisionSystem, plan: FoldPlan, fold: int, specs: list,
@@ -287,8 +285,6 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
         rank_sums=rank_sums,
         unreliable_pairs=tuple(unreliable),
         failures=failures,
-        k=k,
-        seed=seed,
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import connectives
 from .quantifiers import RIMQuantifier, WeightVector
-from .sets import DomainError, FuzzySet, Universe
+from .sets import DomainError, FuzzySet, Universe, unit_degrees, value_rows
 
 
 def _as_mask(subset, n: int) -> np.ndarray:
@@ -51,12 +51,8 @@ def _degrees_of(o) -> tuple[np.ndarray, Universe | None]:
     if isinstance(o, FuzzySet):
         return o.memberships, o.universe
     # a stack is kept row-contiguous so each row's sums equal its own measure's
-    arr = np.ascontiguousarray(o, dtype=float)
-    if arr.ndim > 2:
-        raise DomainError("degrees must form a vector or a 2-D array of rows")
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
-        raise DomainError("degrees must lie in [0, 1]")
-    return arr, None
+    arr = np.ascontiguousarray(value_rows(o, "degrees"))
+    return unit_degrees(arr, "degrees must lie in [0, 1]"), None
 
 
 def _stack_rows(degrees: np.ndarray) -> int | None:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import erf
 
 from .data import DecisionSystem
-from .sets import DomainError
+from .sets import DomainError, unit_degrees
 
 DISTANCE_FLOOR = 1e-12  # keeps densities finite when points coincide
 FAST_KNN_DISTANCES = 8192  # _nearest calls on fewer distances keep the full stable sort
@@ -116,11 +116,9 @@ class OutlierScores:
 
     def __post_init__(self):
         raw = np.asarray(self.raw, dtype=float)
-        norm = np.asarray(self.normalized, dtype=float)
+        norm = unit_degrees(self.normalized, "normalized scores must lie in [0, 1]")
         if raw.shape != norm.shape or raw.ndim != 1:
             raise DomainError("raw and normalized score shapes must match")
-        if np.any(norm < 0.0) or np.any(norm > 1.0):
-            raise DomainError("normalized scores must lie in [0, 1]")
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "normalized", norm)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sets import DomainError, FuzzySet
+from .sets import DomainError, FuzzySet, unit_degrees
 
 _VALIDATION_GRID = np.linspace(0.0, 1.0, 1001)
 
@@ -59,9 +59,7 @@ class RIMQuantifier:
         raise NotImplementedError
 
     def __call__(self, p):
-        arr = np.asarray(p, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
-            raise DomainError("quantifier argument must lie in [0, 1]")
+        arr = unit_degrees(p, "quantifier argument must lie in [0, 1]")
         out = self._eval(arr)
         if np.isscalar(p) or arr.ndim == 0:
             return float(out)
@@ -186,4 +184,4 @@ def yager_eval(q: RIMQuantifier, a: FuzzySet) -> float:
     from .choquet import owa_values
 
     w = weights_from_quantifier(q, a.universe.size)
-    return owa_values(a.memberships, w)
+    return owa_values(a, w)

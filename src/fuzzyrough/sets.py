@@ -11,9 +11,19 @@ class DomainError(ValueError):
     """An argument falls outside the domain an operation is defined on."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def unit_degrees(a, message: str) -> np.ndarray:
+    """``a`` as a float array; DomainError(message) unless each entry is in [0, 1] (NaN is not)."""
     a = np.asarray(a, dtype=float)
-    a.setflags(write=False)
+    if not np.all((a >= 0.0) & (a <= 1.0)):
+        raise DomainError(message)
+    return a
+
+
+def value_rows(a, what: str) -> np.ndarray:
+    """``a`` as a float vector or 2-D array of rows; a scalar is a one-element vector."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.ndim > 2:
+        raise DomainError(f"{what} must form a vector or a 2-D array of rows")
     return a
 
 
@@ -55,11 +65,10 @@ class FuzzySet:
     memberships: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = _readonly(self.memberships)
+        m = unit_degrees(self.memberships, "memberships must lie in [0, 1]")
         if m.ndim != 1 or len(m) != self.universe.size:
             raise DomainError("membership vector length must match the universe size")
-        if np.any(m < 0.0) or np.any(m > 1.0) or not np.all(np.isfinite(m)):
-            raise DomainError("memberships must lie in [0, 1]")
+        m.setflags(write=False)
         object.__setattr__(self, "memberships", m)
 
     @classmethod

@@ -104,6 +104,28 @@ class TestOwaOperator:
         with pytest.raises(DomainError):
             owa(np.array([0.1, 0.2]), WeightVector(np.array([1.0])))
 
+    def test_owa_is_owa_values(self):
+        assert owa is owa_values
+
+    def test_scalar_is_a_one_element_vector(self):
+        assert owa_values(np.float64(0.5), WeightVector(np.array([1.0]))) == 0.5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(DomainError, match="values must be finite"):
+            owa_values(np.array([0.1, bad]), WeightVector(np.full(2, 0.5)))
+
+    def test_three_dimensions_rejected_as_a_row_shape(self):
+        with pytest.raises(DomainError, match="vector or a 2-D array of rows"):
+            owa_values(np.full((2, 2, 2), 0.5), WeightVector(np.full(2, 0.5)))
+
+    def test_fuzzy_set_and_valuation_accepted(self):
+        u = Universe.of_size(3)
+        values = np.array([0.2, 0.7, 0.5])
+        w = WeightVector(np.array([0.5, 0.3, 0.2]))
+        for f in (FuzzySet(u, values), Valuation(u, values)):
+            assert owa_values(f, w) == owa_values(values, w)
+
 
 class TestEquivalences:
     def test_owa_equivalence_exhaustive_small(self):

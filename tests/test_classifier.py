@@ -72,6 +72,20 @@ class TestAggregate:
         with pytest.raises(DomainError, match="outlier labels must align with the values"):
             aggregate([0.4, 0.7, 0.2], np.zeros(3), spec("mino"), outliers=outliers)
 
+    @pytest.mark.parametrize("values,o,outliers,message", [
+        # a block is not flattened into one vector
+        ([[0.2, 0.4], [0.6, 0.8]], np.zeros((2, 2)), None, "one vector of values"),
+        ([0.2, 0.4, 0.6, 0.8], np.zeros((1, 4)), None, "outlier degrees must align"),
+        ([0.2, 0.4, 0.6, 0.8], np.zeros(4), [[False, False, False, True]],
+         "outlier labels must align"),
+    ], ids=["2x2-values", "1x4-degrees", "1x4-labels"])
+    def test_inputs_that_are_not_vectors_rejected(self, values, o, outliers, message):
+        with pytest.raises(DomainError, match=message):
+            aggregate(np.array(values), o, spec("min"), outliers=outliers)
+
+    def test_scalar_is_a_one_element_vector(self):
+        assert aggregate(0.5, 0.0, spec("min")) == 0.5
+
     def test_comb_must_be_resolved(self):
         with pytest.raises(DomainError):
             aggregate([0.5], [0.0], spec("comb"))

@@ -4,11 +4,15 @@
 installs it; a function, method or measure class renamed or deleted in
 ``fuzzyrough`` would break traced runs without failing any other test, and
 a measure class bound under two names would have its calls counted twice.
+The same holds for the names ``perfbench/workloads.py`` reads from the
+package in its workload bodies.
 """
 
+import ast
 import importlib
+import os
 
-from tests.scripts import load_script
+from tests.scripts import ROOT, load_script
 
 
 def load_tracer():
@@ -28,6 +32,22 @@ def test_traced_names_resolve():
     for kind in tracer.MEASURE_KINDS:
         cls = getattr(measures, kind, None)
         assert isinstance(cls, type) and issubclass(cls, measures.MonotoneMeasure), kind
+
+
+def test_workload_bodies_read_existing_names():
+    # the workload bodies call the library as fr.<name> and approx.<name>; a
+    # name renamed or deleted in the package would break only the benchmark run
+    with open(os.path.join(ROOT, "perfbench", "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    modules = {"fr": importlib.import_module("fuzzyrough"),
+               "approx": importlib.import_module("fuzzyrough.approx")}
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert {alias for alias, _ in read} == set(modules)
+    missing = [f"{alias}.{name}" for alias, name in sorted(read)
+               if not hasattr(modules[alias], name)]
+    assert not missing
 
 
 def test_each_measure_class_has_one_name_in_its_module():
