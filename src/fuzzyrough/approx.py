@@ -17,7 +17,7 @@ from . import connectives
 from .choquet import choquet_integral
 from .data import DecisionSystem
 from .measures import MonotoneMeasure
-from .sets import DomainError, FuzzySet, Universe, unit_degrees
+from .sets import DomainError, FuzzySet, Universe, frozen_copy, unit_degrees
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class SimilarityRelation:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = unit_degrees(self.matrix, "similarities must lie in [0, 1]")
+        m = unit_degrees(frozen_copy(self.matrix), "similarities must lie in [0, 1]")
         n = self.universe.size
         if m.shape != (n, n):
             raise DomainError("similarity matrix shape must match the universe")
@@ -36,7 +36,6 @@ class SimilarityRelation:
             raise DomainError("similarity of an element with itself must be 1")
         if not np.allclose(m, m.T):
             raise DomainError("similarity matrix must be symmetric")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 

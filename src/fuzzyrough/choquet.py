@@ -25,7 +25,7 @@ import numpy as np
 
 from .measures import MonotoneMeasure
 from .quantifiers import WeightVector
-from .sets import DomainError, FuzzySet, Universe, value_rows
+from .sets import DomainError, FuzzySet, Universe, frozen_copy, value_rows
 
 FAST_SORT_VALUES = 4096  # sort_rows calls on fewer values keep numpy's stable sort
 
@@ -38,12 +38,11 @@ class Valuation:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = frozen_copy(self.values)
         if v.ndim != 1 or v.size != self.universe.size:
             raise DomainError("value vector length must match the universe size")
         if not np.all(np.isfinite(v)):
             raise DomainError("valuation values must be finite")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
 

@@ -46,7 +46,7 @@ from .quantifiers import (
     RIMQuantifier,
     weights_from_quantifier,
 )
-from .sets import DomainError
+from .sets import DomainError, one_vector, unit_degrees
 
 AGGREGATOR_KINDS = ("min", "mino", "fr", "avg", "avgo", "ts", "owa", "owao", "wowa", "comb")
 BASE_KINDS = AGGREGATOR_KINDS[:-1]
@@ -169,12 +169,10 @@ def aggregate(values, o_sub, spec: AggregatorSpec, outliers=None) -> float:
     exclusion would empty the subset the unrestricted variant is used. This
     is the one-row case of the batched scoring.
     """
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    if values.ndim != 1:
-        raise DomainError("aggregate takes one vector of values")
+    values = one_vector(values, "aggregate takes one vector of values")
     if values.size == 0:
         raise DomainError("cannot aggregate an empty value vector")
-    o_sub = np.atleast_1d(np.asarray(o_sub, dtype=float))
+    o_sub = np.atleast_1d(unit_degrees(o_sub, "outlier degrees must lie in [0, 1]"))
     if o_sub.shape != values.shape:
         raise DomainError("outlier degrees must align with the values")
     if outliers is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sets import DomainError, FuzzySet, unit_degrees
+from .sets import DomainError, FuzzySet, one_vector, unit_degrees
 
 MINIMUM = "minimum"
 PRODUCT = "product"
@@ -57,8 +57,8 @@ def _lookup(table: dict, kind: str, what: str):
 
 
 def tnorm_eval(kind: str, xs) -> float:
-    """n-ary fold of a binary t-norm (valid by associativity)."""
-    values = np.asarray(xs, dtype=float).ravel()
+    """n-ary fold of a binary t-norm (valid by associativity) over one vector of degrees."""
+    values = one_vector(xs, "a t-norm folds one vector of degrees")
     if values.size == 0:
         raise DomainError("t-norm of an empty list is undefined")
     return float(tnorm_accumulate(kind, values)[-1])

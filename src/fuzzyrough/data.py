@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sets import DomainError
+from .sets import DomainError, frozen_copy
 
 
 class DataFormatError(ValueError):
@@ -26,8 +26,8 @@ class DecisionSystem:
     decision: str | None = None  # the decision column's name, when read from a file
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=object)
+        X = frozen_copy(self.X)
+        y = frozen_copy(self.y, dtype=object)
         if X.ndim != 2:
             raise DomainError("feature matrix must be two-dimensional")
         if X.shape[0] < 1:
@@ -41,8 +41,6 @@ class DecisionSystem:
         ids = self.ids or tuple(range(X.shape[0]))
         if len(ids) != X.shape[0]:
             raise DomainError("instance id count must match the instances")
-        X.setflags(write=False)
-        y.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "ids", tuple(ids))

@@ -9,7 +9,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm, rankdata
+from scipy.special import ndtr
 
 from .classifier import BASE_KINDS, DISPLAY_NAMES, AggregatorSpec, FittedModel, predict_batch
 from .data import DataFormatError, DecisionSystem
@@ -92,6 +92,22 @@ def _exact_p_value(double_ranks: np.ndarray, w2: int) -> float:
     return min(1.0, 2.0 * min(n_le, n_ge) / (1 << double_ranks.size))
 
 
+def _mid_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a vector, each tie group given its mean rank.
+
+    A group filling sorted positions start..end-1 holds ranks start+1..end,
+    whose mean (start + end + 1) / 2 is a multiple of 1/2, so every rank is
+    exact.
+    """
+    order = np.argsort(x, kind="stable")
+    ascending = x[order]
+    starts = np.flatnonzero(np.r_[True, ascending[1:] != ascending[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def _normal_p_value(ranks: np.ndarray, w_pos: float) -> float:
     """Normal approximation with tie correction and continuity correction."""
     m = ranks.size
@@ -100,7 +116,7 @@ def _normal_p_value(ranks: np.ndarray, w_pos: float) -> float:
     tie_term = float(np.sum(counts.astype(float) ** 3 - counts)) / 48.0
     var = m * (m + 1) * (2 * m + 1) / 24.0 - tie_term
     z = max(abs(w_pos - mean) - 0.5, 0.0) / math.sqrt(var)
-    return min(1.0, 2.0 * float(norm.sf(z)))
+    return min(1.0, 2.0 * float(ndtr(-z)))  # ndtr(-z) is the upper normal tail
 
 
 def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
@@ -110,19 +126,22 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     Up to m = 25 nonzero differences the p-value is exact (the 2^m sign
     patterns counted by their rank sums); beyond that a normal approximation
     with tie correction is used. Results with fewer than 5 nonzero
-    differences are flagged unreliable.
+    differences are flagged unreliable. A NaN difference raises DomainError.
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.size != b.size or a.size == 0:
         raise DomainError("paired samples must be nonempty and of equal length")
-    d = a - b
+    with np.errstate(invalid="ignore"):  # inf - inf gives NaN, rejected below
+        d = a - b
+    if np.isnan(d).any():
+        raise DomainError("paired differences must not be NaN")
     d = d[d != 0.0]
     m = d.size
     if m == 0:
         return WilcoxonResult(0.0, 1.0, 0, False, 0.0, 0.0, "degenerate")
 
-    ranks = rankdata(np.abs(d))
+    ranks = _mid_ranks(np.abs(d))
     w_pos = float(ranks[d > 0].sum())
     w_neg = float(ranks[d < 0].sum())
     stat = min(w_pos, w_neg)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sets import DomainError, FuzzySet, unit_degrees
+from .sets import DomainError, FuzzySet, frozen_copy, unit_degrees
 
 _VALIDATION_GRID = np.linspace(0.0, 1.0, 1001)
 
@@ -25,14 +25,13 @@ class WeightVector:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = frozen_copy(self.weights)
         if w.ndim != 1 or w.size == 0:
             raise DomainError("weight vector must be a nonempty 1-d array")
         if np.any(w < 0.0):
             raise DomainError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
             raise DomainError(f"weights must sum to 1, got {w.sum()!r}")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:

@@ -11,10 +11,25 @@ class DomainError(ValueError):
     """An argument falls outside the domain an operation is defined on."""
 
 
+def frozen_copy(a, dtype=float) -> np.ndarray:
+    """A read-only copy of ``a`` as a ``dtype`` array; the caller's array stays writable."""
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 def unit_degrees(a, message: str) -> np.ndarray:
     """``a`` as a float array; DomainError(message) unless each entry is in [0, 1] (NaN is not)."""
     a = np.asarray(a, dtype=float)
     if not np.all((a >= 0.0) & (a <= 1.0)):
+        raise DomainError(message)
+    return a
+
+
+def one_vector(a, message: str) -> np.ndarray:
+    """``a`` as a float vector, a scalar as a one-element vector; DomainError(message) otherwise."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.ndim != 1:
         raise DomainError(message)
     return a
 
@@ -65,10 +80,9 @@ class FuzzySet:
     memberships: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = unit_degrees(self.memberships, "memberships must lie in [0, 1]")
+        m = unit_degrees(frozen_copy(self.memberships), "memberships must lie in [0, 1]")
         if m.ndim != 1 or len(m) != self.universe.size:
             raise DomainError("membership vector length must match the universe size")
-        m.setflags(write=False)
         object.__setattr__(self, "memberships", m)
 
     @classmethod

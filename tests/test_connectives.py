@@ -46,6 +46,16 @@ class TestTnormEval:
         with pytest.raises(DomainError):
             con.tnorm_eval(con.MINIMUM, [])
 
+    @pytest.mark.parametrize("xs", [[[0.2, 0.4], [0.6, 0.8]], [[0.2, 0.4, 0.6]], np.zeros((1, 1, 2))],
+                             ids=["2x2", "1x3", "1x1x2"])
+    def test_anything_but_one_vector_rejected(self, xs):
+        # the 2x2 block was folded as one 4-vector and gave 0.2
+        with pytest.raises(DomainError, match="one vector of degrees"):
+            con.tnorm_eval(con.MINIMUM, xs)
+
+    def test_scalar_is_a_one_element_vector(self):
+        assert con.tnorm_eval(con.PRODUCT, 0.4) == 0.4
+
     @pytest.mark.parametrize("kind", con.tnorm_kinds())
     @given(x=degrees, y=degrees, z=degrees)
     def test_axioms(self, kind, x, y, z):

@@ -41,6 +41,10 @@ ENTRY_POINTS = {
                            "similarities must lie in [0, 1]"),
     "OutlierScores": (lambda v: fr.OutlierScores(np.ones(3), v),
                       "normalized scores must lie in [0, 1]"),
+    "aggregate mino": (lambda v: fr.aggregate(OK, v, fr.AggregatorSpec(kind="mino")),
+                       "outlier degrees must lie in [0, 1]"),
+    "aggregate owao": (lambda v: fr.aggregate(OK, v, fr.AggregatorSpec(kind="owao")),
+                       "outlier degrees must lie in [0, 1]"),
 }
 
 
@@ -53,3 +57,10 @@ def test_bad_degree_rejected_with_the_sites_message(entry, bad):
     degrees[1] = bad
     with pytest.raises(fr.DomainError, match=f"^{re.escape(message)}$"):
         call(degrees)
+
+
+@pytest.mark.parametrize("kind,o_sub", [("mino", [np.nan, 0.0, 0.0]), ("owao", [5.0, -3.0, 0.0])])
+def test_aggregate_checks_outlier_degrees(kind, o_sub):
+    # these gave 0.2 and 0.3667 when o_sub went unchecked
+    with pytest.raises(fr.DomainError, match=r"^outlier degrees must lie in \[0, 1\]$"):
+        fr.aggregate([0.4, 0.7, 0.2], o_sub, fr.AggregatorSpec(kind=kind))

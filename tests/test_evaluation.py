@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.stats import rankdata
+from scipy.stats import norm, rankdata
 
 from fuzzyrough.classifier import AggregatorSpec
 from fuzzyrough.data import DecisionSystem
 from fuzzyrough.evaluation import (
     _exact_p_value,
+    _mid_ranks,
     _normal_p_value,
     balanced_accuracy,
     crossval_accuracies,
@@ -123,6 +124,14 @@ def enumeration_p_value(double_ranks, w2):
 # few distinct magnitudes, so most ranks are tied mid-ranks
 tied_differences = st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=20)
 
+# rows for the mid-rank oracle: heavy ties, all-equal rows, any length 1..60
+rank_rows = st.one_of(
+    st.lists(st.integers(0, 3).map(lambda k: k / 4), min_size=1, max_size=60),
+    st.builds(lambda v, n: [v] * n, st.floats(0, 10), st.integers(1, 60)),
+    st.lists(st.floats(0, 10), min_size=1, max_size=60),
+    st.lists(st.sampled_from([0.5, 2.0, np.inf]), min_size=1, max_size=60),
+)
+
 
 class TestWilcoxon:
     def test_all_positive_m5(self):
@@ -213,6 +222,51 @@ class TestWilcoxon:
         assert res.method == "exact"
         assert (res.rank_sum_positive, res.rank_sum_negative) == (247.5, 77.5)
         assert res.p_value == 0.019992530345916748
+
+    @given(rank_rows)
+    def test_mid_ranks_equal_rankdata_bit_for_bit(self, row):
+        x = np.asarray(row, dtype=float)
+        ours, theirs = _mid_ranks(x), rankdata(x)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+    def test_normal_p_equals_the_normal_tail_oracle(self):
+        # m = 26..60 with heavy ties: the p-value is 2 * norm.sf(z), z computed
+        # here from the same tie-corrected, continuity-corrected statistic
+        rng = np.random.default_rng(47)
+        for m in range(26, 61):
+            for _ in range(5):
+                d = rng.integers(1, 6, m) * rng.choice([-1.0, 1.0], m) / 4
+                res = wilcoxon_signed_rank(d, np.zeros(m))
+                ranks = rankdata(np.abs(d))
+                _, counts = np.unique(ranks, return_counts=True)
+                var = (m * (m + 1) * (2 * m + 1) / 24.0
+                       - float(np.sum(counts.astype(float) ** 3 - counts)) / 48.0)
+                w_pos = float(ranks[d > 0].sum())
+                z = max(abs(w_pos - m * (m + 1) / 4.0) - 0.5, 0.0) / np.sqrt(var)
+                assert res.method == "normal"
+                assert res.p_value == min(1.0, 2.0 * float(norm.sf(z)))
+
+    def test_pinned_m30_with_ties(self):
+        # four distinct magnitudes over 30 differences, on the normal path; the
+        # p-value equals scipy.stats.wilcoxon(d / 4, correction=True,
+        # method="approx")
+        d = np.array([3, -1, 2, 2, -3, 1, 4, 2, -2, 1, 3, 1, -4, 2, 3, 1, 2, -1, 4, 3,
+                      1, 2, -2, 3, 1, 4, -1, 2, 3, -2], dtype=float)
+        res = wilcoxon_signed_rank(d / 4, np.zeros(30))
+        assert res.method == "normal"
+        assert (res.rank_sum_positive, res.rank_sum_negative) == (355.0, 110.0)
+        assert res.p_value == 0.011310535154756213
+
+    @pytest.mark.parametrize("a,b", [([1.0, np.nan, 3.0], [0.0, 0.0, 0.0]),
+                                     ([1.0, np.inf, 3.0], [0.0, np.inf, 0.0])],
+                             ids=["nan-sample", "inf-minus-inf"])
+    def test_nan_difference_rejected(self, a, b):
+        with pytest.raises(DomainError, match="paired differences must not be NaN"):
+            wilcoxon_signed_rank(a, b)
+
+    def test_infinite_difference_ranks_largest(self):
+        res = wilcoxon_signed_rank([1.0, 2, np.inf, 4, 5], np.zeros(5))
+        assert (res.rank_sum_positive, res.p_value) == (15.0, 0.0625)
 
     def test_exact_path_memory_at_limit(self):
         # the exact distribution has sum(double ranks) + 1 <= 651 entries at
