@@ -15,6 +15,23 @@ aggregation operator is what distinguishes the strategies:
 All outlier-aware strategies consume per-class normalized outlier scores, and
 their measures live on the universe each row actually aggregates.
 
+Every base strategy is the Choquet integral of a row against one measure on
+its n aggregated elements, k of them without a crisp outlier label, so the
+labels enter as 0/1 degrees o:
+
+  min   universal measure (partial universal with no outliers)
+  mino  partial universal measure of the labels
+  avg   WOWA measure with Q(p) = p and o = 0 (the uniform additive measure)
+  avgo  WOWA measure with Q(p) = p and the labels as o
+  owa   symmetric measure of the quantifier for n
+  owao  WOWA measure of the quantifier for k with the labels as o
+  fr, wowa, ts  as listed above, on the outlier scores
+
+When every element is labelled, mino, avgo and owao use the measure of min,
+avg and owa. The six use their closed forms (the mean for avg differs from
+its Choquet sum in the last bits), and a property test checks each against
+its integral.
+
 Scoring is batched and streamed. Rows are scored in blocks of about
 ``BLOCK_ELEMENTS`` similarities: each block's similarities to the training
 fold are computed at once; for each class the values 1 - R of every row are

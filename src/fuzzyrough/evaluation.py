@@ -13,7 +13,7 @@ from scipy.special import ndtr
 
 from .classifier import BASE_KINDS, DISPLAY_NAMES, AggregatorSpec, FittedModel, predict_batch
 from .data import DataFormatError, DecisionSystem
-from .sets import DomainError
+from .sets import DomainError, one_vector
 
 EXACT_WILCOXON_LIMIT = 25  # exact null distribution up to here, normal beyond
 
@@ -128,8 +128,8 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     with tie correction is used. Results with fewer than 5 nonzero
     differences are flagged unreliable. A NaN difference raises DomainError.
     """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
+    a = one_vector(a, "paired samples must each form one vector")
+    b = one_vector(b, "paired samples must each form one vector")
     if a.size != b.size or a.size == 0:
         raise DomainError("paired samples must be nonempty and of equal length")
     with np.errstate(invalid="ignore"):  # inf - inf gives NaN, rejected below

@@ -9,12 +9,15 @@ only access pattern Choquet integration needs. ``chain_values`` takes a
 leading row axis: a 2-D array with one ordering per row gives one chain per
 row.
 
-Subsets may be given as boolean masks, index collections, or crisp fuzzy
-sets. The fuzzy set ``o`` appearing in several constructors carries one
-distrust/outlierness degree per element. The degree-driven measures (fuzzy
-removal, WOWA, ordered two-block) also accept a 2-D ``o`` with one degree
-vector per row: a stack of measures on equally sized universes, which
-integrates one function per row. A stack has no single ``value``.
+Subsets may be given as boolean masks, one vector of distinct integer
+indices, or crisp fuzzy sets. The fuzzy set ``o`` appearing in several
+constructors carries one distrust/outlierness degree per element. The
+degree-driven measures (fuzzy removal, WOWA, ordered two-block) also accept
+a 2-D ``o`` with one degree vector per row: a stack of measures on equally
+sized universes, which integrates one function per row. A stack has no
+single ``value``. Crisp outlier labels are the 0/1 case of ``o``: the
+partial universal measure is fuzzy removal under the minimum on those
+degrees, and the partial existential measure is its dual.
 """
 
 from __future__ import annotations
@@ -37,7 +40,11 @@ def _as_mask(subset, n: int) -> np.ndarray:
         if arr.shape != (n,):
             raise DomainError("boolean mask length must match the universe size")
         return arr
-    idx = arr.astype(int).ravel()
+    if arr.ndim != 1:
+        raise DomainError("subset indices must form one vector")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise DomainError("subset indices must be integers")
+    idx = arr.astype(int)
     if idx.size != len(set(idx.tolist())):
         raise DomainError("subset indices must be distinct")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
@@ -236,8 +243,12 @@ class FuzzyRemovalMeasure(MonotoneMeasure):
         return out
 
 
-class PartialUniversalMeasure(MonotoneMeasure):
-    """mu(B) = 1 iff B contains every trusted element (those outside o)."""
+class PartialUniversalMeasure(FuzzyRemovalMeasure):
+    """mu(B) = 1 iff B contains every trusted element (those outside o).
+
+    Fuzzy removal under the minimum on the 0/1 degrees of the crisp outlier
+    set o: leaving out a trusted element (degree 0) drives the measure to 0.
+    """
 
     def __init__(self, o, n: int | None = None, universe: Universe | None = None):
         if isinstance(o, FuzzySet):
@@ -247,23 +258,11 @@ class PartialUniversalMeasure(MonotoneMeasure):
                 raise DomainError("pass n when giving outlier indices")
             n = np.size(o)
         mask = _as_mask(o, n)
-        super().__init__(mask.size, universe)
+        super().__init__(mask.astype(float), connectives.MINIMUM, universe)
         if mask.all():
             raise DomainError("partial universal measure needs at least one trusted element")
         self.outliers = mask
         self.trusted = ~mask
-
-    def _value(self, mask, k):
-        return 1.0 if np.all(mask[self.trusted]) else 0.0
-
-    def chain_values(self, order):
-        order = np.asarray(order)
-        # scatter the inverse permutation: each element's chain position (an
-        # element missing from a malformed order counts as never reached)
-        position = np.full_like(order, self.n)
-        np.put_along_axis(position, order, np.arange(self.n), axis=-1)
-        first_trusted = position[..., self.trusted].min(axis=-1)
-        return (np.arange(self.n) <= np.expand_dims(first_trusted, -1)).astype(float)
 
 
 class DualMeasure(MonotoneMeasure):

@@ -2,8 +2,12 @@
 
 Each instance is scored against the other members of its own class, then the
 raw factors are squashed with Gaussian scaling so they can be read as degrees
-of outlierness. A crisp label set is derived separately by flagging the
-fraction of globally highest-scoring instances.
+of outlierness: the distrust degrees o that the outlier-aware measures read.
+Crisp labels flag the fraction of globally highest-scoring instances; they
+are the 0/1 case of those degrees, and the partial universal measure of a
+label set is fuzzy removal on its 0/1 degrees. Scores and degrees are read
+as one vector (``sets.one_vector``), and ``OutlierScores`` keeps read-only
+copies, so a block of rows is rejected rather than flattened.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 from scipy.special import erf
 
 from .data import DecisionSystem
-from .sets import DomainError, unit_degrees
+from .sets import DomainError, frozen_copy, one_vector, unit_degrees
 
 DISTANCE_FLOOR = 1e-12  # keeps densities finite when points coincide
 FAST_KNN_DISTANCES = 8192  # _nearest calls on fewer distances keep the full stable sort
@@ -97,7 +101,7 @@ def normalize_scores(raw: np.ndarray) -> np.ndarray:
     below the mean map to 0 and the transform preserves the score ordering.
     A constant score vector maps to all zeros.
     """
-    raw = np.asarray(raw, dtype=float).ravel()
+    raw = one_vector(raw, "raw scores must form one vector")
     if raw.size == 0:
         raise DomainError("cannot normalize an empty score vector")
     std = raw.std()
@@ -108,19 +112,31 @@ def normalize_scores(raw: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OutlierScores:
-    """Raw and normalized per-instance scores, plus optional crisp labels."""
+    """Raw and normalized per-instance scores, plus optional crisp labels.
+
+    Each array is kept as a read-only copy (``sets.frozen_copy``).
+    """
 
     raw: np.ndarray = field(repr=False)
     normalized: np.ndarray = field(repr=False)
     labels: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        raw = np.asarray(self.raw, dtype=float)
-        norm = unit_degrees(self.normalized, "normalized scores must lie in [0, 1]")
+        raw = frozen_copy(self.raw)
+        norm = unit_degrees(frozen_copy(self.normalized), "normalized scores must lie in [0, 1]")
         if raw.shape != norm.shape or raw.ndim != 1:
             raise DomainError("raw and normalized score shapes must match")
+        if not np.all(np.isfinite(raw)):
+            raise DomainError("raw scores must be finite")
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "normalized", norm)
+        if self.labels is not None:
+            if np.asarray(self.labels).dtype != bool:
+                raise DomainError("outlier labels must be booleans")
+            labels = frozen_copy(self.labels, bool)
+            if labels.shape != raw.shape:
+                raise DomainError("outlier labels must align with the scores")
+            object.__setattr__(self, "labels", labels)
 
 
 def per_class_scores(ds: DecisionSystem, k: int) -> OutlierScores:
@@ -150,7 +166,7 @@ def top_fraction(degrees: np.ndarray, contamination: float) -> np.ndarray:
     """Boolean mask flagging the ceil(c*n) highest degrees, ties by index."""
     if not 0.0 <= contamination < 1.0:
         raise DomainError("contamination must lie in [0, 1)")
-    degrees = np.asarray(degrees, dtype=float).ravel()
+    degrees = one_vector(degrees, "top_fraction labels one vector of degrees")
     n = degrees.size
     count = math.ceil(contamination * n)
     mask = np.zeros(n, dtype=bool)

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from fuzzyrough import classifier
@@ -16,6 +18,7 @@ from fuzzyrough.approx import (
 )
 from fuzzyrough.classifier import (
     BASE_KINDS,
+    QUANTIFIER_KINDS,
     AggregatorSpec,
     FittedModel,
     aggregate,
@@ -33,7 +36,9 @@ from fuzzyrough import (
     symmetric_from_quantifier,
     wowa_measure,
 )
-from fuzzyrough.quantifiers import AdditiveQuantifier
+from fuzzyrough.choquet import choquet_integral
+from fuzzyrough.outliers import OutlierScores
+from fuzzyrough.quantifiers import AdditiveQuantifier, CallableQuantifier
 from fuzzyrough.sets import DomainError, FuzzySet, Universe
 
 TOL = 1e-12
@@ -151,6 +156,80 @@ class TestAggregateReductions:
             ]
             for kind, mu in pairs:
                 assert abs(aggregate(v, o, spec(kind)) - choquet_integral(v, mu)) < TOL
+
+
+IDENTITY = CallableQuantifier(lambda p: p)  # Q(p) = p: WOWA becomes a weighted mean
+
+
+def strategy_measure(s, labels):
+    """The measure whose Choquet integral base strategy ``s`` computes on a
+    row whose elements carry these crisp outlier labels: the classifier
+    module's table, with the plain strategy when every element is labelled."""
+    n = labels.size
+    k = n - int(labels.sum())  # trusted elements
+    kind = s.kind
+    if kind in ("mino", "avgo", "owao") and k == 0:
+        kind, labels = kind[:-1], np.zeros(n, dtype=bool)
+    if kind == "min":
+        return partial_universal(np.zeros(n, dtype=bool))
+    if kind == "mino":
+        return partial_universal(labels)
+    if kind == "avg":
+        return wowa_measure(IDENTITY, np.zeros(n))
+    if kind == "avgo":
+        return wowa_measure(IDENTITY, labels.astype(float))
+    if kind == "owa":
+        return symmetric_from_quantifier(s.quantifier_for(n), n)
+    return wowa_measure(s.quantifier_for(k), labels.astype(float))
+
+
+TIED = st.sampled_from([0.0, 0.5, 1.0])  # coarse values: many tied similarities
+
+
+class TestBaseStrategiesAreChoquetIntegrals:
+    """min, mino, avg, avgo, owa and owao compute closed forms, not integrals;
+    each equals the Choquet integral against its measure in the classifier
+    module's table, on prediction rows and on leave-one-out rows alike."""
+
+    @given(data=st.data(), quantifier=st.sampled_from(QUANTIFIER_KINDS))
+    def test_block_memberships_equal_the_integrals(self, data, quantifier):
+        n = data.draw(st.integers(3, 9), label="n")
+        m = data.draw(st.integers(1, 3), label="m")
+        value = st.one_of(TIED, st.floats(0.0, 1.0))
+        rows = st.lists(st.lists(value, min_size=m, max_size=m), min_size=n, max_size=n)
+        X = np.array(data.draw(rows, label="X"))
+        y = data.draw(st.lists(st.sampled_from("pqr"), min_size=n, max_size=n)
+                      .filter(lambda labels: len(set(labels)) > 1), label="y")
+        train = DecisionSystem(tuple(f"a{j}" for j in range(m)), X, np.array(y, dtype=object))
+        labels = np.array(data.draw(st.one_of(st.just([True] * n),
+                                               st.lists(st.booleans(), min_size=n, max_size=n)),
+                                    label="labels"))
+        degrees = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+                                     label="o"))
+        specs = [spec(kind, quantifier=quantifier)
+                 for kind in ("min", "mino", "avg", "avgo", "owa", "owao")]
+        model = FittedModel(train, specs[0])
+        # the outlier scores are drawn, so rows with every element labelled occur
+        model._scores[(specs[0].lof_k, specs[0].contamination)] = OutlierScores(
+            np.ones(n), degrees, labels)
+        X_test = np.array(data.draw(st.lists(st.lists(value, min_size=m, max_size=m),
+                                             min_size=1, max_size=4), label="X_test"))
+
+        for S, loo_start in ((similarity_to_test(X, model.sigmas, X_test), None),
+                             (similarity_to_test(X, model.sigmas, X), 0)):
+            got = classifier._block_memberships(model, S, specs, loo_start)
+            for r in range(S.shape[0]):
+                for c, label in enumerate(model.classes):
+                    cols = np.flatnonzero(train.y != label)
+                    if loo_start is not None:
+                        cols = cols[cols != r]  # the row leaves itself out
+                    if cols.size == 0:
+                        assert np.all(got[:, r, c] == 0.0)
+                        continue
+                    for i, s in enumerate(specs):
+                        mu = strategy_measure(s, labels[cols])
+                        expected = choquet_integral(1.0 - S[r, cols], mu)
+                        assert abs(got[i, r, c] - expected) <= TOL, (s.kind, r, label)
 
 
 class TestLowerApproximationCoupling:

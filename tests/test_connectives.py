@@ -161,6 +161,26 @@ class TestRegistration:
         assert con.tnorm_eval("drastic_test", (1.0, 0.4)) == 0.4
         del con._TNORMS["drastic_test"]
 
+    def test_valid_implicator_accepted(self):
+        con.register_implicator("goedel_test", lambda x, y: np.where(x <= y, 1.0, y))
+        try:
+            assert "goedel_test" in con.implicator_kinds()
+            got = con.implicator_eval("goedel_test", np.array([0.2, 0.7]), np.array([0.5, 0.4]))
+            assert np.array_equal(got, [1.0, 0.4])
+        finally:
+            del con._IMPLICATORS["goedel_test"]
+
+    def test_valid_negator_accepted(self):
+        con.register_negator("circle_test", lambda x: np.sqrt(1.0 - x * x))
+        try:
+            assert "circle_test" in con.negator_kinds()
+            got = con.negator_eval("circle_test", np.array([0.0, 0.6, 1.0]))
+            assert np.allclose(got, [1.0, 0.8, 0.0], rtol=0.0, atol=TOL)
+            a = FuzzySet(Universe.of_size(2), [0.0, 1.0])
+            assert np.array_equal(con.complement(a, "circle_test").memberships, [1.0, 0.0])
+        finally:
+            del con._NEGATORS["circle_test"]
+
     def test_invalid_tnorm_rejected(self):
         with pytest.raises(DomainError):
             con.register_tnorm("bogus", lambda x, y: x * y / 2.0)

@@ -1,5 +1,7 @@
 """Every entry point that takes degrees rejects NaN, infinities and values
-outside [0, 1] with DomainError, each with its own message."""
+outside [0, 1] with DomainError, each with its own message; the steps from
+outlier scores to a measure, and the Wilcoxon test, reject input they would
+otherwise reshape or reinterpret."""
 
 import re
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 import fuzzyrough as fr
+from fuzzyrough import outliers
 
 U = fr.Universe.of_size(3)
 Q = fr.QuadraticQuantifier(0.3, 0.9)
@@ -64,3 +67,55 @@ def test_aggregate_checks_outlier_degrees(kind, o_sub):
     # these gave 0.2 and 0.3667 when o_sub went unchecked
     with pytest.raises(fr.DomainError, match=r"^outlier degrees must lie in \[0, 1\]$"):
         fr.aggregate([0.4, 0.7, 0.2], o_sub, fr.AggregatorSpec(kind=kind))
+
+
+MU = fr.partial_universal(np.array([False, True, False]))
+BLOCK = np.array([[0.1, 0.9], [0.5, 0.2]])
+LABELS = np.array([False, True, False])
+
+# name -> (an accepted call, the same entry point on input of the wrong shape
+# or type, the site's message); each bad call was read silently before
+REJECTED = {
+    "subset indices in rows": (lambda: MU.value([0, 2]), lambda: MU.value([[0], [2]]),
+                               "subset indices must form one vector"),
+    "subset indices not integers": (lambda: MU.value([0]), lambda: MU.value([0.7]),
+                                    "subset indices must be integers"),
+    "normalize_scores block": (lambda: fr.normalize_scores(BLOCK[0]),
+                               lambda: fr.normalize_scores(BLOCK),
+                               "raw scores must form one vector"),
+    "top_fraction block": (lambda: outliers.top_fraction(BLOCK[0], 0.25),
+                           lambda: outliers.top_fraction(BLOCK, 0.25),
+                           "top_fraction labels one vector of degrees"),
+    "OutlierScores NaN raw": (lambda: fr.OutlierScores(np.ones(3), OK),
+                              lambda: fr.OutlierScores(np.array([np.nan, 1, 1]), OK),
+                              "raw scores must be finite"),
+    "OutlierScores infinite raw": (lambda: fr.OutlierScores(np.ones(3), OK),
+                                   lambda: fr.OutlierScores(np.array([1, np.inf, 1]), OK),
+                                   "raw scores must be finite"),
+    "OutlierScores 0/1 labels": (lambda: fr.OutlierScores(np.ones(3), OK, LABELS),
+                                 lambda: fr.OutlierScores(np.ones(3), OK, LABELS.astype(int)),
+                                 "outlier labels must be booleans"),
+    "OutlierScores short labels": (lambda: fr.OutlierScores(np.ones(3), OK, LABELS),
+                                   lambda: fr.OutlierScores(np.ones(3), OK, LABELS[:2]),
+                                   "outlier labels must align with the scores"),
+    "OutlierScores label rows": (lambda: fr.OutlierScores(np.ones(3), OK, LABELS),
+                                 lambda: fr.OutlierScores(np.ones(3), OK, LABELS[None]),
+                                 "outlier labels must align with the scores"),
+    "wilcoxon_signed_rank blocks": (lambda: fr.wilcoxon_signed_rank([1, 2], [3, 4]),
+                                    lambda: fr.wilcoxon_signed_rank([[1, 2], [3, 4]],
+                                                                    np.zeros((2, 2))),
+                                    "paired samples must each form one vector"),
+    "wilcoxon_signed_rank one block": (lambda: fr.wilcoxon_signed_rank([1, 2, 3, 4],
+                                                                       np.zeros(4)),
+                                       lambda: fr.wilcoxon_signed_rank([1, 2, 3, 4],
+                                                                       np.zeros((2, 2))),
+                                       "paired samples must each form one vector"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REJECTED))
+def test_wrong_shape_or_type_rejected_with_the_sites_message(entry):
+    good, bad, message = REJECTED[entry]
+    good()
+    with pytest.raises(fr.DomainError, match=f"^{re.escape(message)}$"):
+        bad()

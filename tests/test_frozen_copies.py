@@ -19,6 +19,11 @@ CLASSES = {
     "DecisionSystem y": (LABELS.copy,
                          lambda a: fr.DecisionSystem(("f0",), np.zeros((3, 1)), a), "y"),
     "WeightVector": (lambda: np.full(4, 0.25), fr.WeightVector, "weights"),
+    "OutlierScores raw": (lambda: np.ones(3), lambda a: fr.OutlierScores(a, np.zeros(3)), "raw"),
+    "OutlierScores normalized": (lambda: np.full(3, 0.5),
+                                 lambda a: fr.OutlierScores(np.ones(3), a), "normalized"),
+    "OutlierScores labels": (lambda: np.array([True, False, False]),
+                             lambda a: fr.OutlierScores(np.ones(3), np.zeros(3), a), "labels"),
 }
 
 

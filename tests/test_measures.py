@@ -15,6 +15,7 @@ from fuzzyrough import (
     symmetric_from_quantifier,
     wowa_measure,
 )
+from fuzzyrough.measures import FuzzyRemovalMeasure, PartialUniversalMeasure
 from fuzzyrough.quantifiers import (
     AdditiveQuantifier,
     ExistentialQuantifier,
@@ -22,7 +23,7 @@ from fuzzyrough.quantifiers import (
     UniversalQuantifier,
     WeightVector,
 )
-from fuzzyrough.sets import DomainError
+from fuzzyrough.sets import DomainError, FuzzySet, Universe
 
 TOL = 1e-12
 MOST = QuadraticQuantifier(0.3, 0.9)
@@ -173,6 +174,82 @@ class TestPartialMeasures:
         mu = partial_universal(np.array([True, True, False]))
         for _ in range(3):
             assert np.array_equal(mu.chain_values(np.array([0, 0, 1])), np.ones(3))
+
+
+def chain_by_definition(outliers, order, existential):
+    """mu(order[i:]) for every i, read off the definition: a suffix is 1
+    under the universal measure iff it holds every trusted element, and
+    under the existential one iff it holds some trusted element."""
+    trusted = set(np.flatnonzero(~outliers).tolist())
+    n = order.shape[-1]
+    chain = np.empty(order.shape)
+    for row, out in zip(order.reshape(-1, n), chain.reshape(-1, n)):
+        for i in range(n):
+            held = trusted & set(row[i:].tolist())
+            out[i] = float(bool(held) if existential else held == trusted)
+    return chain
+
+
+class TestPartialChains:
+    @pytest.mark.parametrize("existential", [False, True], ids=["universal", "existential"])
+    def test_chain_is_the_definition(self, existential):
+        build = partial_existential if existential else partial_universal
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            n = int(rng.integers(1, 10))
+            outliers = rng.random(n) < rng.random()
+            outliers[rng.integers(n)] = False
+            mu = build(outliers)
+            rows = int(rng.integers(1, 5))
+            for order in (rng.permutation(n),
+                          np.array([rng.permutation(n) for _ in range(rows)])):
+                chain = mu.chain_values(order)
+                assert np.array_equal(chain, chain_by_definition(outliers, order, existential))
+
+    def test_partial_universal_is_crisp_fuzzy_removal(self):
+        # one removal chain: the crisp class adds no chain or value of its own
+        assert issubclass(PartialUniversalMeasure, FuzzyRemovalMeasure)
+        assert "chain_values" not in vars(PartialUniversalMeasure)
+        assert "_value" not in vars(PartialUniversalMeasure)
+        mu = partial_universal(np.array([True, False, True]))
+        assert mu.tnorm == con.MINIMUM
+        assert np.array_equal(mu.o, [1.0, 0.0, 1.0])
+
+
+class TestPartialConstruction:
+    U = Universe(("a", "b", "c", "d"))
+
+    def test_from_a_crisp_fuzzy_set(self):
+        mu = partial_universal(FuzzySet.crisp(self.U, ["b", "d"]))
+        assert mu.universe is self.U
+        assert np.array_equal(mu.outliers, [False, True, False, True])
+        assert mu.value(np.array([0, 2])) == 1.0
+        assert mu.value(np.array([0, 1, 3])) == 0.0
+
+    def test_from_a_fuzzy_set_that_is_not_crisp(self):
+        with pytest.raises(DomainError, match="^measures are defined on crisp subsets only$"):
+            partial_universal(FuzzySet(self.U, [0.0, 0.5, 0.0, 1.0]))
+
+    def test_from_indices_with_n(self):
+        mu = partial_universal([1, 3], n=4)
+        assert np.array_equal(mu.trusted, [True, False, True, False])
+        assert np.array_equal(partial_existential([1, 3], n=4).trusted, mu.trusted)
+
+    def test_from_indices_without_n(self):
+        with pytest.raises(DomainError, match="^pass n when giving outlier indices$"):
+            partial_universal([1, 3])
+
+    def test_subset_as_a_fuzzy_set(self):
+        mu = partial_universal(np.array([False, True, False, True]), universe=self.U)
+        assert mu.value(FuzzySet.crisp(self.U, ["a", "c"])) == 1.0
+        assert mu.value(FuzzySet.crisp(self.U, ["a", "b"])) == 0.0
+        with pytest.raises(DomainError, match="^measures are defined on crisp subsets only$"):
+            mu.value(FuzzySet(self.U, [1.0, 0.2, 1.0, 0.0]))
+
+    def test_empty_index_list_is_the_empty_subset(self):
+        mu = partial_universal(np.array([False, True, False, True]))
+        assert mu.value([]) == 0.0
+        assert mu.dual().value([]) == 0.0
 
 
 class TestFuzzyRemoval:
