@@ -50,15 +50,19 @@ def _similarity_block(rows: np.ndarray, X: np.ndarray, sigmas: np.ndarray) -> np
     """Mean over attributes of max(1 - |a(x) - a(y)| / sigma_a, 0), rows x X.
 
     One scratch block is reused for every attribute, so memory stays at two
-    rows x X blocks.
+    rows x X blocks. X is read attribute by attribute from a contiguous copy
+    of X.T, which costs nothing when X is already column-major (the
+    transpose of a contiguous X.T, as ``FittedModel`` keeps its training
+    fold).
     """
     m = X.shape[1]
     if m == 0:
         raise DomainError("similarity needs at least one attribute")
+    columns = np.ascontiguousarray(X.T)
     acc = np.zeros((rows.shape[0], X.shape[0]))
     diff = np.empty_like(acc)
     for a in range(m):
-        np.subtract(rows[:, a][:, None], X[:, a][None, :], out=diff)
+        np.subtract(rows[:, a][:, None], columns[a][None, :], out=diff)
         np.abs(diff, out=diff)
         if sigmas[a] == 0.0:
             # constant attribute: the formula's sigma -> 0 limit is an equality test

@@ -8,8 +8,9 @@ this is the weighted mean, for symmetric measures the OWA operator.
 Both operators take a leading row axis: a 2-D array of values is integrated
 row by row and gives one result per row, and a one-dimensional input is the
 one-row case of the same code; input with three or more dimensions is
-rejected. Each row's final product is its own ``np.dot``, so a row's result
-is bit-identical to integrating it alone.
+rejected. The rows' final products are one stacked ``np.matmul`` of
+contiguous operands, which numpy hands to the same BLAS dot product per row
+as ``np.dot``, so a row's result is bit-identical to integrating it alone.
 
 Every integral and OWA sorts its rows once with ``sort_rows`` (the stable
 ascending argsort, ties broken by index) and reads them through one private
@@ -69,12 +70,19 @@ def _extract(f, mu: MonotoneMeasure | None = None) -> np.ndarray:
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.dot of each row of a with b, or with the same row of a 2-D b.
 
-    One call per row keeps each result bit-identical to the one-row product;
-    a matrix product would sum in another order.
+    One stacked matmul of (1 x n) by (n x 1) products calls the BLAS dot
+    product of ``np.dot`` once per row, so each result is bit-identical to
+    the one-row product of rows whose elements are adjacent, as in every
+    operand the package passes; a matrix product would sum in another order.
+    On a non-contiguous operand (a reversed chain) matmul takes numpy's own
+    loop, which sums differently, so both operands are made contiguous
+    first; for length-1 rows matmul gives +0.0 where np.dot keeps -0.0, so
+    those are plain products.
     """
-    if b.ndim == 1:
-        return np.array([np.dot(row, b) for row in a])
-    return np.array([np.dot(x, y) for x, y in zip(a, b)])
+    if a.shape[1] == 1:
+        return a[:, 0] * (b if b.ndim == 1 else b[:, 0])
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
 
 def sort_rows(values) -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +121,7 @@ def _choquet_sorted(asc: np.ndarray, chain: np.ndarray) -> np.ndarray:
 
 def _owa_sorted(asc: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """OWA of rows sorted ascending: each reversed row dotted with the weights."""
-    return _dot_rows(np.ascontiguousarray(asc[:, ::-1]), weights)
+    return _dot_rows(asc[:, ::-1], weights)
 
 
 def choquet_integral(f, mu: MonotoneMeasure):

@@ -36,13 +36,21 @@ Scoring is batched and streamed. Rows are scored in blocks of about
 ``BLOCK_ELEMENTS`` similarities: each block's similarities to the training
 fold are computed at once; for each class the values 1 - R of every row are
 sorted once by ``choquet.sort_rows`` (equal values keep their training
-order), and all strategies read the same sorted rows: min and avg (and their
-outlier-free variants) directly, the OWAs and the Choquet integrals of fr,
-wowa and ts through the kernels behind ``owa_values`` and
-``choquet_integral``. Every row's result ignores the other rows, so the
-block size never changes a bit of it, and no rows x train array is ever
-whole. Comb's leave-one-out is the same computation on blocks of training
-rows with each row's own element deleted.
+order), and all strategies read the same sorted rows: min and avg directly,
+the OWAs and the Choquet integrals of fr, wowa and ts through the kernels
+behind ``owa_values`` and ``choquet_integral``; mino, avgo and owao share
+one extraction of each row's unlabelled elements. A fitted model builds one
+quantifier and one OWA weight vector per quantifier setting and length.
+Every row's result ignores the other rows, so the block size never changes
+a bit of it, and no rows x train array is ever whole. Comb's leave-one-out
+is the same computation on blocks of training rows with each row's own
+element deleted.
+
+The evaluation protocol scores each fold in one pass
+(``resolve_and_score``): the training rows, each leaving itself out, and
+the held-out rows after them go through the same blocks, so comb's
+leave-one-out and every strategy's held-out memberships come from one
+scoring, and a strategy requested twice, or chosen by comb, is scored once.
 """
 
 from __future__ import annotations
@@ -117,64 +125,109 @@ def default_specs() -> list[AggregatorSpec]:
     return [AggregatorSpec(kind=k) for k in AGGREGATOR_KINDS]
 
 
-def _plain(kind: str, spec: AggregatorSpec, values: np.ndarray, asc: np.ndarray) -> np.ndarray:
+class _Quantifiers:
+    """The quantifier of each quantifier setting and length, and its OWA
+    weights, each built on first use and then reused.
+
+    A ``FittedModel`` keeps one for every strategy it scores, so each
+    quantifier validates its grid once per model, not once per row group.
+    The additive quantifier depends on the length; the quadratic one only on
+    its knots.
+    """
+
+    def __init__(self):
+        self._quantifiers: dict = {}
+        self._weights: dict = {}
+
+    @staticmethod
+    def _setting(spec: AggregatorSpec, n: int):
+        return (spec.alpha, spec.beta) if spec.quantifier == "quadratic" else n
+
+    def quantifier(self, spec: AggregatorSpec, n: int) -> RIMQuantifier:
+        key = self._setting(spec, n)
+        if key not in self._quantifiers:
+            self._quantifiers[key] = spec.quantifier_for(n)
+        return self._quantifiers[key]
+
+    def weights(self, spec: AggregatorSpec, n: int) -> np.ndarray:
+        key = (self._setting(spec, n), n)
+        if key not in self._weights:
+            self._weights[key] = weights_from_quantifier(self.quantifier(spec, n), n).weights
+        return self._weights[key]
+
+
+def _plain(kind: str, spec: AggregatorSpec, values: np.ndarray, asc: np.ndarray,
+           quantifiers: _Quantifiers) -> np.ndarray:
     """min, avg or owa of each row; ``asc`` holds the same rows sorted ascending."""
     if kind == "min":
         return asc[:, 0]
     if kind == "avg":
         return values.mean(axis=1)
-    n = asc.shape[1]
-    return _owa_sorted(asc, weights_from_quantifier(spec.quantifier_for(n), n).weights)
+    return _owa_sorted(asc, quantifiers.weights(spec, asc.shape[1]))
 
 
-def _without_outliers(spec: AggregatorSpec, values, order, asc, labels) -> np.ndarray:
-    """mino, avgo and owao: the plain strategy over each row's unlabelled
-    elements, or over all of them when every element is labelled."""
-    kind = spec.kind[:-1]
+def _unlabelled(values, order, asc, labels) -> list:
+    """Each row's unlabelled elements, for mino, avgo and owao alike.
+
+    Rows are grouped by how many elements they keep: a list of (rows, kept
+    values in their own order, the same sorted ascending), each a
+    contiguous rows x kept array. A row whose elements are all labelled
+    keeps them all.
+    """
     keep = ~np.broadcast_to(labels, values.shape)
     keep_sorted = np.take_along_axis(keep, order, axis=1)
     counts = keep.sum(axis=1)
-    out = np.empty(values.shape[0])
+    groups = []
     for k in np.unique(counts):
         rows = counts == k
         if k == 0:
-            out[rows] = _plain(kind, spec, values[rows], asc[rows])
+            groups.append((rows, values[rows], asc[rows]))
         else:
-            out[rows] = _plain(kind, spec, values[rows][keep[rows]].reshape(-1, k),
-                               asc[rows][keep_sorted[rows]].reshape(-1, k))
-    return out
+            groups.append((rows, values[rows][keep[rows]].reshape(-1, k),
+                           asc[rows][keep_sorted[rows]].reshape(-1, k)))
+    return groups
 
 
-def _strategy(spec: AggregatorSpec, values, order, asc, o, labels) -> np.ndarray:
-    kind = spec.kind
-    n = values.shape[1]
-    if kind in ("min", "avg", "owa"):
-        return _plain(kind, spec, values, asc)
-    if kind in ("mino", "avgo", "owao"):
-        return _without_outliers(spec, values, order, asc, labels)
-    if kind == "fr":
-        mu = FuzzyRemovalMeasure(o, spec.tnorm)
-    elif kind == "wowa":
-        mu = WowaMeasure(spec.quantifier_for(n), o)
-    elif kind == "ts":
-        mu = OrderedTwoSymmetricMeasure(spec.quantifier_for(n), o, spec.t, spec.contamination)
-    else:
-        raise DomainError("comb must be resolved to a concrete strategy before aggregation")
-    return _choquet_sorted(asc, mu.chain_values(order))
+def _measure(spec: AggregatorSpec, o: np.ndarray, n: int, quantifiers: _Quantifiers):
+    """The measure of fr, wowa or ts on n elements with outlier degrees o."""
+    if spec.kind == "fr":
+        return FuzzyRemovalMeasure(o, spec.tnorm)
+    if spec.kind == "wowa":
+        return WowaMeasure(quantifiers.quantifier(spec, n), o)
+    if spec.kind == "ts":
+        return OrderedTwoSymmetricMeasure(quantifiers.quantifier(spec, n), o, spec.t,
+                                          spec.contamination)
+    raise DomainError("comb must be resolved to a concrete strategy before aggregation")
 
 
 def _aggregate_rows(values: np.ndarray, o: np.ndarray, labels: np.ndarray,
-                    specs: list[AggregatorSpec]) -> np.ndarray:
+                    specs: list[AggregatorSpec],
+                    quantifiers: _Quantifiers | None = None) -> np.ndarray:
     """Every row of ``values`` aggregated under every spec: (len(specs), rows).
 
     ``o`` and ``labels`` hold the aggregated elements' outlier degrees and
     crisp outlier labels, either one vector shared by all rows or one row
-    each. The rows are sorted once; every strategy reads that order.
+    each. The rows are sorted once and every strategy reads that order;
+    mino, avgo and owao share one extraction of the unlabelled elements.
     """
     # means run along contiguous rows, so each equals its one-row mean bit for bit
     values = np.ascontiguousarray(values)
     order, asc = sort_rows(values)
-    return np.array([_strategy(spec, values, order, asc, o, labels) for spec in specs])
+    quantifiers = quantifiers or _Quantifiers()
+    out = np.empty((len(specs), values.shape[0]))
+    unlabelled = None
+    for i, spec in enumerate(specs):
+        if spec.kind in ("min", "avg", "owa"):
+            out[i] = _plain(spec.kind, spec, values, asc, quantifiers)
+        elif spec.kind in ("mino", "avgo", "owao"):
+            if unlabelled is None:
+                unlabelled = _unlabelled(values, order, asc, labels)
+            for rows, kept, kept_asc in unlabelled:
+                out[i, rows] = _plain(spec.kind[:-1], spec, kept, kept_asc, quantifiers)
+        else:
+            mu = _measure(spec, o, values.shape[1], quantifiers)
+            out[i] = _choquet_sorted(asc, mu.chain_values(order))
+    return out
 
 
 def aggregate(values, o_sub, spec: AggregatorSpec, outliers=None) -> float:
@@ -194,7 +247,9 @@ def aggregate(values, o_sub, spec: AggregatorSpec, outliers=None) -> float:
         raise DomainError("outlier degrees must align with the values")
     if outliers is None:
         outliers = top_fraction(o_sub, spec.contamination)
-    labels = np.atleast_1d(np.asarray(outliers, dtype=bool))
+    labels = np.atleast_1d(np.asarray(outliers))
+    if labels.dtype != bool:
+        raise DomainError("outlier labels must be booleans")
     if labels.shape != values.shape:
         raise DomainError("outlier labels must align with the values")
     return float(_aggregate_rows(values[None], o_sub, labels, [spec])[0, 0])
@@ -248,8 +303,8 @@ def _block_memberships(model: "FittedModel", S: np.ndarray, specs: list[Aggregat
         for ci, label in enumerate(model.classes):
             cols = np.flatnonzero(~model.class_masks[label])
             for rows, values, o, labels in _row_groups(S, cols, scores, loo_start):
-                out[np.ix_(indices, rows, [ci])] = _aggregate_rows(values, o, labels,
-                                                                   group)[..., None]
+                out[np.ix_(indices, rows, [ci])] = _aggregate_rows(
+                    values, o, labels, group, model.quantifiers)[..., None]
     return out
 
 
@@ -258,14 +313,16 @@ def _streamed_memberships(model: "FittedModel", X: np.ndarray, specs: list[Aggre
     """``_block_memberships`` of the rows of X, one block of rows at a time.
 
     Each block holds about BLOCK_ELEMENTS similarities to the training fold
-    and is scored before the next is built. With ``loo`` X is the training
-    data itself and each row leaves itself out. Zero rows still form one
-    (empty) block, so a bad column count is reported as for any other X.
+    and is scored before the next is built. With ``loo`` the first rows of X
+    are the training data itself and each leaves itself out; rows beyond the
+    training size delete nothing, so held-out rows may follow them in the
+    same pass. Zero rows still form one (empty) block, so a bad column count
+    is reported as for any other X.
     """
     out = np.empty((len(specs), X.shape[0], len(model.classes)))
     step = max(1, BLOCK_ELEMENTS // model.n)
     for start in range(0, max(X.shape[0], 1), step):
-        S = similarity_to_test(model.train.X, model.sigmas, X[start:start + step])
+        S = similarity_to_test(model.columns.T, model.sigmas, X[start:start + step])
         out[:, start:start + step] = _block_memberships(model, S, specs,
                                                         start if loo else None)
     return out
@@ -274,11 +331,13 @@ def _streamed_memberships(model: "FittedModel", X: np.ndarray, specs: list[Aggre
 class FittedModel:
     """A training fold prepared for scoring, and the strategy fitted on it.
 
-    Scales, class masks and the outlier scores of each (lof_k, contamination)
-    setting are computed once and shared by every strategy scored on the
-    fold. Similarities are not kept: scoring and comb's leave-one-out
-    compute them block by block. ``spec`` is the requested strategy and
-    ``resolved`` the one predictions use, with comb replaced by its choice.
+    Scales, class masks, the attribute-major training data, the outlier
+    scores of each (lof_k, contamination) setting and the quantifier of each
+    quantifier setting and length are computed once and shared by every
+    strategy scored on the fold. Similarities are not kept: scoring and
+    comb's leave-one-out compute them block by block. ``spec`` is the
+    requested strategy and ``resolved`` the one predictions use, with comb
+    replaced by its choice.
     """
 
     def __init__(self, train: DecisionSystem, spec: AggregatorSpec = AggregatorSpec(),
@@ -287,6 +346,9 @@ class FittedModel:
             raise DomainError("training data must contain at least two classes")
         self.train = train
         self.sigmas = attribute_scales(train)
+        # one attribute per row: each similarity block reads its .T without a copy
+        self.columns = np.ascontiguousarray(train.X.T)
+        self.quantifiers = _Quantifiers()
         self.classes = train.classes
         self.class_masks = {c: train.y == c for c in self.classes}
         self._scores: dict = {}
@@ -313,7 +375,38 @@ class FittedModel:
         """``spec`` itself, or for comb the candidate its leave-one-out picks."""
         if spec.kind != "comb":
             return spec
-        return comb_select(self, [replace(spec, kind=k) for k in BASE_KINDS], seed)
+        return comb_select(self, _candidates(spec), seed)
+
+
+def _candidates(spec: AggregatorSpec) -> list[AggregatorSpec]:
+    """Comb's candidates: the nine base strategies with the knobs of ``spec``."""
+    return [replace(spec, kind=k) for k in BASE_KINDS]
+
+
+def _loo_memberships(model: FittedModel, specs: list[AggregatorSpec],
+                     X_test: np.ndarray | None = None) -> np.ndarray:
+    """Memberships of every training row under each spec, each row leaving
+    itself out, followed by those of the rows of X_test, which leave nothing
+    out: (len(specs), n + test rows, classes), scored in one pass."""
+    if min(int(m.sum()) for m in model.class_masks.values()) < 2:
+        raise DomainError("leave-one-out selection needs at least two instances per class")
+    X = model.train.X if X_test is None else np.vstack([model.train.X, X_test])
+    return _streamed_memberships(model, X, specs, loo=True)
+
+
+def _pick(model: FittedModel, candidate_specs: list[AggregatorSpec], loo: np.ndarray,
+          seed: int) -> AggregatorSpec:
+    """The candidate whose leave-one-out memberships (``loo``, one row of
+    training rows per candidate) give the best balanced accuracy; exact ties
+    are broken uniformly at random by the seeded generator."""
+    from .evaluation import balanced_accuracies
+
+    accs = balanced_accuracies(model.train.y, model.classes, loo.argmax(axis=-1))
+    best = np.flatnonzero(accs >= accs.max() - 1e-12)
+    if best.size == 1:
+        return candidate_specs[int(best[0])]
+    rng = np.random.default_rng(seed)
+    return candidate_specs[int(rng.choice(best))]
 
 
 def comb_select(ds_train, candidate_specs: list[AggregatorSpec], seed: int) -> AggregatorSpec:
@@ -326,22 +419,43 @@ def comb_select(ds_train, candidate_specs: list[AggregatorSpec], seed: int) -> A
     blocks, so the train x train similarity is never whole. Exact ties are
     broken uniformly at random by the seeded generator.
     """
-    from .evaluation import balanced_accuracy
-
     if not candidate_specs:
         raise DomainError("need at least one candidate spec")
     model = ds_train if isinstance(ds_train, FittedModel) else FittedModel(ds_train)
-    if min(int(m.sum()) for m in model.class_masks.values()) < 2:
-        raise DomainError("leave-one-out selection needs at least two instances per class")
+    return _pick(model, candidate_specs, _loo_memberships(model, candidate_specs), seed)
 
-    memberships = _streamed_memberships(model, model.train.X, candidate_specs, loo=True)
-    accs = np.array([balanced_accuracy(model.train.y, predicted)
-                     for predicted in model.labels(memberships)])
-    best = np.flatnonzero(accs >= accs.max() - 1e-12)
-    if best.size == 1:
-        return candidate_specs[int(best[0])]
-    rng = np.random.default_rng(seed)
-    return candidate_specs[int(rng.choice(best))]
+
+def resolve_and_score(model: FittedModel, specs: list[AggregatorSpec], X_test: np.ndarray,
+                      seed: int) -> tuple[list, np.ndarray]:
+    """Each spec resolved on the model's training fold, and the memberships
+    of the rows of X_test under it: (resolved specs, specs x rows x classes).
+
+    Equal specs, and a comb choice equal to another spec, are scored once.
+    When comb is requested, the leave-one-out rows of its candidates and the
+    rows of X_test are scored in one pass, so the candidates' held-out
+    memberships come with the scores comb picks by; the other specs are
+    scored on X_test alone. Comb resolves as ``comb_select`` does.
+    """
+    candidates = {spec: _candidates(spec) for spec in specs if spec.kind == "comb"}
+    loo_specs = list(dict.fromkeys(c for group in candidates.values() for c in group))
+    others = [spec for spec in dict.fromkeys(specs)
+              if spec.kind != "comb" and spec not in loo_specs]
+    scored: dict = {}
+    chosen: dict = {}
+    if loo_specs:
+        both = _loo_memberships(model, loo_specs, X_test)
+        scored.update(zip(loo_specs, both[:, model.n:]))
+        position = {spec: i for i, spec in enumerate(loo_specs)}
+        for spec, group in candidates.items():
+            loo = both[[position[c] for c in group], :model.n]
+            chosen[spec] = _pick(model, group, loo, seed)
+    if others:
+        scored.update(zip(others, _streamed_memberships(model, X_test, others)))
+    resolved = [chosen.get(spec, spec) for spec in specs]
+    out = np.empty((len(specs), X_test.shape[0], len(model.classes)))
+    for i, spec in enumerate(resolved):
+        out[i] = scored[spec]
+    return resolved, out
 
 
 def fit(ds_train: DecisionSystem, spec: AggregatorSpec, seed: int = 0) -> FittedModel:

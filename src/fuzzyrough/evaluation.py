@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .classifier import BASE_KINDS, DISPLAY_NAMES, AggregatorSpec, FittedModel, predict_batch
+from .classifier import BASE_KINDS, DISPLAY_NAMES, AggregatorSpec, FittedModel, resolve_and_score
 from .data import DataFormatError, DecisionSystem
 from .sets import DomainError, one_vector
 
@@ -53,17 +53,38 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k, assignments)
 
 
+def balanced_accuracies(y_true, labels, predicted) -> np.ndarray:
+    """Balanced accuracy of each row of ``predicted`` against ``y_true``.
+
+    ``predicted`` holds one row of indices into ``labels`` per classifier.
+    Each score is the unweighted mean of the per-class recalls over the
+    classes present in y_true, in sorted order; a class that no label names
+    (say one absent from the training fold) is never predicted, so its
+    recall is 0.
+    """
+    y_true = np.asarray(y_true, dtype=object)
+    predicted = np.asarray(predicted)
+    if y_true.size == 0 or predicted.shape[1:] != y_true.shape:
+        raise DomainError("labels must be nonempty and of equal length")
+    present = {label: i for i, label in enumerate(sorted(set(y_true.tolist())))}
+    truth = np.array([present[label] for label in y_true.tolist()])
+    as_present = np.array([present.get(label, -1) for label in labels], dtype=np.intp)
+    members = truth[:, None] == np.arange(len(present))
+    hits = (as_present[predicted] == truth).astype(np.intp)
+    # correct / class size, then the mean along each contiguous row: the
+    # same operations as one np.mean per class and one over the recalls
+    recalls = (hits @ members) / members.sum(axis=0)
+    return recalls.mean(axis=1)
+
+
 def balanced_accuracy(y_true, y_pred) -> float:
     """Unweighted mean of per-class recalls over the classes present in y_true."""
-    y_true = np.asarray(y_true, dtype=object)
     y_pred = np.asarray(y_pred, dtype=object)
-    if y_true.size == 0 or y_true.shape != y_pred.shape:
+    if np.shape(y_true) != y_pred.shape:
         raise DomainError("labels must be nonempty and of equal length")
-    recalls = []
-    for label in sorted(set(y_true.tolist())):
-        mask = y_true == label
-        recalls.append(float(np.mean(y_pred[mask] == label)))
-    return float(np.mean(recalls))
+    labels = {label: i for i, label in enumerate(dict.fromkeys(y_pred.tolist()))}
+    predicted = [[labels[label] for label in y_pred.tolist()]]
+    return float(balanced_accuracies(y_true, tuple(labels), predicted)[0])
 
 
 @dataclass(frozen=True)
@@ -174,17 +195,17 @@ def _evaluate_fold(ds: DecisionSystem, plan: FoldPlan, fold: int, specs: list,
                    seed: int) -> tuple[list, list]:
     """Balanced accuracy and resolved strategy of every spec on one fold.
 
-    One model holds the training fold; every spec is resolved on it, and
-    all of them are scored from the same row blocks of the held-out rows,
-    whose similarities are computed one block at a time.
+    One model holds the training fold. ``resolve_and_score`` resolves every
+    spec on it and scores each distinct strategy once, comb's leave-one-out
+    rows and the held-out rows in one pass; the similarities are computed
+    one row block at a time. All specs' accuracies come from one call.
     """
     train_idx, test_idx = plan.train_test(fold)
     train, test = ds.subset(train_idx), ds.subset(test_idx)
     model = FittedModel(train)
-    resolved = [model.resolve(spec, seed) for spec in specs]
-    predictions = predict_batch(model, test.X, resolved)
-    return ([balanced_accuracy(test.y, p) for p in predictions],
-            [spec.kind for spec in resolved])
+    resolved, memberships = resolve_and_score(model, specs, test.X, seed)
+    accs = balanced_accuracies(test.y, model.classes, memberships.argmax(axis=-1))
+    return accs.tolist(), [spec.kind for spec in resolved]
 
 
 def _check_comb_folds(ds: DecisionSystem, specs: list, k: int) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import connectives
 from .quantifiers import RIMQuantifier, WeightVector
-from .sets import DomainError, FuzzySet, Universe, unit_degrees, value_rows
+from .sets import DomainError, FuzzySet, Universe, frozen_copy, unit_degrees, value_rows
 
 
 def _as_mask(subset, n: int) -> np.ndarray:
@@ -57,8 +57,9 @@ def _as_mask(subset, n: int) -> np.ndarray:
 def _degrees_of(o) -> tuple[np.ndarray, Universe | None]:
     if isinstance(o, FuzzySet):
         return o.memberships, o.universe
-    # a stack is kept row-contiguous so each row's sums equal its own measure's
-    arr = np.ascontiguousarray(value_rows(o, "degrees"))
+    # a read-only copy: row-contiguous, so each row of a stack sums as its own
+    # measure's, and detached from the caller's array
+    arr = frozen_copy(value_rows(o, "degrees"))
     return unit_degrees(arr, "degrees must lie in [0, 1]"), None
 
 

@@ -12,8 +12,9 @@ class DomainError(ValueError):
 
 
 def frozen_copy(a, dtype=float) -> np.ndarray:
-    """A read-only copy of ``a`` as a ``dtype`` array; the caller's array stays writable."""
-    a = np.array(a, dtype=dtype)
+    """A read-only, row-contiguous copy of ``a`` as a ``dtype`` array; the
+    caller's array stays writable."""
+    a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 

@@ -101,6 +101,13 @@ REJECTED = {
     "OutlierScores label rows": (lambda: fr.OutlierScores(np.ones(3), OK, LABELS),
                                  lambda: fr.OutlierScores(np.ones(3), OK, LABELS[None]),
                                  "outlier labels must align with the scores"),
+    "aggregate 0/1 labels": (lambda: fr.aggregate([0.4, 0.7, 0.2], np.zeros(3),
+                                                  fr.AggregatorSpec(kind="mino"),
+                                                  outliers=[False, False, True]),
+                             lambda: fr.aggregate([0.4, 0.7, 0.2], np.zeros(3),
+                                                  fr.AggregatorSpec(kind="mino"),
+                                                  outliers=[0, 0, 0.3]),
+                             "outlier labels must be booleans"),
     "wilcoxon_signed_rank blocks": (lambda: fr.wilcoxon_signed_rank([1, 2], [3, 4]),
                                     lambda: fr.wilcoxon_signed_rank([[1, 2], [3, 4]],
                                                                     np.zeros((2, 2))),

@@ -385,7 +385,7 @@ class TestRunBenchmark:
         def broken(*args, **kwargs):
             raise TypeError("a bug, not a property of the dataset")
 
-        monkeypatch.setattr(evaluation, "predict_batch", broken)
+        monkeypatch.setattr(evaluation, "resolve_and_score", broken)
         with pytest.raises(TypeError):
             run_benchmark([("toy", tiny_dataset(1))], [AggregatorSpec(kind="min")], k=2, seed=0)
 
