@@ -51,9 +51,7 @@ def _similarity_block(rows: np.ndarray, X: np.ndarray, sigmas: np.ndarray) -> np
 
     One scratch block is reused for every attribute, so memory stays at two
     rows x X blocks. X is read attribute by attribute from a contiguous copy
-    of X.T, which costs nothing when X is already column-major (the
-    transpose of a contiguous X.T, as ``FittedModel`` keeps its training
-    fold).
+    of X.T, one pass over X against the block's rows x X x attributes.
     """
     m = X.shape[1]
     if m == 0:

@@ -51,6 +51,9 @@ The evaluation protocol scores each fold in one pass
 the held-out rows after them go through the same blocks, so comb's
 leave-one-out and every strategy's held-out memberships come from one
 scoring, and a strategy requested twice, or chosen by comb, is scored once.
+The fused pass scores the held-out rows under all nine candidates, so it is
+taken only when all nine are requested beside comb; comb alone gets its
+leave-one-out pass and one held-out pass under its choice.
 """
 
 from __future__ import annotations
@@ -322,7 +325,7 @@ def _streamed_memberships(model: "FittedModel", X: np.ndarray, specs: list[Aggre
     out = np.empty((len(specs), X.shape[0], len(model.classes)))
     step = max(1, BLOCK_ELEMENTS // model.n)
     for start in range(0, max(X.shape[0], 1), step):
-        S = similarity_to_test(model.columns.T, model.sigmas, X[start:start + step])
+        S = similarity_to_test(model.train.X, model.sigmas, X[start:start + step])
         out[:, start:start + step] = _block_memberships(model, S, specs,
                                                         start if loo else None)
     return out
@@ -331,13 +334,12 @@ def _streamed_memberships(model: "FittedModel", X: np.ndarray, specs: list[Aggre
 class FittedModel:
     """A training fold prepared for scoring, and the strategy fitted on it.
 
-    Scales, class masks, the attribute-major training data, the outlier
-    scores of each (lof_k, contamination) setting and the quantifier of each
-    quantifier setting and length are computed once and shared by every
-    strategy scored on the fold. Similarities are not kept: scoring and
-    comb's leave-one-out compute them block by block. ``spec`` is the
-    requested strategy and ``resolved`` the one predictions use, with comb
-    replaced by its choice.
+    Scales, class masks, the outlier scores of each (lof_k, contamination)
+    setting and the quantifier of each quantifier setting and length are
+    computed once and shared by every strategy scored on the fold.
+    Similarities are not kept: scoring and comb's leave-one-out compute them
+    block by block. ``spec`` is the requested strategy and ``resolved`` the
+    one predictions use, with comb replaced by its choice.
     """
 
     def __init__(self, train: DecisionSystem, spec: AggregatorSpec = AggregatorSpec(),
@@ -346,8 +348,6 @@ class FittedModel:
             raise DomainError("training data must contain at least two classes")
         self.train = train
         self.sigmas = attribute_scales(train)
-        # one attribute per row: each similarity block reads its .T without a copy
-        self.columns = np.ascontiguousarray(train.X.T)
         self.quantifiers = _Quantifiers()
         self.classes = train.classes
         self.class_masks = {c: train.y == c for c in self.classes}
@@ -431,27 +431,30 @@ def resolve_and_score(model: FittedModel, specs: list[AggregatorSpec], X_test: n
     of the rows of X_test under it: (resolved specs, specs x rows x classes).
 
     Equal specs, and a comb choice equal to another spec, are scored once.
-    When comb is requested, the leave-one-out rows of its candidates and the
-    rows of X_test are scored in one pass, so the candidates' held-out
-    memberships come with the scores comb picks by; the other specs are
-    scored on X_test alone. Comb resolves as ``comb_select`` does.
+    When every candidate of comb is requested beside it, as in the paper's
+    protocol, the held-out rows are needed under all candidates anyway, so
+    they join comb's leave-one-out rows in one pass. Otherwise fusing would
+    score the held-out rows under candidates nobody asked for: comb's
+    leave-one-out runs alone, and the held-out rows get one pass under the
+    resolved specs not yet scored. Comb resolves as ``comb_select`` does.
     """
     candidates = {spec: _candidates(spec) for spec in specs if spec.kind == "comb"}
     loo_specs = list(dict.fromkeys(c for group in candidates.values() for c in group))
-    others = [spec for spec in dict.fromkeys(specs)
-              if spec.kind != "comb" and spec not in loo_specs]
+    fuse = set(loo_specs) <= set(specs)
     scored: dict = {}
     chosen: dict = {}
     if loo_specs:
-        both = _loo_memberships(model, loo_specs, X_test)
-        scored.update(zip(loo_specs, both[:, model.n:]))
+        both = _loo_memberships(model, loo_specs, X_test if fuse else None)
+        if fuse:
+            scored.update(zip(loo_specs, both[:, model.n:]))
         position = {spec: i for i, spec in enumerate(loo_specs)}
         for spec, group in candidates.items():
             loo = both[[position[c] for c in group], :model.n]
             chosen[spec] = _pick(model, group, loo, seed)
-    if others:
-        scored.update(zip(others, _streamed_memberships(model, X_test, others)))
     resolved = [chosen.get(spec, spec) for spec in specs]
+    rest = [spec for spec in dict.fromkeys(resolved) if spec not in scored]
+    if rest:
+        scored.update(zip(rest, _streamed_memberships(model, X_test, rest)))
     out = np.empty((len(specs), X_test.shape[0], len(model.classes)))
     for i, spec in enumerate(resolved):
         out[i] = scored[spec]

@@ -1,7 +1,8 @@
 """One scoring pass per fold, bit for bit.
 
 The protocol scores a fold once for all strategies: comb's leave-one-out
-rows and the held-out rows in one ``_streamed_memberships`` pass, each
+rows and the held-out rows in one ``_streamed_memberships`` pass (when all
+nine candidates are requested beside comb, as the protocol does), each
 distinct strategy once, one quantifier per setting and length, products as
 one stacked matmul and every strategy's balanced accuracy from one call.
 Each piece is checked here against the per-call code it replaced, by bit
@@ -22,6 +23,7 @@ from fuzzyrough import classifier
 from fuzzyrough.choquet import FAST_SORT_VALUES, _choquet_sorted, _dot_rows, _owa_sorted, sort_rows
 from fuzzyrough.classifier import (
     AGGREGATOR_KINDS,
+    BASE_KINDS,
     AggregatorSpec,
     FittedModel,
     default_specs,
@@ -207,9 +209,10 @@ def _comb_datasets():
 
 class TestFusedFold:
     @given(_comb_datasets(), st.lists(specs(kinds=AGGREGATOR_KINDS), min_size=1, max_size=4),
-           st.integers(0, 2**32 - 1), st.data())
-    def test_equals_resolve_then_predict_batch(self, ds, spec_list, seed, data):
-        spec_list.append(AggregatorSpec(kind="comb"))
+           st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    def test_equals_resolve_then_predict_batch(self, ds, spec_list, seed, all_kinds, data):
+        # with every candidate requested the held-out rows join the leave-one-out pass
+        spec_list += default_specs() if all_kinds else [AggregatorSpec(kind="comb")]
         model = FittedModel(ds)
         X_test = _test_rows(data, ds)
         resolved, got = resolve_and_score(model, spec_list, X_test, seed)
@@ -268,12 +271,26 @@ class TestOnePassPerFold:
 
     def test_specs_outside_comb_are_scored_once_on_held_out_rows(self, monkeypatch):
         other = AggregatorSpec(kind="owa", quantifier="quadratic")
-        spec_list = [AggregatorSpec(kind="comb"), other, AggregatorSpec(kind="min"), other]
+        spec_list = default_specs() + [other, AggregatorSpec(kind="min"), other]
         passes, plan = self._recorded_passes(monkeypatch, spec_list)
         assert [loo for _, loo, _ in passes] == [True, False]
         assert passes[1][0] == [other] and passes[1][2] == plan.train_test(0)[1].size
         scored = [spec for group, _, _ in passes for spec in group]
         assert len(set(scored)) == len(scored)
+
+    @pytest.mark.parametrize("extra", [[], ["min"], ["min", "owa", "wowa"]])
+    def test_comb_without_all_candidates_scores_held_out_rows_once(self, monkeypatch, extra):
+        """Fusing would score the held-out rows under candidates nobody asked
+        for, so comb's leave-one-out covers the training rows alone and the
+        held-out rows get one pass under the resolved specs."""
+        spec_list = [AggregatorSpec(kind="comb")] + [AggregatorSpec(kind=k) for k in extra]
+        passes, plan = self._recorded_passes(monkeypatch, spec_list)
+        train_idx, test_idx = plan.train_test(0)
+        assert [(loo, rows) for _, loo, rows in passes] == [(True, train_idx.size),
+                                                            (False, test_idx.size)]
+        choice = passes[1][0][0]
+        assert choice.kind in BASE_KINDS
+        assert passes[1][0] == list(dict.fromkeys([choice] + spec_list[1:]))
 
     def test_one_quantifier_per_setting_and_length(self, monkeypatch):
         built = Counter()
