@@ -4,7 +4,8 @@ The lower approximation of a concept A at y integrates I(R(x, y), A(x))
 against a capacity; the upper approximation integrates C(R(x, y), A(x)).
 Universal/existential measures recover the classical min/max definitions,
 symmetric measures the OWA-weighted ones, and general capacities allow
-outlier-aware softening.
+outlier-aware softening. Similarity blocks are computed with their rows
+split across CPUs, each row with the operations and bits of one thread.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from . import connectives
 from .choquet import choquet_integral
 from .data import DecisionSystem
 from .measures import MonotoneMeasure
+from .rows import over_row_ranges
 from .sets import DomainError, FuzzySet, Universe, frozen_copy, unit_degrees
 
 
@@ -51,7 +53,9 @@ def _similarity_block(rows: np.ndarray, X: np.ndarray, sigmas: np.ndarray) -> np
 
     One scratch block is reused for every attribute, so memory stays at two
     rows x X blocks. X is read attribute by attribute from a contiguous copy
-    of X.T, one pass over X against the block's rows x X x attributes.
+    of X.T, one pass over X against the block's rows x X x attributes. The
+    rows are split across CPUs by ``rows.over_row_ranges``; each range fills
+    its own rows of the output and of the scratch block.
     """
     m = X.shape[1]
     if m == 0:
@@ -59,18 +63,24 @@ def _similarity_block(rows: np.ndarray, X: np.ndarray, sigmas: np.ndarray) -> np
     columns = np.ascontiguousarray(X.T)
     acc = np.zeros((rows.shape[0], X.shape[0]))
     diff = np.empty_like(acc)
-    for a in range(m):
-        np.subtract(rows[:, a][:, None], columns[a][None, :], out=diff)
-        np.abs(diff, out=diff)
-        if sigmas[a] == 0.0:
-            # constant attribute: the formula's sigma -> 0 limit is an equality test
-            acc += diff == 0.0
-            continue
-        diff /= sigmas[a]
-        np.subtract(1.0, diff, out=diff)
-        np.maximum(diff, 0.0, out=diff)
-        acc += diff
-    return acc / m
+
+    def part(lo, hi):
+        out, scratch = acc[lo:hi], diff[lo:hi]
+        for a in range(m):
+            np.subtract(rows[lo:hi, a][:, None], columns[a][None, :], out=scratch)
+            np.abs(scratch, out=scratch)
+            if sigmas[a] == 0.0:
+                # constant attribute: the formula's sigma -> 0 limit is an equality test
+                out += scratch == 0.0
+                continue
+            scratch /= sigmas[a]
+            np.subtract(1.0, scratch, out=scratch)
+            np.maximum(scratch, 0.0, out=scratch)
+            out += scratch
+        out /= m
+
+    over_row_ranges(part, acc.shape[0], acc.size)
+    return acc
 
 
 def similarity_matrix(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:

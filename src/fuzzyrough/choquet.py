@@ -20,12 +20,14 @@ classifier's scoring calls too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measures import MonotoneMeasure
 from .quantifiers import WeightVector
+from .rows import over_row_ranges
 from .sets import DomainError, FuzzySet, Universe, frozen_copy, value_rows
 
 FAST_SORT_VALUES = 4096  # sort_rows calls on fewer values keep numpy's stable sort
@@ -93,22 +95,32 @@ def sort_rows(values) -> tuple[np.ndarray, np.ndarray]:
     with numpy's unstable sort: a row whose sorted values strictly increase
     has only one ascending order, which is then the stable one, and only
     rows with an equal neighbour (0.0 and -0.0 count as equal) or a NaN are
-    sorted again stably. Smaller calls, such as one library integral over a
-    few hundred elements, keep the stable sort: the tie check's fixed cost
-    per call outweighs what the faster sort saves on so few values.
+    sorted again stably. Such calls are split by rows across CPUs
+    (``rows.over_row_ranges``), each range sorting and checking its own
+    rows. Smaller calls, such as one library integral over a few hundred
+    elements, keep the stable sort: the tie check's fixed cost per call
+    outweighs what the faster sort saves on so few values.
     """
     values = np.asarray(values)
     if values.size < FAST_SORT_VALUES:
         order = np.argsort(values, axis=-1, kind="stable")
         return order, np.take_along_axis(values, order, axis=-1)
-    order = np.argsort(values, axis=-1)
-    asc = np.take_along_axis(values, order, axis=-1)
-    tied = ~np.all(asc[..., 1:] > asc[..., :-1], axis=-1)
-    if tied.any():
-        order[tied] = np.argsort(values[tied], axis=-1, kind="stable")
-        # equal values may differ in their bits (signed zeros), so gather again
-        asc[tied] = np.take_along_axis(values[tied], order[tied], axis=-1)
-    return order, asc
+    table = values.reshape(math.prod(values.shape[:-1]), values.shape[-1])
+    order = np.empty(table.shape, dtype=np.intp)
+    asc = np.empty(table.shape, dtype=values.dtype)
+
+    def part(lo, hi):
+        v, o, a = table[lo:hi], order[lo:hi], asc[lo:hi]
+        o[...] = np.argsort(v, axis=-1)
+        a[...] = np.take_along_axis(v, o, axis=-1)
+        tied = ~np.all(a[..., 1:] > a[..., :-1], axis=-1)
+        if tied.any():
+            o[tied] = np.argsort(v[tied], axis=-1, kind="stable")
+            # equal values may differ in their bits (signed zeros), so gather again
+            a[tied] = np.take_along_axis(v[tied], o[tied], axis=-1)
+
+    over_row_ranges(part, table.shape[0], values.size)
+    return order.reshape(values.shape), asc.reshape(values.shape)
 
 
 def _choquet_sorted(asc: np.ndarray, chain: np.ndarray) -> np.ndarray:

@@ -38,7 +38,12 @@ def _check_fold_count(k: int) -> None:
 
 
 def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
-    """Shuffle each class with the seeded generator, then deal round-robin."""
+    """Shuffle each class with the seeded generator, then deal round-robin.
+
+    Every class is dealt from fold 0, so fold f holds instances only if some
+    class has more than f: with k above the largest class size the last
+    folds are empty, which the protocol rejects (``_check_folds``).
+    """
     _check_fold_count(k)
     labels = np.asarray(labels, dtype=object)
     n = labels.size
@@ -53,6 +58,13 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k, assignments)
 
 
+def _label_vector(labels) -> np.ndarray:
+    labels = np.asarray(labels, dtype=object)
+    if labels.ndim != 1:
+        raise DomainError("labels must form one vector")
+    return labels
+
+
 def balanced_accuracies(y_true, labels, predicted) -> np.ndarray:
     """Balanced accuracy of each row of ``predicted`` against ``y_true``.
 
@@ -62,7 +74,7 @@ def balanced_accuracies(y_true, labels, predicted) -> np.ndarray:
     (say one absent from the training fold) is never predicted, so its
     recall is 0.
     """
-    y_true = np.asarray(y_true, dtype=object)
+    y_true = _label_vector(y_true)
     predicted = np.asarray(predicted)
     if y_true.size == 0 or predicted.shape[1:] != y_true.shape:
         raise DomainError("labels must be nonempty and of equal length")
@@ -79,7 +91,7 @@ def balanced_accuracies(y_true, labels, predicted) -> np.ndarray:
 
 def balanced_accuracy(y_true, y_pred) -> float:
     """Unweighted mean of per-class recalls over the classes present in y_true."""
-    y_pred = np.asarray(y_pred, dtype=object)
+    y_pred = _label_vector(y_pred)
     if np.shape(y_true) != y_pred.shape:
         raise DomainError("labels must be nonempty and of equal length")
     labels = {label: i for i, label in enumerate(dict.fromkeys(y_pred.tolist()))}
@@ -208,31 +220,36 @@ def _evaluate_fold(ds: DecisionSystem, plan: FoldPlan, fold: int, specs: list,
     return accs.tolist(), [spec.kind for spec in resolved]
 
 
-def _check_comb_folds(ds: DecisionSystem, specs: list, k: int) -> None:
-    """Raise DomainError when comb is requested and some training fold would
-    keep fewer than two members of a class.
+def _check_folds(ds: DecisionSystem, specs: list, k: int) -> None:
+    """Raise DomainError when some test fold would be empty, or when comb is
+    requested and some training fold would keep fewer than two members of a
+    class.
 
     Round-robin dealing puts ceil(c/k) of a class's c members in fold 0, so
     its smallest training fold keeps c - ceil(c/k) of them, and comb's
-    leave-one-out needs two.
+    leave-one-out needs two. Every class is dealt from fold 0, so fold f is
+    empty unless some class has more than f members.
     """
-    if not any(spec.kind == "comb" for spec in specs):
-        return
-    for label in ds.classes:
-        c = int(np.sum(ds.y == label))
-        kept = c - math.ceil(c / k)
-        if kept < 2:
-            raise DomainError(
-                f"comb needs at least two instances of each class in every training fold; "
-                f"class {label!r} has {c} instances, so with k={k} folds one training "
-                f"fold keeps {kept}")
+    sizes = {label: int(np.sum(ds.y == label)) for label in ds.classes}
+    if any(spec.kind == "comb" for spec in specs):
+        for label, c in sizes.items():
+            kept = c - math.ceil(c / k)
+            if kept < 2:
+                raise DomainError(
+                    f"comb needs at least two instances of each class in every training "
+                    f"fold; class {label!r} has {c} instances, so with k={k} folds one "
+                    f"training fold keeps {kept}")
+    largest = max(sizes.values())
+    if k > largest:
+        raise DomainError(f"cannot split into {k} folds: the largest class has {largest} "
+                          f"instances, so fold {largest} would be empty")
 
 
 def crossval_accuracies(ds: DecisionSystem, spec: AggregatorSpec, k: int,
                         seed: int) -> tuple[list, list]:
     """Per-fold balanced accuracies plus the resolved strategy per fold."""
     plan = stratified_kfold(ds.y, k, seed)
-    _check_comb_folds(ds, [spec], k)
+    _check_folds(ds, [spec], k)
     # folds are seeded as run_benchmark seeds its first dataset's
     folds = [_evaluate_fold(ds, plan, fold, [spec], _fold_seed(seed, 0, fold))
              for fold in range(k)]
@@ -261,7 +278,8 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
     matrix compares strategies across the per-dataset mean accuracies. A
     dataset the computation is not defined on (DomainError, DataFormatError)
     is recorded as a failure naming the fold instead of aborting the run (a
-    class too small for comb's leave-one-out fails before the first fold);
+    k that would leave a fold empty, or a class too small for comb's
+    leave-one-out, fails before the first fold);
     any other exception is a bug and propagates. Dataset names key the
     reports, so a repeated name raises DomainError, and so does k < 2, which
     no dataset could be split by.
@@ -281,7 +299,7 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
         where = ""
         try:
             plan = stratified_kfold(ds.y, k, seed)
-            _check_comb_folds(ds, specs, k)
+            _check_folds(ds, specs, k)
             for fold in range(k):
                 where = f"fold {fold}: "
                 accs, kinds = _evaluate_fold(ds, plan, fold, specs, _fold_seed(seed, di, fold))

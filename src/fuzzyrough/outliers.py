@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import erf
 
 from .data import DecisionSystem
+from .rows import over_row_ranges
 from .sets import DomainError, frozen_copy, one_vector, unit_degrees
 
 DISTANCE_FLOOR = 1e-12  # keeps densities finite when points coincide
@@ -34,11 +35,15 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
     points score 1 rather than dividing by zero. Distances are computed for
     one block of rows at a time, and each block keeps only its rows' k
     nearest neighbors and their distances, so memory grows with
-    block * n + n * k and no n x n matrix is built. In blocks of at least
+    block * n + n * k and no n x n matrix is built. The rows are split across
+    CPUs by ``rows.over_row_ranges``: each range fills its rows of the
+    neighbor arrays in blocks cut from its share of the one block buffer,
+    allocated by the calling thread. In blocks of at least
     FAST_KNN_DISTANCES distances, ``_nearest`` selects the k nearest with a
     partial sort and sorts a whole row only where its k-th distance is tied;
     smaller blocks keep the full stable sort, which is faster there. Both
-    give the neighbors of the stable sort, ties broken by index.
+    give the neighbors of the stable sort, ties broken by index, so no
+    block size or range split moves a bit.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -49,20 +54,32 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
     if n < k + 1:
         raise DomainError(f"need at least k+1={k + 1} points, got {n}")
 
+    m = points.shape[1]
     neighbors = np.empty((n, k), dtype=np.intp)
     near = np.empty((n, k))  # distance to each neighbor
-    # each block of rows holds about 2^20 difference elements (8 MB), in one buffer
-    step = max(1, (1 << 20) // max(1, n * points.shape[1]))
-    buffer = np.empty((min(step, n), n, points.shape[1]))
-    for i0 in range(0, n, step):
-        diff = np.subtract(points[i0:i0 + step, None, :], points[None, :, :],
-                           out=buffer[:min(step, n - i0)])
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        own = np.arange(dist.shape[0])
-        dist[own, own + i0] = np.inf
-        order = _nearest(dist, k)
-        neighbors[i0:i0 + step] = order
-        near[i0:i0 + step] = np.take_along_axis(dist, order, axis=1)
+    # blocks of rows hold about 2^20 difference elements (8 MB) in all, in one
+    # buffer that the row ranges share out
+    block_rows = min(n, max(1, (1 << 20) // max(1, n * m)))
+    buffer = np.empty((block_rows, n, m))
+
+    def part(lo, hi):
+        # a range's blocks use its share of the buffer, or one row of their own
+        start, stop = lo * block_rows // n, hi * block_rows // n
+        blocks = buffer[start:stop] if stop > start else np.empty((1, n, m))
+        step = blocks.shape[0]
+        for i0 in range(lo, hi, step):
+            i1 = min(i0 + step, hi)
+            diff = np.subtract(points[i0:i1, None, :], points[None, :, :],
+                               out=blocks[:i1 - i0])
+            dist = np.einsum("ijk,ijk->ij", diff, diff)
+            np.sqrt(dist, out=dist)
+            own = np.arange(i1 - i0)
+            dist[own, own + i0] = np.inf
+            order = _nearest(dist, k)
+            neighbors[i0:i1] = order
+            near[i0:i1] = np.take_along_axis(dist, order, axis=1)
+
+    over_row_ranges(part, n, n * n * m)
     k_dist = np.maximum(near[:, -1], DISTANCE_FLOOR)
 
     # reach(x, o) = max(k_dist(o), d(x, o)) over x's neighbors o

@@ -1,7 +1,8 @@
 """Every entry point that takes degrees rejects NaN, infinities and values
 outside [0, 1] with DomainError, each with its own message; the steps from
 outlier scores to a measure, and the Wilcoxon test, reject input they would
-otherwise reshape or reinterpret."""
+otherwise reshape or reinterpret, and so does balanced accuracy on label
+rows."""
 
 import re
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import fuzzyrough as fr
-from fuzzyrough import outliers
+from fuzzyrough import evaluation, outliers
 
 U = fr.Universe.of_size(3)
 Q = fr.QuadraticQuantifier(0.3, 0.9)
@@ -74,7 +75,8 @@ BLOCK = np.array([[0.1, 0.9], [0.5, 0.2]])
 LABELS = np.array([False, True, False])
 
 # name -> (an accepted call, the same entry point on input of the wrong shape
-# or type, the site's message); each bad call was read silently before
+# or type, the site's message); each bad call was read silently, or failed
+# with an unrelated error (unhashable label rows), before
 REJECTED = {
     "subset indices in rows": (lambda: MU.value([0, 2]), lambda: MU.value([[0], [2]]),
                                "subset indices must form one vector"),
@@ -117,6 +119,14 @@ REJECTED = {
                                        lambda: fr.wilcoxon_signed_rank([1, 2, 3, 4],
                                                                        np.zeros((2, 2))),
                                        "paired samples must each form one vector"),
+    "balanced_accuracy label rows": (lambda: fr.balanced_accuracy(["a", "b"], ["a", "b"]),
+                                     lambda: fr.balanced_accuracy([["a"], ["b"]],
+                                                                  [["a"], ["b"]]),
+                                     "labels must form one vector"),
+    "balanced_accuracies label rows": (
+        lambda: evaluation.balanced_accuracies(["a", "b"], ("a", "b"), [[0, 1]]),
+        lambda: evaluation.balanced_accuracies([["a"], ["b"]], ("a", "b"), [[[0], [1]]]),
+        "labels must form one vector"),
 }
 
 

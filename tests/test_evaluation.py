@@ -67,6 +67,21 @@ class TestStratifiedKFold:
                 counts = np.bincount(plan.assignments[labels == label], minlength=k)
                 assert counts.max() - counts.min() <= 1
 
+    def test_fold_left_empty_rejected_before_the_first_fold(self):
+        # two classes of two, dealt from fold 0 into three folds, leave fold 2
+        # empty; the protocol rejects k naming the largest class size
+        labels = np.array(["a", "a", "b", "b"], dtype=object)
+        assert np.bincount(stratified_kfold(labels, 3, seed=0).assignments).tolist() == [2, 2]
+        message = ("cannot split into 3 folds: the largest class has 2 instances, "
+                   "so fold 2 would be empty")
+        ds = DecisionSystem(("x",), np.array([[0.0], [1.0], [5.0], [6.0]]), labels)
+        report = run_benchmark([("tiny", ds)], [AggregatorSpec(kind="min")], k=3)
+        assert report.failures == {"tiny": f"DomainError: {message}"}
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            crossval_accuracies(ds, AggregatorSpec(kind="min"), 3, seed=0)
+        # k equal to the largest class fills every fold
+        assert not run_benchmark([("tiny", ds)], [AggregatorSpec(kind="min")], k=2).failures
+
 
 class TestBalancedAccuracy:
     def test_two_class_formula(self):
