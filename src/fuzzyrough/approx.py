@@ -79,7 +79,7 @@ def _similarity_block(rows: np.ndarray, X: np.ndarray, sigmas: np.ndarray) -> np
             out += scratch
         out /= m
 
-    over_row_ranges(part, acc.shape[0], acc.size)
+    over_row_ranges(part, acc.shape[0], acc.size * m)
     return acc
 
 

@@ -95,9 +95,9 @@ def sort_rows(values) -> tuple[np.ndarray, np.ndarray]:
     with numpy's unstable sort: a row whose sorted values strictly increase
     has only one ascending order, which is then the stable one, and only
     rows with an equal neighbour (0.0 and -0.0 count as equal) or a NaN are
-    sorted again stably. Such calls are split by rows across CPUs
-    (``rows.over_row_ranges``), each range sorting and checking its own
-    rows. Smaller calls, such as one library integral over a few hundred
+    sorted again stably. Such calls go through ``rows.over_row_ranges``,
+    which splits the large ones by rows across CPUs, each range sorting and
+    checking its own rows. Smaller calls, such as one library integral over a few hundred
     elements, keep the stable sort: the tie check's fixed cost per call
     outweighs what the faster sort saves on so few values.
     """
@@ -119,7 +119,7 @@ def sort_rows(values) -> tuple[np.ndarray, np.ndarray]:
             # equal values may differ in their bits (signed zeros), so gather again
             a[tied] = np.take_along_axis(v[tied], o[tied], axis=-1)
 
-    over_row_ranges(part, table.shape[0], values.size)
+    over_row_ranges(part, table.shape[0], values.size * table.shape[1].bit_length())
     return order.reshape(values.shape), asc.reshape(values.shape)
 
 

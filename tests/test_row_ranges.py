@@ -1,13 +1,16 @@
 """Kernels split by rows across CPUs give the bits of one thread.
 
 ``rows.over_row_ranges`` runs a kernel's ``part(lo, hi)`` over contiguous
-row ranges, the calling thread taking the first. The helper's own traps come
-first: it waits for every range before it returns or raises, runs nested and
-small calls serially, builds one pool for concurrent callers and rebuilds it
-in a forked child. Then each split kernel (the similarity block, LOF's
-neighbour search and the fast branch of ``sort_rows``) runs with the work
-threshold at 0, which splits every call, and at the int64 maximum, which
-splits none; the two outputs must agree bit for bit.
+row ranges, one per thread, dealt in order to whichever thread is free, the
+calling thread taking the first. The helper's own traps come first: it waits
+for every range before it returns or raises, leaves a late helper's range to
+the caller, starts no range after an error, runs nested and small calls
+serially, builds one pool for concurrent callers, rebuilds it in a forked
+child, and moves a helper off the caller's CPU without keeping it off. Then
+each split kernel (the similarity block, LOF's neighbour search and the fast
+branch of ``sort_rows``) runs with the work threshold at 0, which splits
+every call, and at the int64 maximum, which splits none; the two outputs
+must agree bit for bit.
 """
 
 import concurrent.futures
@@ -39,6 +42,14 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
+def _late(help_):
+    """A pool task that starts half a second after it is submitted."""
+    def late(*args):
+        time.sleep(0.5)
+        help_(*args)
+    return late
+
+
 def _record(calls):
     def part(lo, hi):
         calls.append((lo, hi, threading.current_thread() is threading.main_thread()))
@@ -59,7 +70,15 @@ class TestHelper:
         rows.over_row_ranges(_record(calls), n, rows.PARALLEL_WORK)
         assert sorted((lo, hi) for lo, hi, _ in calls) == ranges
         assert [main for lo, _, main in calls if lo == 0] == [True]
-        assert not any(main for lo, _, main in calls if lo != 0)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_a_late_helper_leaves_its_range_to_the_caller(self, monkeypatch, count):
+        _cpus(monkeypatch, count)
+        monkeypatch.setattr(rows, "_help", _late(rows._help))
+        calls = []
+        rows.over_row_ranges(_record(calls), 9, rows.PARALLEL_WORK)
+        bounds = [9 * i // count for i in range(count + 1)]
+        assert calls == [(lo, hi, True) for lo, hi in zip(bounds, bounds[1:])]
 
     @pytest.mark.parametrize("n,work,count", [
         (0, SERIAL, 4), (1, SERIAL, 4),  # zero or one row
@@ -73,20 +92,38 @@ class TestHelper:
         assert calls == [(0, n, True)]
         assert rows._pool is None
 
-    @pytest.mark.parametrize("failing", [0, 2])  # the caller's range, a helper's range
-    def test_every_range_finishes_before_an_error_propagates(self, monkeypatch, failing):
+    @pytest.mark.parametrize("failing", [0, 2])  # the caller's range, a later range
+    def test_every_started_range_finishes_before_an_error_propagates(self, monkeypatch, failing):
         _cpus(monkeypatch, 3)
-        finished = []
+        started, finished = [], []
 
         def part(lo, hi):
-            if lo == [0, 2, 4][failing]:
+            started.append(lo)
+            if lo == failing:
                 raise ValueError(f"range {lo}")
             time.sleep(0.2)
             finished.append(lo)
 
-        with pytest.raises(ValueError, match=f"^range {[0, 2, 4][failing]}$"):
+        with pytest.raises(ValueError, match=f"^range {failing}$"):
             rows.over_row_ranges(part, 6, rows.PARALLEL_WORK)
-        assert sorted(finished) == sorted({0, 2, 4} - {[0, 2, 4][failing]})
+        # ranges are dealt in order, so the caller's range 0 and range 2
+        # always start; range 4 may be dropped after the error
+        assert {0, 2} <= set(started)
+        assert sorted(finished) == sorted(set(started) - {failing})
+
+    def test_no_range_starts_after_an_error(self, monkeypatch):
+        # the helper wakes after the caller's range failed: it finds no range
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(rows, "_help", _late(rows._help))
+        started = []
+
+        def part(lo, hi):
+            started.append(lo)
+            raise ValueError(f"range {lo}")
+
+        with pytest.raises(ValueError, match="^range 0$"):
+            rows.over_row_ranges(part, 8, rows.PARALLEL_WORK)
+        assert started == [0]
 
     def test_no_range_writes_after_return(self, monkeypatch):
         _cpus(monkeypatch, 2)
@@ -105,9 +142,14 @@ class TestHelper:
         # on a range queued behind the very thread that waits
         _cpus(monkeypatch, 2)
         outer_threads, inner = {}, []
+        second_taken = threading.Event()
 
         def outer(lo, hi):
             outer_threads[lo] = threading.get_ident()
+            if lo == 0:  # hold the caller until the helper has taken range 1
+                second_taken.wait(30)
+            else:
+                second_taken.set()
             rows.over_row_ranges(lambda a, b: inner.append((lo, a, b, threading.get_ident())),
                                  5, rows.PARALLEL_WORK)
 
@@ -176,6 +218,69 @@ class TestHelper:
                 os._exit(status)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_a_helper_on_the_callers_cpu_steps_off_and_keeps_every_cpu(self, monkeypatch):
+        _cpus(monkeypatch, 3)
+        moves = []
+
+        def record(pid, cpus):
+            moves.append((threading.get_ident(), pid, set(cpus)))
+
+        monkeypatch.setattr(os, "sched_setaffinity", record)
+        monkeypatch.setattr(rows, "_current_cpu", lambda: 1)  # every thread on CPU 1
+        rows.over_row_ranges(_record([]), 6, rows.PARALLEL_WORK)
+        # two helper tasks (one pool thread may run both), each stepping off
+        # CPU 1 and then allowing all three again; the caller never moves
+        helpers = {ident for ident, _, _ in moves}
+        assert threading.get_ident() not in helpers
+        per_helper = [[move[1:] for move in moves if move[0] == helper] for helper in helpers]
+        assert sorted(len(seq) for seq in per_helper) in ([4], [2, 2])
+        for seq in per_helper:
+            assert seq == [(0, {0, 2}), (0, {0, 1, 2})] * (len(seq) // 2)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_a_helper_elsewhere_stays_put(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        moves = []
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: moves.append(cpus))
+        monkeypatch.setattr(rows, "_current_cpu", lambda: int(
+            threading.current_thread() is not threading.main_thread()))
+        calls = []
+        rows.over_row_ranges(_record(calls), 6, rows.PARALLEL_WORK)
+        assert moves == []
+        assert sorted(call[:2] for call in calls) == [(0, 3), (3, 6)]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_a_refused_move_still_computes_every_range(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+
+        def refuse(pid, cpus):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        monkeypatch.setattr(rows, "_current_cpu", lambda: 0)
+        calls = []
+        rows.over_row_ranges(_record(calls), 6, rows.PARALLEL_WORK)
+        assert sorted(call[:2] for call in calls) == [(0, 3), (3, 6)]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/thread-self/stat"), reason="needs Linux /proc")
+    def test_current_cpu_is_one_the_thread_may_run_on(self):
+        assert rows._current_cpu() in os.sched_getaffinity(0)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs two allowed CPUs")
+    def test_helpers_may_run_on_every_allowed_cpu_after_a_split(self):
+        allowed = os.sched_getaffinity(0)
+        seen = []
+
+        def part(lo, hi):
+            seen.append(os.sched_getaffinity(0))
+            time.sleep(0.01)
+
+        for _ in range(5):
+            rows.over_row_ranges(part, 2 * len(allowed), rows.PARALLEL_WORK)
+        assert seen and all(cpus == allowed for cpus in seen)
 
 
 def _both(monkeypatch, fn):
