@@ -19,7 +19,7 @@ from .choquet import choquet_integral
 from .data import DecisionSystem
 from .measures import MonotoneMeasure
 from .rows import over_row_ranges
-from .sets import DomainError, FuzzySet, Universe, frozen_copy, unit_degrees
+from .sets import DomainError, FuzzySet, Universe, frozen_copy, unit_degrees, value_rows
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,8 @@ def similarity_to_test(X_train: np.ndarray, sigmas: np.ndarray,
     instance per row (giving a rows x train block). Uses the training-fold
     scales; test instances never contribute to sigma_a.
     """
-    test_rows = np.asarray(test_rows, dtype=float)
-    block = test_rows if test_rows.ndim == 2 else test_rows.reshape(1, -1)
+    test_rows = value_rows(test_rows, "test instances")
+    block = test_rows if test_rows.ndim == 2 else test_rows[None]
     if block.shape[1] != X_train.shape[1]:
         raise DomainError("test instance is missing conditional attributes")
     if not np.all(np.isfinite(block)):

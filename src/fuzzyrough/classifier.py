@@ -46,14 +46,20 @@ a bit of it, and no rows x train array is ever whole. Comb's leave-one-out
 is the same computation on blocks of training rows with each row's own
 element deleted.
 
-The evaluation protocol scores each fold in one pass
-(``resolve_and_score``): the training rows, each leaving itself out, and
-the held-out rows after them go through the same blocks, so comb's
-leave-one-out and every strategy's held-out memberships come from one
-scoring, and a strategy requested twice, or chosen by comb, is scored once.
-The fused pass scores the held-out rows under all nine candidates, so it is
-taken only when all nine are requested beside comb; comb alone gets its
-leave-one-out pass and one held-out pass under its choice.
+Test rows are checked and scored by one entry, ``resolve_and_score``:
+``membership_matrix``, ``predict_batch``, ``predict``,
+``class_memberships``, the ``classify`` command and the evaluation protocol
+all call it. It takes a 2-D block, one instance per row and one column per
+attribute; ``predict`` and ``class_memberships`` take one instance as one
+vector. Comb is chosen by one routine, whether a model is fitted,
+``comb_select`` is called or a block is scored: the training rows, each
+leaving itself out, are scored under every candidate in one pass, and the
+candidate with the best balanced accuracy wins. When all nine candidates are
+requested beside comb, as in the protocol, the held-out rows follow the
+training rows in that pass, so comb's leave-one-out and every strategy's
+held-out memberships come from one scoring; otherwise comb gets its
+leave-one-out pass and the held-out rows one pass under the resolved
+strategies. A strategy requested twice, or chosen by comb, is scored once.
 """
 
 from __future__ import annotations
@@ -319,12 +325,11 @@ def _streamed_memberships(model: "FittedModel", X: np.ndarray, specs: list[Aggre
     and is scored before the next is built. With ``loo`` the first rows of X
     are the training data itself and each leaves itself out; rows beyond the
     training size delete nothing, so held-out rows may follow them in the
-    same pass. Zero rows still form one (empty) block, so a bad column count
-    is reported as for any other X.
+    same pass.
     """
     out = np.empty((len(specs), X.shape[0], len(model.classes)))
     step = max(1, BLOCK_ELEMENTS // model.n)
-    for start in range(0, max(X.shape[0], 1), step):
+    for start in range(0, X.shape[0], step):
         S = similarity_to_test(model.train.X, model.sigmas, X[start:start + step])
         out[:, start:start + step] = _block_memberships(model, S, specs,
                                                         start if loo else None)
@@ -338,8 +343,8 @@ class FittedModel:
     setting and the quantifier of each quantifier setting and length are
     computed once and shared by every strategy scored on the fold.
     Similarities are not kept: scoring and comb's leave-one-out compute them
-    block by block. ``spec`` is the requested strategy and ``resolved`` the
-    one predictions use, with comb replaced by its choice.
+    block by block. ``resolved`` is the strategy predictions use: the one
+    requested, or for comb its choice.
     """
 
     def __init__(self, train: DecisionSystem, spec: AggregatorSpec = AggregatorSpec(),
@@ -352,8 +357,9 @@ class FittedModel:
         self.classes = train.classes
         self.class_masks = {c: train.y == c for c in self.classes}
         self._scores: dict = {}
-        self.spec = spec
-        self.resolved = self.resolve(spec, seed)
+        self.resolved = spec
+        if spec.kind == "comb":
+            (self.resolved,), _ = _choose(self, [_candidates(spec)], seed)
 
     @property
     def n(self) -> int:
@@ -371,42 +377,41 @@ class FittedModel:
             self._scores[key] = scored_with_labels(self.train, spec.lof_k, spec.contamination)
         return self._scores[key]
 
-    def resolve(self, spec: AggregatorSpec, seed: int) -> AggregatorSpec:
-        """``spec`` itself, or for comb the candidate its leave-one-out picks."""
-        if spec.kind != "comb":
-            return spec
-        return comb_select(self, _candidates(spec), seed)
-
 
 def _candidates(spec: AggregatorSpec) -> list[AggregatorSpec]:
     """Comb's candidates: the nine base strategies with the knobs of ``spec``."""
     return [replace(spec, kind=k) for k in BASE_KINDS]
 
 
-def _loo_memberships(model: FittedModel, specs: list[AggregatorSpec],
-                     X_test: np.ndarray | None = None) -> np.ndarray:
-    """Memberships of every training row under each spec, each row leaving
-    itself out, followed by those of the rows of X_test, which leave nothing
-    out: (len(specs), n + test rows, classes), scored in one pass."""
-    if min(int(m.sum()) for m in model.class_masks.values()) < 2:
-        raise DomainError("leave-one-out selection needs at least two instances per class")
-    X = model.train.X if X_test is None else np.vstack([model.train.X, X_test])
-    return _streamed_memberships(model, X, specs, loo=True)
+def _choose(model: FittedModel, groups: list[list[AggregatorSpec]], seed: int,
+            X_test: np.ndarray | None = None) -> tuple[list, dict]:
+    """Comb's choice in each group of candidates: the candidate whose
+    leave-one-out memberships give the best balanced accuracy, exact ties
+    broken uniformly at random by the seeded generator.
 
-
-def _pick(model: FittedModel, candidate_specs: list[AggregatorSpec], loo: np.ndarray,
-          seed: int) -> AggregatorSpec:
-    """The candidate whose leave-one-out memberships (``loo``, one row of
-    training rows per candidate) give the best balanced accuracy; exact ties
-    are broken uniformly at random by the seeded generator."""
+    One pass scores every distinct candidate on the training rows, each
+    leaving itself out, followed by the rows of X_test, which leave nothing
+    out. Returns (the choice of each group, {candidate: memberships of the
+    rows of X_test}); the dict is empty without X_test.
+    """
     from .evaluation import balanced_accuracies
 
-    accs = balanced_accuracies(model.train.y, model.classes, loo.argmax(axis=-1))
-    best = np.flatnonzero(accs >= accs.max() - 1e-12)
-    if best.size == 1:
-        return candidate_specs[int(best[0])]
-    rng = np.random.default_rng(seed)
-    return candidate_specs[int(rng.choice(best))]
+    if not groups:
+        return [], {}
+    if min(int(m.sum()) for m in model.class_masks.values()) < 2:
+        raise DomainError("leave-one-out selection needs at least two instances per class")
+    specs = list(dict.fromkeys(c for group in groups for c in group))
+    X = model.train.X if X_test is None else np.vstack([model.train.X, X_test])
+    scored = _streamed_memberships(model, X, specs, loo=True)
+    position = {spec: i for i, spec in enumerate(specs)}
+    picks = []
+    for group in groups:
+        loo = scored[[position[c] for c in group], :model.n]
+        accs = balanced_accuracies(model.train.y, model.classes, loo.argmax(axis=-1))
+        best = np.flatnonzero(accs >= accs.max() - 1e-12)
+        pick = best[0] if best.size == 1 else np.random.default_rng(seed).choice(best)
+        picks.append(group[int(pick)])
+    return picks, ({} if X_test is None else dict(zip(specs, scored[:, model.n:])))
 
 
 def comb_select(ds_train, candidate_specs: list[AggregatorSpec], seed: int) -> AggregatorSpec:
@@ -422,35 +427,33 @@ def comb_select(ds_train, candidate_specs: list[AggregatorSpec], seed: int) -> A
     if not candidate_specs:
         raise DomainError("need at least one candidate spec")
     model = ds_train if isinstance(ds_train, FittedModel) else FittedModel(ds_train)
-    return _pick(model, candidate_specs, _loo_memberships(model, candidate_specs), seed)
+    return _choose(model, [candidate_specs], seed)[0][0]
 
 
-def resolve_and_score(model: FittedModel, specs: list[AggregatorSpec], X_test: np.ndarray,
+def resolve_and_score(model: FittedModel, specs: list[AggregatorSpec], X_test,
                       seed: int) -> tuple[list, np.ndarray]:
     """Each spec resolved on the model's training fold, and the memberships
     of the rows of X_test under it: (resolved specs, specs x rows x classes).
 
-    Equal specs, and a comb choice equal to another spec, are scored once.
-    When every candidate of comb is requested beside it, as in the paper's
+    This is the one entry that scores test rows. X_test is a 2-D array with
+    one instance per row and one column per conditional attribute. Equal
+    specs, and a comb choice equal to another spec, are scored once. When
+    every candidate of comb is requested beside it, as in the paper's
     protocol, the held-out rows are needed under all candidates anyway, so
     they join comb's leave-one-out rows in one pass. Otherwise fusing would
     score the held-out rows under candidates nobody asked for: comb's
     leave-one-out runs alone, and the held-out rows get one pass under the
     resolved specs not yet scored. Comb resolves as ``comb_select`` does.
     """
-    candidates = {spec: _candidates(spec) for spec in specs if spec.kind == "comb"}
-    loo_specs = list(dict.fromkeys(c for group in candidates.values() for c in group))
-    fuse = set(loo_specs) <= set(specs)
-    scored: dict = {}
-    chosen: dict = {}
-    if loo_specs:
-        both = _loo_memberships(model, loo_specs, X_test if fuse else None)
-        if fuse:
-            scored.update(zip(loo_specs, both[:, model.n:]))
-        position = {spec: i for i, spec in enumerate(loo_specs)}
-        for spec, group in candidates.items():
-            loo = both[[position[c] for c in group], :model.n]
-            chosen[spec] = _pick(model, group, loo, seed)
+    X_test = np.asarray(X_test, dtype=float)
+    if X_test.ndim != 2:
+        raise DomainError("test instances must form a 2-D array, one instance per row")
+    if X_test.shape[1] != model.train.X.shape[1]:
+        raise DomainError("test instance is missing conditional attributes")
+    groups = {spec: _candidates(spec) for spec in specs if spec.kind == "comb"}
+    fuse = {c for group in groups.values() for c in group} <= set(specs)
+    picks, scored = _choose(model, list(groups.values()), seed, X_test if fuse else None)
+    chosen = dict(zip(groups, picks))
     resolved = [chosen.get(spec, spec) for spec in specs]
     rest = [spec for spec in dict.fromkeys(resolved) if spec not in scored]
     if rest:
@@ -466,26 +469,17 @@ def fit(ds_train: DecisionSystem, spec: AggregatorSpec, seed: int = 0) -> Fitted
     return FittedModel(ds_train, spec, seed)
 
 
-def membership_matrix(model: FittedModel, X_test,
-                      specs: list[AggregatorSpec] | None = None) -> np.ndarray:
-    """Per-class lower-approximation memberships of each row of X_test.
-
-    rows x classes under the model's resolved strategy; with ``specs``
-    (resolved strategies) specs x rows x classes. X_test is scored in row
-    blocks of about BLOCK_ELEMENTS similarities, every spec from the same
-    block, so memory does not grow with rows x train.
-    """
-    X_test = np.asarray(X_test, dtype=float)
-    if X_test.ndim != 2:
-        raise DomainError("test instances must form a 2-D array, one instance per row")
-    scored = _streamed_memberships(model, X_test, [model.resolved] if specs is None else specs)
-    return scored[0] if specs is None else scored
+def membership_matrix(model: FittedModel, X_test) -> np.ndarray:
+    """Per-class lower-approximation memberships of each row of X_test under
+    the model's resolved strategy: rows x classes, scored by
+    ``resolve_and_score``."""
+    return resolve_and_score(model, [model.resolved], X_test, 0)[1][0]
 
 
-def predict_batch(model: FittedModel, X_test, specs: list[AggregatorSpec] | None = None):
-    """Labels of the rows of X_test, shaped like ``membership_matrix`` minus
-    its class axis. Exact ties go to the smallest label in sorted order."""
-    return model.labels(membership_matrix(model, X_test, specs))
+def predict_batch(model: FittedModel, X_test) -> np.ndarray:
+    """Labels of the rows of X_test. Exact ties go to the smallest label in
+    sorted order."""
+    return model.labels(membership_matrix(model, X_test))
 
 
 def predict(model: FittedModel, instance) -> object:
@@ -493,10 +487,12 @@ def predict(model: FittedModel, instance) -> object:
 
     Exact ties go to the smallest label in sorted order.
     """
-    return predict_batch(model, np.asarray(instance, dtype=float).reshape(1, -1))[0]
+    row = one_vector(instance, "an instance is one vector of attribute values")
+    return predict_batch(model, row[None])[0]
 
 
 def class_memberships(model: FittedModel, instance) -> dict:
     """Per-class lower-approximation membership of one instance."""
-    row = membership_matrix(model, np.asarray(instance, dtype=float).reshape(1, -1))[0]
+    row = one_vector(instance, "an instance is one vector of attribute values")
+    row = membership_matrix(model, row[None])[0]
     return dict(zip(model.classes, row.tolist()))

@@ -9,7 +9,6 @@ significant digits, so identical configurations yield byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -17,7 +16,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import connectives
-from .classifier import AGGREGATOR_KINDS, QUANTIFIER_KINDS, AggregatorSpec, fit, membership_matrix
+from .classifier import (AGGREGATOR_KINDS, QUANTIFIER_KINDS, AggregatorSpec, FittedModel,
+                         resolve_and_score)
 from .data import DataFormatError, ingest_csv, load_features
 from .evaluation import (
     _fmt,
@@ -112,18 +112,18 @@ def cmd_lof_scores(args) -> int:
 def cmd_classify(args) -> int:
     train = ingest_csv(args.dataset, args.decision_col)
     spec = _spec_from(args, args.aggregator)
-    model = fit(train, spec, seed=args.seed)
+    model = FittedModel(train)
     X_test, y_test = load_features(args.test, train.attributes, train.decision)
+    (resolved,), (memberships,) = resolve_and_score(model, [spec], X_test, args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "predictions.csv")
-    memberships = membership_matrix(model, X_test)
     predictions = model.labels(memberships)
     rows = [["instance_id", "prediction", *(f"score_{c}" for c in model.classes)]]
     for i, (label, scores) in enumerate(zip(predictions, memberships)):
         rows.append([str(i), str(label), *(_fmt(v) for v in scores)])
     write_csv_rows(path, rows)
     payload = {"command": "classify", "config": _config_echo(args),
-               "decision_column": train.decision, "resolved_aggregator": model.resolved.kind,
+               "decision_column": train.decision, "resolved_aggregator": resolved.kind,
                "outputs": [path]}
     if y_test is not None:
         payload["balanced_accuracy"] = balanced_accuracy(y_test, predictions)

@@ -29,8 +29,8 @@ from fuzzyrough.classifier import (
     aggregate,
     class_memberships,
     fit,
-    membership_matrix,
     predict_batch,
+    resolve_and_score,
 )
 from fuzzyrough.data import DecisionSystem
 from fuzzyrough.measures import (
@@ -177,7 +177,7 @@ class TestRowBlocks:
         ds, X_test = _sorted_classes()
         model = FittedModel(ds)
         monkeypatch.setattr(classifier, "BLOCK_ELEMENTS", rows_per_block * model.n)
-        got = membership_matrix(model, X_test, ROW_BLOCK_SPECS)
+        got = resolve_and_score(model, ROW_BLOCK_SPECS, X_test, 0)[1]
         loo = _streamed_memberships(model, ds.X, ROW_BLOCK_SPECS, loo=True)
         S_test = similarity_to_test(ds.X, model.sigmas, X_test)
         S_train = similarity_matrix(ds.X, model.sigmas)
@@ -193,7 +193,7 @@ class TestRowBlocks:
         S = similarity_to_test(ds.X, model.sigmas, X_test)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(classifier, "BLOCK_ELEMENTS", rows_per_block * model.n)
-            got = membership_matrix(model, X_test, spec_list)
+            got = resolve_and_score(model, spec_list, X_test, 0)[1]
         for k, spec in enumerate(spec_list):
             assert np.array_equal(got[k], scalar_reference.memberships(model, S, spec))
 
@@ -255,7 +255,7 @@ class TestLongRows:
         # each kind once, from both settings; the reference is slow, so
         # leave-one-out is checked on every eighth training row
         spec_list = ROW_BLOCK_SPECS[::2]
-        got = membership_matrix(model, X_test, spec_list)
+        got = resolve_and_score(model, spec_list, X_test, 0)[1]
         loo = _streamed_memberships(model, ds.X, spec_list, loo=True)
         checked = np.arange(0, ds.n, 8)
         for k, spec in enumerate(spec_list):

@@ -27,6 +27,7 @@ from fuzzyrough.classifier import (
     membership_matrix,
     predict,
     predict_batch,
+    resolve_and_score,
 )
 from fuzzyrough.data import DecisionSystem
 from fuzzyrough import (
@@ -406,7 +407,7 @@ class TestStreamedMemory:
         model = FittedModel(_gaussian(rng, 1000, 10))
         X_test = rng.normal(0.3, 1.2, size=(1000, 10))
         specs = [spec(k) for k in BASE_KINDS]
-        assert _peak_bytes(lambda: membership_matrix(model, X_test, specs)) < 20 << 20
+        assert _peak_bytes(lambda: resolve_and_score(model, specs, X_test, 0)) < 20 << 20
 
 
 class TestCombSelect:

@@ -1,8 +1,8 @@
 """Every entry point that takes degrees rejects NaN, infinities and values
 outside [0, 1] with DomainError, each with its own message; the steps from
 outlier scores to a measure, and the Wilcoxon test, reject input they would
-otherwise reshape or reinterpret, and so does balanced accuracy on label
-rows."""
+otherwise reshape or reinterpret, and so do balanced accuracy on label rows
+and the classifier's scoring entries on test rows of the wrong shape."""
 
 import re
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fuzzyrough as fr
-from fuzzyrough import evaluation, outliers
+from fuzzyrough import classifier, evaluation, outliers
 
 U = fr.Universe.of_size(3)
 Q = fr.QuadraticQuantifier(0.3, 0.9)
@@ -73,6 +73,14 @@ def test_aggregate_checks_outlier_degrees(kind, o_sub):
 MU = fr.partial_universal(np.array([False, True, False]))
 BLOCK = np.array([[0.1, 0.9], [0.5, 0.2]])
 LABELS = np.array([False, True, False])
+# a model of four attributes whose classes each keep three members, as comb needs
+MODEL = fr.fit(fr.DecisionSystem(("a0", "a1", "a2", "a3"),
+                                 np.array([[0, 1, 2, 3], [1, 1, 2, 2], [0, 2, 1, 3],
+                                           [4, 5, 4, 6], [5, 4, 5, 5], [4, 4, 6, 5]], float),
+                                 np.array(["a"] * 3 + ["b"] * 3, dtype=object)),
+               fr.AggregatorSpec())
+ALL = classifier.default_specs()
+COMB = [fr.AggregatorSpec(kind="comb")]
 
 # name -> (an accepted call, the same entry point on input of the wrong shape
 # or type, the site's message); each bad call was read silently, or failed
@@ -127,6 +135,28 @@ REJECTED = {
         lambda: evaluation.balanced_accuracies(["a", "b"], ("a", "b"), [[0, 1]]),
         lambda: evaluation.balanced_accuracies([["a"], ["b"]], ("a", "b"), [[[0], [1]]]),
         "labels must form one vector"),
+    "predict block": (lambda: fr.predict(MODEL, np.zeros(4)),
+                      lambda: fr.predict(MODEL, np.zeros((2, 2))),
+                      "an instance is one vector of attribute values"),
+    "class_memberships block": (lambda: classifier.class_memberships(MODEL, [.1, .2, .3, .4]),
+                                lambda: classifier.class_memberships(MODEL, [[.1, .2], [.3, .4]]),
+                                "an instance is one vector of attribute values"),
+    "similarity_to_test 3-D block": (
+        lambda: fr.similarity_to_test(MODEL.train.X, MODEL.sigmas, np.zeros((1, 4))),
+        lambda: fr.similarity_to_test(MODEL.train.X, MODEL.sigmas, np.zeros((1, 2, 2))),
+        "test instances must form a vector or a 2-D array of rows"),
+    "resolve_and_score vector, fused": (
+        lambda: classifier.resolve_and_score(MODEL, ALL, np.zeros((1, 4)), 0),
+        lambda: classifier.resolve_and_score(MODEL, ALL, np.zeros(4), 0),
+        "test instances must form a 2-D array, one instance per row"),
+    "resolve_and_score vector, unfused": (
+        lambda: classifier.resolve_and_score(MODEL, COMB, np.zeros((1, 4)), 0),
+        lambda: classifier.resolve_and_score(MODEL, COMB, np.zeros(4), 0),
+        "test instances must form a 2-D array, one instance per row"),
+    "resolve_and_score columns, fused": (
+        lambda: classifier.resolve_and_score(MODEL, ALL, np.zeros((2, 4)), 0),
+        lambda: classifier.resolve_and_score(MODEL, ALL, np.zeros((2, 3)), 0),
+        "test instance is missing conditional attributes"),
 }
 
 

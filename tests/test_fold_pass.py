@@ -11,6 +11,8 @@ pattern where it computes floats.
 
 from __future__ import annotations
 
+import csv
+import json
 from collections import Counter
 from dataclasses import replace
 
@@ -26,12 +28,16 @@ from fuzzyrough.classifier import (
     BASE_KINDS,
     AggregatorSpec,
     FittedModel,
+    _streamed_memberships,
+    comb_select,
     default_specs,
+    fit,
     membership_matrix,
     predict_batch,
     resolve_and_score,
 )
-from fuzzyrough.data import DecisionSystem
+from fuzzyrough.cli import main
+from fuzzyrough.data import DecisionSystem, ingest_csv
 from fuzzyrough.evaluation import (
     _evaluate_fold,
     balanced_accuracies,
@@ -207,18 +213,25 @@ def _comb_datasets():
     return decision_systems().filter(lambda ds: min(Counter(ds.y.tolist()).values()) >= 2)
 
 
+def _comb_select_or_itself(model, spec, seed):
+    if spec.kind != "comb":
+        return spec
+    return comb_select(model, [replace(spec, kind=k) for k in BASE_KINDS], seed)
+
+
 class TestFusedFold:
     @given(_comb_datasets(), st.lists(specs(kinds=AGGREGATOR_KINDS), min_size=1, max_size=4),
            st.integers(0, 2**32 - 1), st.booleans(), st.data())
-    def test_equals_resolve_then_predict_batch(self, ds, spec_list, seed, all_kinds, data):
+    def test_equals_comb_select_then_per_spec_scoring(self, ds, spec_list, seed, all_kinds,
+                                                      data):
         # with every candidate requested the held-out rows join the leave-one-out pass
         spec_list += default_specs() if all_kinds else [AggregatorSpec(kind="comb")]
         model = FittedModel(ds)
         X_test = _test_rows(data, ds)
         resolved, got = resolve_and_score(model, spec_list, X_test, seed)
-        want_resolved = [model.resolve(spec, seed) for spec in spec_list]
+        want_resolved = [_comb_select_or_itself(model, spec, seed) for spec in spec_list]
         assert resolved == want_resolved
-        want = membership_matrix(model, X_test, want_resolved)
+        want = [_streamed_memberships(model, X_test, [spec])[0] for spec in want_resolved]
         assert np.array_equal(_bits(got), _bits(want))
 
     @given(_comb_datasets(), st.integers(2, 3), st.integers(0, 2**16))
@@ -233,12 +246,11 @@ class TestFusedFold:
             if len(counts) < 2 or min(counts.values()) < 2:
                 continue  # comb's leave-one-out is undefined on this fold
             accs, kinds = _evaluate_fold(ds, plan, fold, default_specs(), seed)
-            model = FittedModel(train)
-            resolved = [model.resolve(spec, seed) for spec in default_specs()]
-            predictions = predict_batch(model, test.X, resolved)
-            want = [_reference_balanced_accuracy(test.y, p) for p in predictions]
+            models = [fit(train, spec, seed) for spec in default_specs()]
+            want = [_reference_balanced_accuracy(test.y, predict_batch(model, test.X))
+                    for model in models]
             assert np.array_equal(_bits(accs), _bits(want))
-            assert kinds == [spec.kind for spec in resolved]
+            assert kinds == [model.resolved.kind for model in models]
 
 
 def _protocol_fold():
@@ -306,3 +318,90 @@ class TestOnePassPerFold:
         _evaluate_fold(ds, plan, 0, default_specs() + quadratic, 7)
         assert built and max(built.values()) == 1
         assert built[(0.3, 0.9)] == 1
+
+
+def _gaussian_fold(seed):
+    """40 training rows of two overlapping classes, and 10 test rows."""
+    rng = np.random.default_rng(seed)
+    X = np.vstack([rng.normal(0.0, 1.0, (20, 3)), rng.normal(0.7, 1.3, (20, 3))])
+    y = np.array(["a"] * 20 + ["b"] * 20, dtype=object)
+    return DecisionSystem(("f0", "f1", "f2"), X, y), rng.normal(0.3, 1.2, (10, 3))
+
+
+def _write_csv(path, X, y=None):
+    header = [f"f{j}" for j in range(X.shape[1])] + ([] if y is None else ["class"])
+    lines = [",".join(header)]
+    for i, row in enumerate(X.tolist()):
+        lines.append(",".join([*map(repr, row), *([] if y is None else [str(y[i])])]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _best_candidates(model) -> int:
+    """How many of comb's candidates share the best leave-one-out accuracy."""
+    loo = _streamed_memberships(model, model.train.X, default_specs()[:-1], loo=True)
+    accs = balanced_accuracies(model.train.y, model.classes, loo.argmax(axis=-1))
+    return int(np.sum(accs >= accs.max() - 1e-12))
+
+
+class TestOneChoice:
+    """Comb is chosen by one routine, whichever entry asks."""
+
+    @pytest.mark.parametrize("data_seed,seeds,tied", [(1, (0, 1), True), (0, (0, 1), False)])
+    def test_classify_comb_equals_fit_then_membership_matrix(self, tmp_path, data_seed, seeds,
+                                                             tied):
+        train, X_test = _gaussian_fold(data_seed)
+        assert (_best_candidates(FittedModel(train)) > 1) == tied
+        train_csv = _write_csv(tmp_path / "train.csv", train.X, train.y)
+        test_csv = _write_csv(tmp_path / "test.csv", X_test)
+        picked = set()
+        for seed in seeds:
+            out = tmp_path / f"out{seed}"
+            assert main(["classify", "--dataset", train_csv, "--test", test_csv,
+                         "--aggregator", "comb", "--seed", str(seed),
+                         "--out-dir", str(out)]) == 0
+            model = fit(ingest_csv(train_csv), AggregatorSpec(kind="comb"), seed)
+            want = membership_matrix(model, X_test)
+            summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+            assert summary["resolved_aggregator"] == model.resolved.kind
+            text = (out / "predictions.csv").read_text(encoding="utf-8")
+            rows = list(csv.reader(text.splitlines()))[1:]
+            assert [row[1] for row in rows] == model.labels(want).tolist()
+            got = np.array([[float(v) for v in row[2:]] for row in rows])
+            assert np.array_equal(_bits(got), _bits(want))
+            picked.add(model.resolved.kind)
+        # the tie is broken by the seed; without one the seed changes nothing
+        assert (len(picked) > 1) == tied
+
+    def test_every_entry_reaches_the_one_routine_once(self, monkeypatch, tmp_path):
+        groups = []
+        original = classifier._choose
+
+        def recording(model, groups_, seed, X_test=None):
+            groups.append(len(groups_))
+            return original(model, groups_, seed, X_test)
+
+        monkeypatch.setattr(classifier, "_choose", recording)
+        train, X_test = _gaussian_fold(1)
+        comb = AggregatorSpec(kind="comb")
+        quadratic = replace(comb, quantifier="quadratic")
+        model = FittedModel(train)
+        calls = {
+            "fit": lambda: fit(train, comb, 3),
+            "fit without comb": lambda: fit(train, AggregatorSpec(kind="min"), 3),
+            "comb_select": lambda: comb_select(train, default_specs()[:-1], 3),
+            "resolve_and_score": lambda: resolve_and_score(
+                model, [comb, quadratic, comb, AggregatorSpec(kind="min")], X_test, 3),
+            "resolve_and_score, fused": lambda: resolve_and_score(
+                model, default_specs(), X_test, 3),
+            "classify": lambda: main([
+                "classify", "--dataset", _write_csv(tmp_path / "train.csv", train.X, train.y),
+                "--test", _write_csv(tmp_path / "test.csv", X_test), "--aggregator", "comb",
+                "--out-dir", str(tmp_path / "out")]),
+        }
+        want = {"fit": [1], "fit without comb": [], "comb_select": [1],
+                "resolve_and_score": [2], "resolve_and_score, fused": [1], "classify": [1]}
+        for name, call in calls.items():
+            groups.clear()
+            call()
+            assert groups == want[name], name
