@@ -17,7 +17,10 @@ treated as a black box: each side runs its own copy from its own root.
    per side at seeds 11, 12, ..., for the ``run_seconds`` of
    ``BENCHMARK.json``. Each seed runs both sides back to back; which side runs
    first alternates from seed to seed. The host's steal share over each run
-   comes from ``/proc/stat`` read before and after it.
+   comes from ``/proc/stat`` read before and after it. Each run's record
+   also keeps the ``setup.generate_s`` and ``setup.import_s`` lists of the
+   record ``perfbench/run.py`` wrote in that tree, so a change in setup_s
+   shows whether it comes from the import or from generating the inputs.
 
 The Markdown table gives, per workload and end-to-end metric, the median
 [q1, q3] of each side, the pairs the change won, and the gap between the
@@ -185,8 +188,28 @@ def output_hashes(tree, workload, seed):
     return result
 
 
+def setup_times(tree, workload, seed, since):
+    """``generate_s`` and ``import_s`` from the ``setup`` of the record that
+    ``perfbench/run.py`` wrote in ``tree`` for an untraced run of ``workload``
+    at ``seed``; None when there is none written at or after ``since`` (a
+    ``time.time()`` reading), so a record left by an earlier run is not read.
+    """
+    path = os.path.join(tree, "perfbench", "out", "records",
+                        f"{workload}-seed{seed}-trace0.json")
+    try:
+        if os.path.getmtime(path) < since:
+            return None
+        with open(path, encoding="utf-8") as fh:
+            setup = json.load(fh)["setup"]
+        return {"generate_s": setup["generate_s"], "import_s": setup["import_s"]}
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
 def bench_run(tree, workload, seed, seconds):
-    """One perfbench run in ``tree``: its metrics, wall time and steal share."""
+    """One perfbench run in ``tree``: its metrics, wall time, steal share and
+    setup times."""
+    since = time.time()
     before, started = cpu_times(), time.monotonic()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
@@ -197,20 +220,28 @@ def bench_run(tree, workload, seed, seconds):
     if proc.returncode == 0:
         result = json.loads(proc.stdout.decode().splitlines()[-1])
         record["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
+        record["setup"] = setup_times(tree, workload, seed, since)
     return record
 
 
 def host():
-    model = platform.processor()
+    """The machine and library versions the runs measured. The CPU model comes
+    from /proc/cpuinfo; ``platform.processor()``, which may start a process,
+    is asked only where that names none."""
+    model = None
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
             model = next((line.split(":", 1)[1].strip() for line in fh
-                          if line.startswith("model name")), model)
+                          if line.startswith("model name")), None)
     except OSError:
         pass
     import numpy
-    return {"nproc": os.cpu_count(), "cpu": model, "python": platform.python_version(),
-            "numpy": numpy.__version__, "machine": platform.machine()}
+    import scipy
+    blas = numpy.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"nproc": os.cpu_count(), "cpu": model or platform.processor(),
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "machine": platform.machine()}
 
 
 def main(argv=None):

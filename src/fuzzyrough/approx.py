@@ -94,6 +94,13 @@ def build_similarity(ds: DecisionSystem) -> SimilarityRelation:
     return SimilarityRelation(Universe(ds.ids), similarity_matrix(ds.X, sigmas))
 
 
+def check_columns(block: np.ndarray, attributes: int) -> None:
+    """Reject a 2-D block of test rows without one column per fitted attribute."""
+    if block.shape[1] != attributes:
+        raise DomainError(f"test instances have {block.shape[1]} attribute columns; "
+                          f"the model was fitted on {attributes}")
+
+
 def similarity_to_test(X_train: np.ndarray, sigmas: np.ndarray,
                        test_rows: np.ndarray) -> np.ndarray:
     """Similarity of out-of-sample instances to every training instance.
@@ -104,8 +111,7 @@ def similarity_to_test(X_train: np.ndarray, sigmas: np.ndarray,
     """
     test_rows = value_rows(test_rows, "test instances")
     block = test_rows if test_rows.ndim == 2 else test_rows[None]
-    if block.shape[1] != X_train.shape[1]:
-        raise DomainError("test instance is missing conditional attributes")
+    check_columns(block, X_train.shape[1])
     if not np.all(np.isfinite(block)):
         raise DomainError("test instance values must be finite")
     sims = _similarity_block(block, X_train, sigmas)

@@ -12,8 +12,12 @@ aggregation operator is what distinguishes the strategies:
   ts                 Choquet integral w.r.t. the two-block ordered measure
   comb               leave-one-out selection among the nine above
 
-All outlier-aware strategies consume per-class normalized outlier scores, and
-their measures live on the universe each row actually aggregates.
+The outlier-aware strategies (mino, avgo, owao, fr, wowa, ts, and comb, whose
+candidates include them) consume per-class normalized outlier scores, and
+their measures live on the universe each row actually aggregates. Only they
+trigger per-class LOF: a fitted model computes the scores of a (lof_k,
+contamination) setting the first time a strategy that reads them is scored,
+so min, avg and owa alone never run LOF or load ``scipy.special``.
 
 Every base strategy is the Choquet integral of a row against one measure on
 its n aggregated elements, k of them without a crisp outlier label, so the
@@ -69,7 +73,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import connectives
-from .approx import attribute_scales, similarity_to_test
+from .approx import attribute_scales, check_columns, similarity_to_test
 from .choquet import _choquet_sorted, _owa_sorted, sort_rows
 from .data import DecisionSystem
 from .measures import FuzzyRemovalMeasure, OrderedTwoSymmetricMeasure, WowaMeasure
@@ -84,6 +88,7 @@ from .sets import DomainError, one_vector, unit_degrees
 
 AGGREGATOR_KINDS = ("min", "mino", "fr", "avg", "avgo", "ts", "owa", "owao", "wowa", "comb")
 BASE_KINDS = AGGREGATOR_KINDS[:-1]
+PLAIN_KINDS = ("min", "avg", "owa")  # the strategies that read no outlier degree or label
 QUANTIFIER_KINDS = ("additive", "quadratic")
 DISPLAY_NAMES = {
     "min": "Min", "mino": "Mino", "fr": "FR", "avg": "Avg", "avgo": "Avgo",
@@ -209,14 +214,15 @@ def _measure(spec: AggregatorSpec, o: np.ndarray, n: int, quantifiers: _Quantifi
     raise DomainError("comb must be resolved to a concrete strategy before aggregation")
 
 
-def _aggregate_rows(values: np.ndarray, o: np.ndarray, labels: np.ndarray,
+def _aggregate_rows(values: np.ndarray, o: np.ndarray | None, labels: np.ndarray | None,
                     specs: list[AggregatorSpec],
                     quantifiers: _Quantifiers | None = None) -> np.ndarray:
     """Every row of ``values`` aggregated under every spec: (len(specs), rows).
 
     ``o`` and ``labels`` hold the aggregated elements' outlier degrees and
     crisp outlier labels, either one vector shared by all rows or one row
-    each. The rows are sorted once and every strategy reads that order;
+    each; they may be None when every spec is min, avg or owa, which read
+    neither. The rows are sorted once and every strategy reads that order;
     mino, avgo and owao share one extraction of the unlabelled elements.
     """
     # means run along contiguous rows, so each equals its one-row mean bit for bit
@@ -226,7 +232,7 @@ def _aggregate_rows(values: np.ndarray, o: np.ndarray, labels: np.ndarray,
     out = np.empty((len(specs), values.shape[0]))
     unlabelled = None
     for i, spec in enumerate(specs):
-        if spec.kind in ("min", "avg", "owa"):
+        if spec.kind in PLAIN_KINDS:
             out[i] = _plain(spec.kind, spec, values, asc, quantifiers)
         elif spec.kind in ("mino", "avgo", "owao"):
             if unlabelled is None:
@@ -264,17 +270,19 @@ def aggregate(values, o_sub, spec: AggregatorSpec, outliers=None) -> float:
     return float(_aggregate_rows(values[None], o_sub, labels, [spec])[0, 0])
 
 
-def _row_groups(S: np.ndarray, cols: np.ndarray, scores: OutlierScores,
+def _row_groups(S: np.ndarray, cols: np.ndarray, scores: OutlierScores | None,
                 loo_start: int | None):
     """The values 1 - R each row of S aggregates over the columns ``cols``.
 
     Yields (rows, values, degrees, labels) for groups of rows of one length;
     degrees and labels are shared vectors, or one row each where rows
-    deleted different elements. With ``loo_start`` the rows of S are the
-    training instances loo_start, loo_start + 1, ... and each one drops its
-    own column; a row left with nothing to aggregate is not yielded.
+    deleted different elements, or None when ``scores`` is None. With
+    ``loo_start`` the rows of S are the training instances loo_start,
+    loo_start + 1, ... and each one drops its own column; a row left with
+    nothing to aggregate is not yielded.
     """
-    o, labels = scores.normalized[cols], scores.labels[cols]
+    o, labels = (None, None) if scores is None else (scores.normalized[cols],
+                                                     scores.labels[cols])
     rows = np.arange(S.shape[0])
     if loo_start is None:
         yield rows, 1.0 - S[:, cols], o, labels
@@ -288,9 +296,11 @@ def _row_groups(S: np.ndarray, cols: np.ndarray, scores: OutlierScores,
         keep = np.ones((inside.size, cols.size), dtype=bool)
         keep[np.arange(inside.size), np.searchsorted(cols, inside + loo_start)] = False
         shape = (inside.size, cols.size - 1)
-        yield (inside, (1.0 - S[np.ix_(inside, cols)])[keep].reshape(shape),
-               np.broadcast_to(o, keep.shape)[keep].reshape(shape),
-               np.broadcast_to(labels, keep.shape)[keep].reshape(shape))
+
+        def drop(a):
+            return None if a is None else np.broadcast_to(a, keep.shape)[keep].reshape(shape)
+
+        yield inside, drop(1.0 - S[np.ix_(inside, cols)]), drop(o), drop(labels)
 
 
 def _block_memberships(model: "FittedModel", S: np.ndarray, specs: list[AggregatorSpec],
@@ -300,7 +310,9 @@ def _block_memberships(model: "FittedModel", S: np.ndarray, specs: list[Aggregat
     S holds the rows' similarities to the training instances; the result has
     shape (len(specs), rows, classes). With ``loo_start`` S holds the rows of
     the training instances loo_start, loo_start + 1, ... and each row leaves
-    itself out; an emptied class complement gives 0.
+    itself out; an emptied class complement gives 0. The outlier scores of a
+    (lof_k, contamination) group are fetched only if a strategy in it reads
+    them.
     """
     out = np.zeros((len(specs), S.shape[0], len(model.classes)))
     by_scores: dict = {}
@@ -308,7 +320,8 @@ def _block_memberships(model: "FittedModel", S: np.ndarray, specs: list[Aggregat
         by_scores.setdefault((spec.lof_k, spec.contamination), []).append(si)
     for indices in by_scores.values():
         group = [specs[si] for si in indices]
-        scores = model.scores_for(group[0])
+        scores = (None if all(spec.kind in PLAIN_KINDS for spec in group)
+                  else model.scores_for(group[0]))
         for ci, label in enumerate(model.classes):
             cols = np.flatnonzero(~model.class_masks[label])
             for rows, values, o, labels in _row_groups(S, cols, scores, loo_start):
@@ -341,7 +354,8 @@ class FittedModel:
 
     Scales, class masks, the outlier scores of each (lof_k, contamination)
     setting and the quantifier of each quantifier setting and length are
-    computed once and shared by every strategy scored on the fold.
+    computed once and shared by every strategy scored on the fold; outlier
+    scores are computed on first use by a strategy that reads them.
     Similarities are not kept: scoring and comb's leave-one-out compute them
     block by block. ``resolved`` is the strategy predictions use: the one
     requested, or for comb its choice.
@@ -448,8 +462,7 @@ def resolve_and_score(model: FittedModel, specs: list[AggregatorSpec], X_test,
     X_test = np.asarray(X_test, dtype=float)
     if X_test.ndim != 2:
         raise DomainError("test instances must form a 2-D array, one instance per row")
-    if X_test.shape[1] != model.train.X.shape[1]:
-        raise DomainError("test instance is missing conditional attributes")
+    check_columns(X_test, model.train.X.shape[1])
     groups = {spec: _candidates(spec) for spec in specs if spec.kind == "comb"}
     fuse = {c for group in groups.values() for c in group} <= set(specs)
     picks, scored = _choose(model, list(groups.values()), seed, X_test if fuse else None)

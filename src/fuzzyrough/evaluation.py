@@ -9,7 +9,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .classifier import BASE_KINDS, DISPLAY_NAMES, AggregatorSpec, FittedModel, resolve_and_score
 from .data import DataFormatError, DecisionSystem
@@ -142,7 +141,13 @@ def _mid_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def _normal_p_value(ranks: np.ndarray, w_pos: float) -> float:
-    """Normal approximation with tie correction and continuity correction."""
+    """Normal approximation with tie correction and continuity correction.
+
+    ``scipy.special`` is imported here, at first use: only a test with more
+    than 25 nonzero differences loads it.
+    """
+    from scipy.special import ndtr
+
     m = ranks.size
     mean = m * (m + 1) / 4.0
     _, counts = np.unique(ranks, return_counts=True)

@@ -8,6 +8,11 @@ are the 0/1 case of those degrees, and the partial universal measure of a
 label set is fuzzy removal on its 0/1 degrees. Scores and degrees are read
 as one vector (``sets.one_vector``), and ``OutlierScores`` keeps read-only
 copies, so a block of rows is rejected rather than flattened.
+
+The classifier runs this module only for the strategies that read outlier
+degrees or labels: mino, avgo, owao, fr, wowa, ts, and comb through its
+candidates. min, avg and owa never call it, and ``scipy.special`` (for
+``erf``) is imported by ``normalize_scores`` at first use.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .data import DecisionSystem
 from .rows import over_row_ranges
@@ -116,8 +120,11 @@ def normalize_scores(raw: np.ndarray) -> np.ndarray:
 
     normalized(s) = max(0, erf((s - mean) / (std * sqrt(2)))), so scores at or
     below the mean map to 0 and the transform preserves the score ordering.
-    A constant score vector maps to all zeros.
+    A constant score vector maps to all zeros. ``scipy.special`` is imported
+    here, at first use, so a process that normalizes no scores never loads it.
     """
+    from scipy.special import erf
+
     raw = one_vector(raw, "raw scores must form one vector")
     if raw.size == 0:
         raise DomainError("cannot normalize an empty score vector")

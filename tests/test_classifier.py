@@ -359,7 +359,8 @@ class TestFitPredict:
         rng = np.random.default_rng(113)
         model = fit(toy_two_cluster(rng), spec("min"))
         assert membership_matrix(model, np.empty((0, 2))).shape == (0, 2)
-        with pytest.raises(DomainError, match="missing conditional attributes"):
+        with pytest.raises(DomainError, match="^test instances have 3 attribute columns; "
+                                              "the model was fitted on 2$"):
             membership_matrix(model, np.empty((0, 3)))
         with pytest.raises(DomainError, match="2-D array"):
             membership_matrix(model, np.zeros(2))
@@ -368,8 +369,12 @@ class TestFitPredict:
         rows[4, 1] = np.nan  # in the last block only
         with pytest.raises(DomainError, match="must be finite"):
             membership_matrix(model, rows)
-        with pytest.raises(DomainError, match="missing conditional attributes"):
+        with pytest.raises(DomainError, match="^test instances have 3 attribute columns; "
+                                              "the model was fitted on 2$"):
             membership_matrix(model, np.zeros((5, 3)))
+        with pytest.raises(DomainError, match="^test instances have 1 attribute columns; "
+                                              "the model was fitted on 2$"):
+            membership_matrix(model, np.zeros((5, 1)))
 
 
 def _gaussian(rng, n, m):

@@ -1,6 +1,9 @@
 """The summary, table and verdicts of ``scripts/compare.py`` on synthetic
-records; no test here starts a process."""
+records, and its reading of perfbench's run records from synthetic files;
+no test here starts a process."""
 
+import json
+import os
 import subprocess
 
 import pytest
@@ -109,3 +112,35 @@ def test_steal_share_from_two_readings():
     assert compare.steal_share((10, 1000), (40, 1100)) == pytest.approx(0.3)
     assert compare.steal_share(None, (40, 1100)) is None
     assert compare.steal_share((10, 1000), (10, 1000)) is None
+
+
+def _write_record(tree, workload, seed, setup):
+    records = tree / "perfbench" / "out" / "records"
+    records.mkdir(parents=True, exist_ok=True)
+    path = records / f"{workload}-seed{seed}-trace0.json"
+    path.write_text(json.dumps({"workload": workload, "seed": seed, "setup": setup,
+                                "metrics": {"setup_s": {"value": 0.3, "unit": "s"}}}))
+    return path
+
+
+def test_setup_times_come_from_the_runs_own_record(tmp_path):
+    setup = {"generate_s": [0.01, 0.002, 0.002], "import_s": [0.31, 0.29, 0.30]}
+    path = _write_record(tmp_path, "approx_library", 12, setup)
+    written = os.path.getmtime(path)
+    assert compare.setup_times(str(tmp_path), "approx_library", 12, written) == setup
+    # a record older than the run, another seed, or no record at all gives None
+    assert compare.setup_times(str(tmp_path), "approx_library", 12, written + 1.0) is None
+    assert compare.setup_times(str(tmp_path), "approx_library", 13, written) is None
+    assert compare.setup_times(str(tmp_path / "absent"), "approx_library", 12, 0.0) is None
+    path.write_text("{\"setup\": {\"import_s\": [0.3]}}")  # no generate_s
+    assert compare.setup_times(str(tmp_path), "approx_library", 12, 0.0) is None
+
+
+def test_host_names_the_scipy_and_blas_versions():
+    import numpy
+    import scipy
+
+    info = compare.host()
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert info["scipy"] == scipy.__version__
+    assert info["blas"] == f"{blas['name']} {blas['version']}"

@@ -156,7 +156,15 @@ REJECTED = {
     "resolve_and_score columns, fused": (
         lambda: classifier.resolve_and_score(MODEL, ALL, np.zeros((2, 4)), 0),
         lambda: classifier.resolve_and_score(MODEL, ALL, np.zeros((2, 3)), 0),
-        "test instance is missing conditional attributes"),
+        "test instances have 3 attribute columns; the model was fitted on 4"),
+    "resolve_and_score columns, unfused": (
+        lambda: classifier.resolve_and_score(MODEL, COMB, np.zeros((2, 4)), 0),
+        lambda: classifier.resolve_and_score(MODEL, COMB, np.zeros((2, 5)), 0),
+        "test instances have 5 attribute columns; the model was fitted on 4"),
+    "similarity_to_test columns": (
+        lambda: fr.similarity_to_test(MODEL.train.X, MODEL.sigmas, np.zeros(4)),
+        lambda: fr.similarity_to_test(MODEL.train.X, MODEL.sigmas, np.zeros(5)),
+        "test instances have 5 attribute columns; the model was fitted on 4"),
 }
 
 

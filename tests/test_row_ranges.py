@@ -96,18 +96,25 @@ class TestHelper:
     def test_every_started_range_finishes_before_an_error_propagates(self, monkeypatch, failing):
         _cpus(monkeypatch, 3)
         started, finished = [], []
+        second_started = threading.Event()
 
         def part(lo, hi):
             started.append(lo)
+            if lo == 2:
+                second_started.set()
             if lo == failing:
+                if lo == 0:
+                    # no range starts after an error, so the caller's range
+                    # fails only once a helper has taken range 2
+                    second_started.wait(timeout=5.0)
                 raise ValueError(f"range {lo}")
             time.sleep(0.2)
             finished.append(lo)
 
         with pytest.raises(ValueError, match=f"^range {failing}$"):
             rows.over_row_ranges(part, 6, rows.PARALLEL_WORK)
-        # ranges are dealt in order, so the caller's range 0 and range 2
-        # always start; range 4 may be dropped after the error
+        # ranges are dealt in order, so range 2 starts before range 4;
+        # range 4 may be dropped after the error
         assert {0, 2} <= set(started)
         assert sorted(finished) == sorted(set(started) - {failing})
 
