@@ -8,6 +8,8 @@ worktree, nothing written into ``.git``); the change side is the checkout
 this script lives in, uncommitted edits included. ``perfbench/run.py`` is
 treated as a black box: each side runs its own copy from its own root.
 
+The workloads are those ``BENCHMARK.json`` lists.
+
 1. Output hashes. In each tree a subprocess whose ``PYTHONPATH`` is that
    tree's ``src`` generates every workload's inputs at seeds 0 and 11 with
    the tree's ``perfbench/workloads.py``, runs the workload body once and
@@ -28,7 +30,9 @@ medians against the parent's IQR. A median worse than the parent's by more
 than the metric's ``BENCHMARK.json`` bound (a share of the parent's median)
 is flagged WORSE. A gain is claimed only when the change wins at least nine
 in ten pairs and the gap between medians exceeds the parent's IQR; the
-verdict column says ``gain`` then, and ``-`` otherwise.
+verdict column says ``gain`` then, and ``-`` otherwise. A workload with no
+pair of passed runs is listed as unpaired, with no statistics; any failed
+run makes the exit status 1.
 """
 
 import argparse
@@ -44,7 +48,6 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("protocol_wdbc", "protocol_many", "classify_large", "approx_library")
 HASH_SEEDS = (0, 11)
 FIRST_PAIR_SEED = 11
 WIN_SHARE = 0.9  # share of pairs the change must win for a claimed gain
@@ -88,15 +91,22 @@ def summarize(records, end_to_end):
     """One row per (workload, metric) from paired run records.
 
     ``records`` hold ``workload``, ``seed``, ``side`` ("parent" or "change")
-    and ``metrics`` ({name: value}); ``end_to_end`` is BENCHMARK.json's list
-    of {name, better, bound}. A pair is the two sides' runs at one seed.
+    and, for a run that passed, ``metrics`` ({name: value}); ``end_to_end`` is
+    BENCHMARK.json's list of {name, better, bound}. A pair is the two sides'
+    passed runs at one seed. A workload with no pair, say because every run
+    on one side failed, gets one row with ``pairs`` 0 and no statistics.
     """
     rows = []
     for workload in dict.fromkeys(r["workload"] for r in records):
         runs = {(r["seed"], r["side"]): r["metrics"] for r in records
-                if r["workload"] == workload}
+                if r["workload"] == workload and "metrics" in r}
         seeds = sorted({seed for seed, side in runs
                         if (seed, "parent") in runs and (seed, "change") in runs})
+        if not seeds:
+            rows.append({"workload": workload, "metric": None, "pairs": 0,
+                         "passed": {side: sum(s == side for _, s in runs)
+                                    for side in ("parent", "change")}})
+            continue
         for metric in end_to_end:
             name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
             parent = [runs[(s, "parent")][name] for s in seeds]
@@ -128,6 +138,11 @@ def table(rows):
              "| change | wins | gap vs parent IQR | verdict |",
              "|---|---|---|---|---|---|---|---|"]
     for r in rows:
+        if not r["pairs"]:
+            passed = r["passed"]
+            lines.append(f"| {r['workload']} | - | unpaired: {passed['parent']} parent and "
+                         f"{passed['change']} change runs passed | | | 0/0 | | - |")
+            continue
         p1, pm, p3 = r["parent"]
         c1, cm, c3 = r["change"]
         verdict = "WORSE" if r["worse"] else "gain" if r["gain"] else "-"
@@ -244,6 +259,12 @@ def host():
             "machine": platform.machine()}
 
 
+def git(*args):
+    """The stripped standard output of a git command run at the repository root."""
+    return subprocess.run(["git", *args], cwd=ROOT, stdout=subprocess.PIPE, check=True,
+                          text=True).stdout.strip()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="the parent revision to compare against")
@@ -252,18 +273,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
-    rev = subprocess.run(["git", "rev-parse", "--verify", f"{args.rev}^{{commit}}"], cwd=ROOT,
-                         stdout=subprocess.PIPE, check=True, text=True).stdout.strip()
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, stdout=subprocess.PIPE,
-                          check=True, text=True).stdout.strip()
-    edited = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=ROOT,
-                            stdout=subprocess.PIPE, check=True, text=True).stdout.strip()
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    rev = git("rev-parse", "--verify", f"{args.rev}^{{commit}}")
+    head = git("rev-parse", "HEAD")
+    edited = git("status", "--porcelain", "--untracked-files=no")
     report = {"parent": rev, "change": head + (" with uncommitted edits" if edited else ""),
               "host": host(), "hashes": [], "runs": []}
     with tempfile.TemporaryDirectory(prefix="compare-parent-") as scratch:
         trees = {"parent": extract(rev, scratch), "change": ROOT}
         unequal = 0
-        for workload in WORKLOADS:
+        for workload in workloads:
             for seed in HASH_SEEDS:
                 got = {side: output_hashes(tree, workload, seed)
                        for side, tree in trees.items()}
@@ -274,7 +293,7 @@ def main(argv=None):
                     report["hashes"].append({"workload": workload, "seed": seed, "file": name,
                                              "parent": a, "change": b, "equal": a == b})
                     print(f"{workload} seed {seed} {name}: {'equal' if a == b else 'DIFFERS'}")
-        for workload in WORKLOADS:
+        for workload in workloads:
             for i in range(args.pairs):
                 seed = FIRST_PAIR_SEED + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -284,17 +303,17 @@ def main(argv=None):
                     report["runs"].append(record)
                     print(f"{workload} seed {seed} {side}: exit {record['exit_code']}, "
                           f"steal {record['steal_share']}", file=sys.stderr)
-    ok = [r for r in report["runs"] if r["exit_code"] == 0]
-    report["summary"] = summarize(ok, benchmark["end_to_end"]) if ok else []
-    report["failed_runs"] = len(report["runs"]) - len(ok)
+    report["summary"] = summarize(report["runs"], benchmark["end_to_end"])
+    report["failed_runs"] = sum(r["exit_code"] != 0 for r in report["runs"])
     print(f"{len(report['hashes']) - unequal} of {len(report['hashes'])} output files equal")
+    print(f"{report['failed_runs']} of {len(report['runs'])} runs failed")
     if report["summary"]:
         print(table(report["summary"]))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")
-    worse = any(row["worse"] for row in report["summary"])
+    worse = any(row.get("worse") for row in report["summary"])
     return 1 if unequal or worse or report["failed_runs"] else 0
 
 

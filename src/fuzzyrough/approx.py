@@ -94,11 +94,14 @@ def build_similarity(ds: DecisionSystem) -> SimilarityRelation:
     return SimilarityRelation(Universe(ds.ids), similarity_matrix(ds.X, sigmas))
 
 
-def check_columns(block: np.ndarray, attributes: int) -> None:
-    """Reject a 2-D block of test rows without one column per fitted attribute."""
+def check_test_rows(block: np.ndarray, attributes: int) -> None:
+    """Reject a 2-D block of test rows without one column per fitted
+    attribute, then one holding a value that is not finite."""
     if block.shape[1] != attributes:
         raise DomainError(f"test instances have {block.shape[1]} attribute columns; "
                           f"the model was fitted on {attributes}")
+    if not np.all(np.isfinite(block)):
+        raise DomainError("test instance values must be finite")
 
 
 def similarity_to_test(X_train: np.ndarray, sigmas: np.ndarray,
@@ -106,30 +109,30 @@ def similarity_to_test(X_train: np.ndarray, sigmas: np.ndarray,
     """Similarity of out-of-sample instances to every training instance.
 
     ``test_rows`` is one instance (giving a vector) or a 2-D block with one
-    instance per row (giving a rows x train block). Uses the training-fold
-    scales; test instances never contribute to sigma_a.
+    instance per row (giving a rows x train block), checked by ``check_test_rows``.
+    Uses the training-fold scales; test instances never contribute to sigma_a.
     """
     test_rows = value_rows(test_rows, "test instances")
     block = test_rows if test_rows.ndim == 2 else test_rows[None]
-    check_columns(block, X_train.shape[1])
-    if not np.all(np.isfinite(block)):
-        raise DomainError("test instance values must be finite")
+    check_test_rows(block, X_train.shape[1])
     sims = _similarity_block(block, X_train, sigmas)
     return sims if test_rows.ndim == 2 else sims[0]
 
 
-def _element_index(r: SimilarityRelation, y) -> int:
-    return y if isinstance(y, (int, np.integer)) else r.universe.index_of(y)
+def _similarity_row(r: SimilarityRelation, a: FuzzySet, mu: MonotoneMeasure, y) -> np.ndarray:
+    """Similarities of y, an index or identifier, to every element, once the
+    concept, the relation and the measure are known to share one universe."""
+    if a.universe != r.universe:
+        raise DomainError("concept and relation live on different universes")
+    if mu.n != r.universe.size:
+        raise DomainError("measure size does not match the universe")
+    return r.matrix[y if isinstance(y, (int, np.integer)) else r.universe.index_of(y)]
 
 
 def lower_approximation(r: SimilarityRelation, a: FuzzySet, mu_l: MonotoneMeasure,
                         implicator: str, y) -> float:
     """Degree to which (mu_l-many) elements similar to y belong to a."""
-    if a.universe != r.universe:
-        raise DomainError("concept and relation live on different universes")
-    if mu_l.n != r.universe.size:
-        raise DomainError("measure size does not match the universe")
-    row = r.matrix[_element_index(r, y)]
+    row = _similarity_row(r, a, mu_l, y)
     g = connectives.implicator_eval(implicator, row, a.memberships)
     return choquet_integral(g, mu_l)
 
@@ -141,11 +144,7 @@ def upper_approximation(r: SimilarityRelation, a: FuzzySet, mu_u: MonotoneMeasur
     ``conjunctor`` is either a t-norm kind name or a binary callable (such as
     ``connectives.conjunctor_fn(implicator, negator)``).
     """
-    if a.universe != r.universe:
-        raise DomainError("concept and relation live on different universes")
-    if mu_u.n != r.universe.size:
-        raise DomainError("measure size does not match the universe")
-    row = r.matrix[_element_index(r, y)]
+    row = _similarity_row(r, a, mu_u, y)
     fn = conjunctor if callable(conjunctor) else connectives.tnorm_fn(conjunctor)
     g = fn(row, a.memberships)
     return choquet_integral(np.asarray(g, dtype=float), mu_u)

@@ -73,7 +73,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import connectives
-from .approx import attribute_scales, check_columns, similarity_to_test
+from .approx import attribute_scales, check_test_rows, similarity_to_test
 from .choquet import _choquet_sorted, _owa_sorted, sort_rows
 from .data import DecisionSystem
 from .measures import FuzzyRemovalMeasure, OrderedTwoSymmetricMeasure, WowaMeasure
@@ -450,7 +450,7 @@ def resolve_and_score(model: FittedModel, specs: list[AggregatorSpec], X_test,
     of the rows of X_test under it: (resolved specs, specs x rows x classes).
 
     This is the one entry that scores test rows. X_test is a 2-D array with
-    one instance per row and one column per conditional attribute. Equal
+    one instance per row, checked by ``check_test_rows`` before any pass. Equal
     specs, and a comb choice equal to another spec, are scored once. When
     every candidate of comb is requested beside it, as in the paper's
     protocol, the held-out rows are needed under all candidates anyway, so
@@ -462,7 +462,7 @@ def resolve_and_score(model: FittedModel, specs: list[AggregatorSpec], X_test,
     X_test = np.asarray(X_test, dtype=float)
     if X_test.ndim != 2:
         raise DomainError("test instances must form a 2-D array, one instance per row")
-    check_columns(X_test, model.train.X.shape[1])
+    check_test_rows(X_test, model.train.X.shape[1])
     groups = {spec: _candidates(spec) for spec in specs if spec.kind == "comb"}
     fuse = {c for group in groups.values() for c in group} <= set(specs)
     picks, scored = _choose(model, list(groups.values()), seed, X_test if fuse else None)

@@ -44,7 +44,7 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     folds are empty, which the protocol rejects (``_check_folds``).
     """
     _check_fold_count(k)
-    labels = np.asarray(labels, dtype=object)
+    labels = _label_vector(labels)
     n = labels.size
     if k > n:
         raise DomainError(f"cannot split {n} instances into {k} folds")
@@ -197,10 +197,12 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
 
 @dataclass(frozen=True)
 class EvaluationReport:
+    """Mean balanced accuracies over the folds, comb's choices, the pairwise
+    Wilcoxon tests and the failed datasets: what the report files write."""
+
     dataset_names: tuple
     spec_names: tuple
     accuracies: np.ndarray = field(repr=False)  # datasets x specs, mean over folds
-    fold_accuracies: dict = field(repr=False)  # (dataset, spec) -> per-fold list
     usage_counts: dict = field(repr=False)  # dataset -> {base kind: folds used}
     p_values: np.ndarray = field(repr=False)  # specs x specs
     rank_sums: np.ndarray = field(repr=False)  # specs x specs, W+ of row vs col
@@ -294,7 +296,6 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
     _check_fold_count(k)
     spec_names = tuple(s.display_name for s in specs)
     acc = np.full((len(datasets), len(specs)), np.nan)
-    fold_accuracies: dict = {}
     usage_counts: dict = {}
     failures: dict = {}
 
@@ -317,7 +318,6 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
             continue
         for si in range(len(specs)):
             acc[di, si] = float(np.mean(per_spec[si]))
-            fold_accuracies[(name, spec_names[si])] = per_spec[si]
         if counts:
             usage_counts[name] = counts
 
@@ -342,7 +342,6 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
         dataset_names=dataset_names,
         spec_names=spec_names,
         accuracies=acc,
-        fold_accuracies=fold_accuracies,
         usage_counts=usage_counts,
         p_values=p_values,
         rank_sums=rank_sums,

@@ -137,11 +137,11 @@ class _DistortedAdditiveMeasure(MonotoneMeasure):
     """mu(A) = Q(sum of per-element base weights over A)."""
 
     def __init__(self, base_weights: np.ndarray, quantifier: RIMQuantifier | None,
-                 n: int, universe: Universe | None = None):
+                 universe: Universe | None = None):
         w = np.asarray(base_weights, dtype=float)
-        super().__init__(n, universe, _stack_rows(w))
-        if w.ndim > 2 or w.shape[-1] != self.n or np.any(w < 0.0):
-            raise DomainError("base weights must be nonnegative, one per element")
+        super().__init__(w.shape[-1], universe, _stack_rows(w))
+        if np.any(w < 0.0):
+            raise DomainError("base weights must be nonnegative")
         if np.any(np.abs(w.sum(axis=-1) - 1.0) > 1e-9):
             raise DomainError("base weights must sum to 1")
         self.base_weights = w
@@ -166,7 +166,7 @@ class AdditiveMeasure(_DistortedAdditiveMeasure):
     """mu(A) = sum of p_i over A; the Choquet integral becomes a weighted mean."""
 
     def __init__(self, weights: WeightVector, universe: Universe | None = None):
-        super().__init__(weights.weights, None, len(weights), universe)
+        super().__init__(weights.weights, None, universe)
         self.weights = weights
 
 
@@ -183,7 +183,7 @@ class WowaMeasure(_DistortedAdditiveMeasure):
         denom = n - degrees.sum(axis=-1, keepdims=True)
         if np.any(denom <= 0.0):
             raise DomainError("wowa measure needs some confidence mass: sum of o must be < n")
-        super().__init__((1.0 - degrees) / denom, quantifier, n, universe or uni)
+        super().__init__((1.0 - degrees) / denom, quantifier, universe or uni)
         self.o = degrees
 
 
@@ -210,7 +210,7 @@ class OrderedTwoSymmetricMeasure(_DistortedAdditiveMeasure):
         rank = np.argsort(degrees, axis=-1, kind="stable")
         w = np.full(degrees.shape, t / n)
         np.put_along_axis(w, rank[..., :k], t / n + (1.0 - t) / k, axis=-1)
-        super().__init__(w, quantifier, n, universe or uni)
+        super().__init__(w, quantifier, universe or uni)
         self.o = degrees
         self.t = float(t)
         self.k = k

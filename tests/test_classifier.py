@@ -376,6 +376,32 @@ class TestFitPredict:
                                               "the model was fitted on 2$"):
             membership_matrix(model, np.zeros((5, 1)))
 
+    @pytest.mark.parametrize("kind,first_pass", [("wowa", "_streamed_memberships"),
+                                                 ("comb", "_choose")])
+    def test_a_nan_in_the_last_block_is_rejected_before_any_scoring(self, monkeypatch, kind,
+                                                                    first_pass):
+        # scoring without comb starts with _streamed_memberships; comb alone
+        # (the unfused side) starts with _choose's leave-one-out pass
+        rng = np.random.default_rng(113)
+        model = FittedModel(toy_two_cluster(rng))
+        monkeypatch.setattr(classifier, "BLOCK_ELEMENTS", model.n)  # one row per block
+        calls = []
+        real = getattr(classifier, first_pass)
+
+        def spy(*args, **kwargs):
+            calls.append(first_pass)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(classifier, first_pass, spy)
+        rows = np.zeros((5, 2))
+        rows[4, 1] = np.nan  # in the last block only
+        with pytest.raises(DomainError, match="^test instance values must be finite$"):
+            resolve_and_score(model, [spec(kind)], rows, 0)
+        assert calls == []
+        rows[4, 1] = 0.0
+        resolve_and_score(model, [spec(kind)], rows, 0)
+        assert calls == [first_pass]
+
 
 def _gaussian(rng, n, m):
     X = np.vstack([rng.normal(0.0, 1.0, size=(n // 2, m)),

@@ -1,6 +1,7 @@
 """The summary, table and verdicts of ``scripts/compare.py`` on synthetic
-records, and its reading of perfbench's run records from synthetic files;
-no test here starts a process."""
+records, its reading of perfbench's run records from synthetic files, and
+the loops of its ``main`` with git, extraction and the runs replaced by
+fakes; no test here starts a process."""
 
 import json
 import os
@@ -144,3 +145,101 @@ def test_host_names_the_scipy_and_blas_versions():
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert info["scipy"] == scipy.__version__
     assert info["blas"] == f"{blas['name']} {blas['version']}"
+
+
+def test_a_workload_without_pairs_is_listed_unpaired():
+    # every change-side run of "v" failed: its records carry no metrics
+    records = _records(PARENT[:3], PARENT[:3])
+    records += [{"workload": "v", "seed": 11 + i, "side": side, "exit_code": 1}
+                if side == "change" else
+                {"workload": "v", "seed": 11 + i, "side": side,
+                 "metrics": {"run_s": 1.0, "pass_rate": 1.0}}
+                for i in range(3) for side in ("parent", "change")]
+    rows = compare.summarize(records, END_TO_END)
+    assert [(r["workload"], r["metric"], r["pairs"]) for r in rows] == [
+        ("w", "run_s", 3), ("w", "pass_rate", 3), ("v", None, 0)]
+    assert rows[-1] == {"workload": "v", "metric": None, "pairs": 0,
+                        "passed": {"parent": 3, "change": 0}}
+    lines = compare.table(rows).splitlines()
+    assert len(lines) == 2 + len(rows)
+    assert lines[-1] == ("| v | - | unpaired: 3 parent and 0 change runs passed "
+                         "| | | 0/0 | | - |")
+
+
+WORKLOADS = [f"w{i}" for i in range(5)]
+
+
+def _fake_trees(monkeypatch, tmp_path, bench_result):
+    """Run ``compare.main`` against fakes: a BENCHMARK.json listing five
+    workloads, no git, no extraction and no subprocess. Returns the calls
+    made to ``output_hashes`` and ``bench_run``, and the fake parent tree."""
+    benchmark = {"run_seconds": 3, "end_to_end": END_TO_END,
+                 "workloads": [{"name": name, "why": ""} for name in WORKLOADS]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    calls = {"hashes": [], "runs": [], "parent": []}
+
+    def extract(rev, directory):
+        calls["parent"].append(os.path.join(directory, "tree"))
+        return calls["parent"][-1]
+
+    def output_hashes(tree, workload, seed):
+        calls["hashes"].append((tree, workload, seed))
+        return {"hashes": {"results.csv": f"{workload}-{seed}"}}
+
+    def bench_run(tree, workload, seed, seconds):
+        calls["runs"].append((tree, workload, seed, seconds))
+        return bench_result(tree, workload)
+
+    monkeypatch.setattr(compare, "ROOT", str(tmp_path))
+    monkeypatch.setattr(compare, "git", lambda *args: "" if args[0] == "status" else "f00")
+    monkeypatch.setattr(compare, "host", lambda: {"nproc": 1})
+    monkeypatch.setattr(compare, "extract", extract)
+    monkeypatch.setattr(compare, "output_hashes", output_hashes)
+    monkeypatch.setattr(compare, "bench_run", bench_run)
+    return calls
+
+
+def _passed(tree, workload):
+    return {"exit_code": 0, "wall_s": 1.0, "steal_share": None,
+            "metrics": {"run_s": 1.0, "pass_rate": 1.0}}
+
+
+def test_main_hashes_and_pairs_every_listed_workload(monkeypatch, tmp_path, capsys):
+    calls = _fake_trees(monkeypatch, tmp_path, _passed)
+    out = tmp_path / "report.json"
+    assert compare.main(["f00", "--pairs", "3", "--out", str(out)]) == 0
+    (parent,) = calls["parent"]
+    change = str(tmp_path)
+    assert calls["hashes"] == [(tree, workload, seed) for workload in WORKLOADS
+                               for seed in (0, 11) for tree in (parent, change)]
+    # each seed runs both sides back to back, the first side alternating
+    assert calls["runs"] == [
+        (tree, workload, seed, 3) for workload in WORKLOADS
+        for seed, order in ((11, (parent, change)), (12, (change, parent)),
+                            (13, (parent, change)))
+        for tree in order]
+    report = json.loads(out.read_text())
+    assert report["failed_runs"] == 0 and len(report["runs"]) == 30
+    assert [(r["workload"], r["pairs"]) for r in report["summary"]] == [
+        (workload, 3) for workload in WORKLOADS for _ in END_TO_END]
+    printed = capsys.readouterr().out
+    assert "10 of 10 output files equal" in printed and "0 of 30 runs failed" in printed
+
+
+def test_main_reports_a_workload_whose_change_runs_all_failed(monkeypatch, tmp_path, capsys):
+    def result(tree, workload):
+        if workload == "w3" and tree == str(tmp_path):
+            return {"exit_code": 1, "wall_s": 1.0, "steal_share": None}
+        return _passed(tree, workload)
+
+    _fake_trees(monkeypatch, tmp_path, result)
+    out = tmp_path / "report.json"
+    assert compare.main(["f00", "--pairs", "2", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["failed_runs"] == 2
+    unpaired = [r for r in report["summary"] if r["pairs"] == 0]
+    assert unpaired == [{"workload": "w3", "metric": None, "pairs": 0,
+                         "passed": {"parent": 2, "change": 0}}]
+    printed = capsys.readouterr().out
+    assert "2 of 20 runs failed" in printed
+    assert "| w3 | - | unpaired: 2 parent and 0 change runs passed" in printed

@@ -1,8 +1,10 @@
 """Every entry point that takes degrees rejects NaN, infinities and values
 outside [0, 1] with DomainError, each with its own message; the steps from
 outlier scores to a measure, and the Wilcoxon test, reject input they would
-otherwise reshape or reinterpret, and so do balanced accuracy on label rows
-and the classifier's scoring entries on test rows of the wrong shape."""
+otherwise reshape or reinterpret, and so do balanced accuracy and fold
+assignment on label rows, the classifier's scoring entries on test rows of
+the wrong shape, and the approximations on a concept, relation or measure
+of another universe."""
 
 import re
 
@@ -81,6 +83,10 @@ MODEL = fr.fit(fr.DecisionSystem(("a0", "a1", "a2", "a3"),
                fr.AggregatorSpec())
 ALL = classifier.default_specs()
 COMB = [fr.AggregatorSpec(kind="comb")]
+R = fr.SimilarityRelation(U, np.eye(3))
+A = fr.FuzzySet(U, OK)
+ELSEWHERE = fr.FuzzySet(fr.Universe(("x", "y", "z")), OK)
+MU3, MU4 = fr.symmetric_from_quantifier(Q, 3), fr.symmetric_from_quantifier(Q, 4)
 
 # name -> (an accepted call, the same entry point on input of the wrong shape
 # or type, the site's message); each bad call was read silently, or failed
@@ -165,6 +171,34 @@ REJECTED = {
         lambda: fr.similarity_to_test(MODEL.train.X, MODEL.sigmas, np.zeros(4)),
         lambda: fr.similarity_to_test(MODEL.train.X, MODEL.sigmas, np.zeros(5)),
         "test instances have 5 attribute columns; the model was fitted on 4"),
+    "stratified_kfold label column": (
+        lambda: fr.stratified_kfold(["a", "b", "a", "b"], 2, 0),
+        lambda: fr.stratified_kfold([["a"], ["b"], ["a"], ["b"]], 2, 0),
+        "labels must form one vector"),
+    "lower_approximation universes": (
+        lambda: fr.lower_approximation(R, A, MU3, "lukasiewicz", 0),
+        lambda: fr.lower_approximation(R, ELSEWHERE, MU3, "lukasiewicz", 0),
+        "concept and relation live on different universes"),
+    "lower_approximation measure size": (
+        lambda: fr.lower_approximation(R, A, MU3, "lukasiewicz", 0),
+        lambda: fr.lower_approximation(R, A, MU4, "lukasiewicz", 0),
+        "measure size does not match the universe"),
+    "lower_approximation universes first": (
+        lambda: fr.lower_approximation(R, A, MU3, "lukasiewicz", 0),
+        lambda: fr.lower_approximation(R, ELSEWHERE, MU4, "lukasiewicz", 0),
+        "concept and relation live on different universes"),
+    "upper_approximation universes": (
+        lambda: fr.upper_approximation(R, A, MU3, "minimum", 0),
+        lambda: fr.upper_approximation(R, ELSEWHERE, MU3, "minimum", 0),
+        "concept and relation live on different universes"),
+    "upper_approximation measure size": (
+        lambda: fr.upper_approximation(R, A, MU3, "minimum", 0),
+        lambda: fr.upper_approximation(R, A, MU4, "minimum", 0),
+        "measure size does not match the universe"),
+    "upper_approximation universes first": (
+        lambda: fr.upper_approximation(R, A, MU3, "minimum", 0),
+        lambda: fr.upper_approximation(R, ELSEWHERE, MU4, "minimum", 0),
+        "concept and relation live on different universes"),
 }
 
 
