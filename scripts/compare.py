@@ -23,6 +23,11 @@ The workloads are those ``BENCHMARK.json`` lists.
    also keeps the ``setup.generate_s`` and ``setup.import_s`` lists of the
    record ``perfbench/run.py`` wrote in that tree, so a change in setup_s
    shows whether it comes from the import or from generating the inputs.
+3. Tier-1. Each tree runs the Tier-1 verify command of ROADMAP.md once (with
+   ``-p no:cacheprovider``, so it writes no cache into either tree), with
+   its own ``src`` first on ``PYTHONPATH``; its wall seconds and its passed,
+   skipped and failed counts are recorded and given one line of the table.
+   They are recorded, not judged.
 
 The Markdown table gives, per workload and end-to-end metric, the median
 [q1, q3] of each side, the pairs the change won, and the gap between the
@@ -40,6 +45,7 @@ import json
 import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -132,8 +138,14 @@ def _num(x):
     return f"{x:.4g}"
 
 
-def table(rows):
-    """The summary rows as a Markdown table."""
+def _tier1_side(run):
+    return (f"{run['wall_s']:.1f} s: {run['passed']} passed, {run['skipped']} skipped, "
+            f"{run['failed']} failed")
+
+
+def table(rows, tier1_runs=None):
+    """The summary rows as a Markdown table, then the tier-1 line when
+    ``tier1_runs`` ({side: ``tier1`` record}) is given."""
     lines = ["| workload | metric | parent median [q1, q3] | change median [q1, q3] "
              "| change | wins | gap vs parent IQR | verdict |",
              "|---|---|---|---|---|---|---|---|"]
@@ -151,6 +163,11 @@ def table(rows):
             f"| {_num(cm)} [{_num(c1)}, {_num(c3)}] | {r['relative']:+.1%} "
             f"| {r['wins']}/{r['pairs']} | {_num(r['gap'])} vs {_num(r['parent_iqr'])} "
             f"| {verdict} |")
+    if tier1_runs:
+        parent, change = tier1_runs["parent"], tier1_runs["change"]
+        lines.append(f"| tier-1 | wall_s | {_tier1_side(parent)} | {_tier1_side(change)} "
+                     f"| {(change['wall_s'] - parent['wall_s']) / parent['wall_s']:+.1%} "
+                     f"| 1 run each | | - |")
     return "\n".join(lines)
 
 
@@ -239,6 +256,23 @@ def bench_run(tree, workload, seed, seconds):
     return record
 
 
+def tier1(tree):
+    """One run of the Tier-1 verify command in ``tree``, with the tree's own
+    ``src`` first on ``PYTHONPATH``: its wall seconds, exit code and the
+    passed, skipped and failed counts of pytest's last line."""
+    paths = [os.path.join(tree, "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    started = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors"],
+                          cwd=tree, env=env, stdout=subprocess.PIPE, text=True, timeout=3600)
+    wall = time.monotonic() - started
+    lines = proc.stdout.strip().splitlines() or [""]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|skipped|failed)", lines[-1])}
+    return {"wall_s": wall, "exit_code": proc.returncode,
+            **{word: counts.get(word, 0) for word in ("passed", "skipped", "failed")}}
+
+
 def host():
     """The machine and library versions the runs measured. The CPU model comes
     from /proc/cpuinfo; ``platform.processor()``, which may start a process,
@@ -303,12 +337,12 @@ def main(argv=None):
                     report["runs"].append(record)
                     print(f"{workload} seed {seed} {side}: exit {record['exit_code']}, "
                           f"steal {record['steal_share']}", file=sys.stderr)
+        report["tier1"] = {side: tier1(tree) for side, tree in trees.items()}
     report["summary"] = summarize(report["runs"], benchmark["end_to_end"])
     report["failed_runs"] = sum(r["exit_code"] != 0 for r in report["runs"])
     print(f"{len(report['hashes']) - unequal} of {len(report['hashes'])} output files equal")
     print(f"{report['failed_runs']} of {len(report['runs'])} runs failed")
-    if report["summary"]:
-        print(table(report["summary"]))
+    print(table(report["summary"], report["tier1"]))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=1)

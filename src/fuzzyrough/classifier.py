@@ -84,7 +84,7 @@ from .quantifiers import (
     RIMQuantifier,
     weights_from_quantifier,
 )
-from .sets import DomainError, one_vector, unit_degrees
+from .sets import DomainError, check_whole_number, one_vector, unit_degrees
 
 AGGREGATOR_KINDS = ("min", "mino", "fr", "avg", "avgo", "ts", "owa", "owao", "wowa", "comb")
 BASE_KINDS = AGGREGATOR_KINDS[:-1]
@@ -121,6 +121,7 @@ class AggregatorSpec:
             raise DomainError("t must lie in [0, 1]")
         if not 0.0 <= self.contamination < 1.0:
             raise DomainError("contamination must lie in [0, 1)")
+        check_whole_number(self.lof_k, "lof_k")
         if self.lof_k < 1:
             raise DomainError("lof_k must be at least 1")
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .classifier import BASE_KINDS, DISPLAY_NAMES, AggregatorSpec, FittedModel, resolve_and_score
 from .data import DataFormatError, DecisionSystem
-from .sets import DomainError, one_vector
+from .sets import DomainError, check_whole_number, one_vector
 
 EXACT_WILCOXON_LIMIT = 25  # exact null distribution up to here, normal beyond
 
@@ -31,7 +31,9 @@ class FoldPlan:
 
 
 def _check_fold_count(k: int) -> None:
-    """Raise DomainError unless k folds leave every fold a training part."""
+    """Raise DomainError unless k is a whole number of folds that leaves every
+    fold a training part."""
+    check_whole_number(k, "k")
     if k < 2:
         raise DomainError(f"cross-validation needs at least 2 folds, got {k}")
 
@@ -252,14 +254,21 @@ def _check_folds(ds: DecisionSystem, specs: list, k: int) -> None:
                           f"instances, so fold {largest} would be empty")
 
 
+def _fold_scores(ds: DecisionSystem, specs: list, k: int, seed: int, dataset_index: int):
+    """Split ``ds`` and check its folds at the call, then evaluate each fold
+    as the returned iterator is advanced; fold f is seeded from (seed,
+    dataset_index, f)."""
+    plan = stratified_kfold(ds.y, k, seed)
+    _check_folds(ds, specs, k)
+    return (_evaluate_fold(ds, plan, fold, specs, _fold_seed(seed, dataset_index, fold))
+            for fold in range(k))
+
+
 def crossval_accuracies(ds: DecisionSystem, spec: AggregatorSpec, k: int,
                         seed: int) -> tuple[list, list]:
-    """Per-fold balanced accuracies plus the resolved strategy per fold."""
-    plan = stratified_kfold(ds.y, k, seed)
-    _check_folds(ds, [spec], k)
-    # folds are seeded as run_benchmark seeds its first dataset's
-    folds = [_evaluate_fold(ds, plan, fold, [spec], _fold_seed(seed, 0, fold))
-             for fold in range(k)]
+    """Per-fold balanced accuracies plus the resolved strategy per fold: the
+    folds of dataset 0 of ``run_benchmark`` with the same k and seed."""
+    folds = list(_fold_scores(ds, [spec], k, seed, 0))
     return [accs[0] for accs, _ in folds], [kinds[0] for _, kinds in folds]
 
 
@@ -282,7 +291,8 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
 
     For each dataset: stratified k-fold split, one model per fold shared by
     every spec, balanced accuracy on the held-out fold. The pairwise Wilcoxon
-    matrix compares strategies across the per-dataset mean accuracies. A
+    matrices compare strategies across the per-dataset mean accuracies; each
+    pair is tested once, and its mirror fills the transposed entry. A
     dataset the computation is not defined on (DomainError, DataFormatError)
     is recorded as a failure naming the fold instead of aborting the run (a
     k that would leave a fold empty, or a class too small for comb's
@@ -304,11 +314,10 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
         counts: dict = {}
         where = ""
         try:
-            plan = stratified_kfold(ds.y, k, seed)
-            _check_folds(ds, specs, k)
+            folds = _fold_scores(ds, specs, k, seed, di)
             for fold in range(k):
                 where = f"fold {fold}: "
-                accs, kinds = _evaluate_fold(ds, plan, fold, specs, _fold_seed(seed, di, fold))
+                accs, kinds = next(folds)
                 for si, spec in enumerate(specs):
                     per_spec[si].append(accs[si])
                     if spec.kind == "comb":
@@ -325,18 +334,17 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
     n_specs = len(specs)
     p_values = np.full((n_specs, n_specs), np.nan)
     rank_sums = np.full((n_specs, n_specs), np.nan)
-    unreliable = []
+    unreliable = np.zeros((n_specs, n_specs), dtype=bool)
     if ok.any():
         cols = acc[ok]
+        # b - a is -(a - b) bit for bit and the null distribution is
+        # symmetric, so the test of (j, i) is the test of (i, j) mirrored
         for i in range(n_specs):
-            for j in range(n_specs):
-                if i == j:
-                    continue
+            for j in range(i + 1, n_specs):
                 res = wilcoxon_signed_rank(cols[:, i], cols[:, j])
-                p_values[i, j] = res.p_value
-                rank_sums[i, j] = res.rank_sum_positive
-                if not res.reliable:
-                    unreliable.append((spec_names[i], spec_names[j]))
+                p_values[i, j] = p_values[j, i] = res.p_value
+                rank_sums[i, j], rank_sums[j, i] = res.rank_sum_positive, res.rank_sum_negative
+                unreliable[i, j] = unreliable[j, i] = not res.reliable
 
     return EvaluationReport(
         dataset_names=dataset_names,
@@ -345,7 +353,8 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
         usage_counts=usage_counts,
         p_values=p_values,
         rank_sums=rank_sums,
-        unreliable_pairs=tuple(unreliable),
+        unreliable_pairs=tuple((spec_names[i], spec_names[j])
+                               for i, j in np.argwhere(unreliable)),
         failures=failures,
     )
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import DecisionSystem
 from .rows import over_row_ranges
-from .sets import DomainError, frozen_copy, one_vector, unit_degrees
+from .sets import DomainError, check_whole_number, frozen_copy, one_vector, unit_degrees
 
 DISTANCE_FLOOR = 1e-12  # keeps densities finite when points coincide
 FAST_KNN_DISTANCES = 8192  # _nearest calls on fewer distances keep the full stable sort
@@ -53,6 +53,7 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
     if points.ndim == 1:
         points = points[:, None]
     n = points.shape[0]
+    check_whole_number(k, "k")
     if k < 1:
         raise DomainError("k must be at least 1")
     if n < k + 1:
@@ -169,6 +170,7 @@ def per_class_scores(ds: DecisionSystem, k: int) -> OutlierScores:
     k is clamped to class size - 1 for small classes; a singleton class gets
     the neutral raw score 1.
     """
+    check_whole_number(k, "k")
     if k < 1:
         raise DomainError("k must be at least 1")
     raw = np.empty(ds.n)

@@ -35,6 +35,13 @@ def one_vector(a, message: str) -> np.ndarray:
     return a
 
 
+def check_whole_number(value, name: str) -> None:
+    """DomainError naming ``name`` unless ``value`` is an int or a numpy
+    integer; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+
+
 def value_rows(a, what: str) -> np.ndarray:
     """``a`` as a float vector or 2-D array of rows; a scalar is a one-element vector."""
     a = np.atleast_1d(np.asarray(a, dtype=float))

@@ -1,11 +1,13 @@
 """The summary, table and verdicts of ``scripts/compare.py`` on synthetic
-records, its reading of perfbench's run records from synthetic files, and
-the loops of its ``main`` with git, extraction and the runs replaced by
-fakes; no test here starts a process."""
+records, its reading of perfbench's run records from synthetic files, its
+tier-1 run with ``subprocess.run`` replaced, and the loops of its ``main``
+with git, extraction and the runs replaced by fakes; no test here starts a
+process."""
 
 import json
 import os
 import subprocess
+import types
 
 import pytest
 
@@ -172,11 +174,12 @@ WORKLOADS = [f"w{i}" for i in range(5)]
 def _fake_trees(monkeypatch, tmp_path, bench_result):
     """Run ``compare.main`` against fakes: a BENCHMARK.json listing five
     workloads, no git, no extraction and no subprocess. Returns the calls
-    made to ``output_hashes`` and ``bench_run``, and the fake parent tree."""
+    made to ``output_hashes``, ``bench_run`` and ``tier1``, and the fake
+    parent tree."""
     benchmark = {"run_seconds": 3, "end_to_end": END_TO_END,
                  "workloads": [{"name": name, "why": ""} for name in WORKLOADS]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
-    calls = {"hashes": [], "runs": [], "parent": []}
+    calls = {"hashes": [], "runs": [], "parent": [], "tier1": []}
 
     def extract(rev, directory):
         calls["parent"].append(os.path.join(directory, "tree"))
@@ -190,12 +193,18 @@ def _fake_trees(monkeypatch, tmp_path, bench_result):
         calls["runs"].append((tree, workload, seed, seconds))
         return bench_result(tree, workload)
 
+    def tier1(tree):
+        calls["tier1"].append(tree)
+        return {"wall_s": 40.0 + len(calls["tier1"]), "exit_code": 0, "passed": 700,
+                "skipped": 2, "failed": 0}
+
     monkeypatch.setattr(compare, "ROOT", str(tmp_path))
     monkeypatch.setattr(compare, "git", lambda *args: "" if args[0] == "status" else "f00")
     monkeypatch.setattr(compare, "host", lambda: {"nproc": 1})
     monkeypatch.setattr(compare, "extract", extract)
     monkeypatch.setattr(compare, "output_hashes", output_hashes)
     monkeypatch.setattr(compare, "bench_run", bench_run)
+    monkeypatch.setattr(compare, "tier1", tier1)
     return calls
 
 
@@ -222,8 +231,41 @@ def test_main_hashes_and_pairs_every_listed_workload(monkeypatch, tmp_path, caps
     assert report["failed_runs"] == 0 and len(report["runs"]) == 30
     assert [(r["workload"], r["pairs"]) for r in report["summary"]] == [
         (workload, 3) for workload in WORKLOADS for _ in END_TO_END]
+    # the tier-1 suite runs once in each tree, after the pairs
+    assert calls["tier1"] == [parent, change]
+    assert report["tier1"]["change"] == {"wall_s": 42.0, "exit_code": 0, "passed": 700,
+                                         "skipped": 2, "failed": 0}
     printed = capsys.readouterr().out
     assert "10 of 10 output files equal" in printed and "0 of 30 runs failed" in printed
+    assert printed.rstrip().splitlines()[-1] == (
+        "| tier-1 | wall_s | 41.0 s: 700 passed, 2 skipped, 0 failed "
+        "| 42.0 s: 700 passed, 2 skipped, 0 failed | +2.4% | 1 run each | | - |")
+
+
+@pytest.mark.parametrize("last,counts", [
+    ("703 passed, 2 skipped in 48.12s", (703, 2, 0)),
+    ("1 failed, 702 passed, 2 skipped, 1 warning in 50.01s", (702, 2, 1)),
+    ("no tests ran in 0.01s", (0, 0, 0)),
+])
+def test_tier1_runs_the_verify_command_in_the_tree(monkeypatch, tmp_path, last, counts):
+    runs = []
+
+    def run(command, **kwargs):
+        runs.append((command, kwargs))
+        return subprocess.CompletedProcess(command, 1, stdout=f"....s.\n{last}\n")
+
+    ticks = iter([100.0, 148.5])
+    monkeypatch.setattr(subprocess, "run", run)
+    monkeypatch.setattr(compare, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    result = compare.tier1(str(tmp_path))
+    assert result == {"wall_s": 48.5, "exit_code": 1, "passed": counts[0],
+                      "skipped": counts[1], "failed": counts[2]}
+    ((command, kwargs),) = runs
+    assert command[1:] == ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors"]
+    assert kwargs["cwd"] == str(tmp_path)
+    assert kwargs["env"]["PYTHONPATH"] == os.pathsep.join([str(tmp_path / "src"), "elsewhere"])
 
 
 def test_main_reports_a_workload_whose_change_runs_all_failed(monkeypatch, tmp_path, capsys):

@@ -53,6 +53,12 @@ class TestIngestCsv:
         with pytest.raises(DataFormatError):
             ingest_csv(p)
 
+    def test_decision_column_alone_rejected(self, tmp_path):
+        p = write(tmp_path / "t.csv", "cls\na\nb\n")
+        with pytest.raises(DataFormatError) as exc:
+            ingest_csv(p)
+        assert str(exc.value) == f"{p}: no conditional attributes besides the decision column"
+
     def test_missing_decision_column(self, tmp_path):
         p = write(tmp_path / "t.csv", "x,y\n1,2\n")
         with pytest.raises(DataFormatError):
@@ -379,6 +385,13 @@ class TestCliCommands:
         bad = write(tmp_path / "bad.csv", "x,y\noops,1\nfine,2\n")
         assert main(["crossval", "--dataset", bad]) == 1
         assert "ingestion" in capsys.readouterr().err
+
+    def test_output_error_exit_code(self, tmp_path, capsys):
+        train = write(tmp_path / "train.csv", TOY_TRAIN)
+        taken = write(tmp_path / "taken", "a file where the output directory should be")
+        assert main(["crossval", "--dataset", train, "--folds", "3",
+                     "--out-dir", taken]) == 1
+        assert capsys.readouterr().err.startswith("error during output: ")
 
     def test_computation_error_exit_code(self, tmp_path, capsys):
         single = write(tmp_path / "single.csv", "x,label\n1,a\n2,a\n")

@@ -3,8 +3,9 @@ outside [0, 1] with DomainError, each with its own message; the steps from
 outlier scores to a measure, and the Wilcoxon test, reject input they would
 otherwise reshape or reinterpret, and so do balanced accuracy and fold
 assignment on label rows, the classifier's scoring entries on test rows of
-the wrong shape, and the approximations on a concept, relation or measure
-of another universe."""
+the wrong shape, the approximations on a concept, relation or measure of
+another universe, and every count (folds, LOF neighbours) that is not a
+whole number."""
 
 import re
 
@@ -83,6 +84,7 @@ MODEL = fr.fit(fr.DecisionSystem(("a0", "a1", "a2", "a3"),
                fr.AggregatorSpec())
 ALL = classifier.default_specs()
 COMB = [fr.AggregatorSpec(kind="comb")]
+MIN = [fr.AggregatorSpec(kind="min")]
 R = fr.SimilarityRelation(U, np.eye(3))
 A = fr.FuzzySet(U, OK)
 ELSEWHERE = fr.FuzzySet(fr.Universe(("x", "y", "z")), OK)
@@ -199,6 +201,31 @@ REJECTED = {
         lambda: fr.upper_approximation(R, A, MU3, "minimum", 0),
         lambda: fr.upper_approximation(R, ELSEWHERE, MU4, "minimum", 0),
         "concept and relation live on different universes"),
+    # counts must be whole numbers; a numpy integer is one, a bool is not
+    "stratified_kfold fractional k": (
+        lambda: fr.stratified_kfold(["a", "b", "a", "b"], np.int64(2), 0),
+        lambda: fr.stratified_kfold(["a", "b", "a", "b"], 2.5, 0),
+        "k must be a whole number, got 2.5"),
+    "run_benchmark fractional k": (
+        lambda: fr.run_benchmark([("d", MODEL.train)], MIN, k=np.int64(2)),
+        lambda: fr.run_benchmark([("d", MODEL.train)], MIN, k=2.5),
+        "k must be a whole number, got 2.5"),
+    "crossval_accuracies fractional k": (
+        lambda: evaluation.crossval_accuracies(MODEL.train, MIN[0], 2, 0),
+        lambda: evaluation.crossval_accuracies(MODEL.train, MIN[0], 2.5, 0),
+        "k must be a whole number, got 2.5"),
+    "lof_scores fractional k": (lambda: fr.lof_scores(MODEL.train.X, np.int32(2)),
+                                lambda: fr.lof_scores(MODEL.train.X, 2.5),
+                                "k must be a whole number, got 2.5"),
+    "per_class_scores fractional k": (lambda: fr.per_class_scores(MODEL.train, 2),
+                                      lambda: fr.per_class_scores(MODEL.train, 2.5),
+                                      "k must be a whole number, got 2.5"),
+    "AggregatorSpec fractional lof_k": (lambda: fr.AggregatorSpec(lof_k=np.int64(3)),
+                                        lambda: fr.AggregatorSpec(lof_k=2.5),
+                                        "lof_k must be a whole number, got 2.5"),
+    "AggregatorSpec boolean lof_k": (lambda: fr.AggregatorSpec(lof_k=1),
+                                     lambda: fr.AggregatorSpec(lof_k=True),
+                                     "lof_k must be a whole number, got True"),
 }
 
 

@@ -174,6 +174,19 @@ class TestWilcoxon:
             assert r1.rank_sum_positive == r2.rank_sum_negative
             assert r1.rank_sum_negative == r2.rank_sum_positive
 
+    @given(st.integers(1, 40).flatmap(lambda m: st.tuples(
+        *[st.lists(st.integers(0, 5).map(lambda v: v / 4), min_size=m, max_size=m)] * 2)))
+    def test_swapped_samples_mirror_the_test_bit_for_bit(self, samples):
+        # few distinct values: heavy ties and zero differences, with m on
+        # either side of the exact limit of 25 nonzero differences
+        a, b = (np.asarray(x) for x in samples)
+        r, s = wilcoxon_signed_rank(a, b), wilcoxon_signed_rank(b, a)
+        assert s.p_value.hex() == r.p_value.hex()
+        assert s.statistic.hex() == r.statistic.hex()
+        assert s.rank_sum_positive.hex() == r.rank_sum_negative.hex()
+        assert s.rank_sum_negative.hex() == r.rank_sum_positive.hex()
+        assert (s.n_nonzero, s.reliable, s.method) == (r.n_nonzero, r.reliable, r.method)
+
     def test_enumeration_matches_recurrence_oracle(self):
         # every m <= 12, with heavy ties to stress mid-ranking
         rng = np.random.default_rng(31)
@@ -394,6 +407,72 @@ class TestRunBenchmark:
         fold_accuracies.clear()  # keep run_benchmark's folds only
         run_benchmark([("d", ds)], [AggregatorSpec(kind="comb")], k=2, seed=7)
         assert accs == [comb for (comb,) in fold_accuracies]
+
+    def test_a_split_failure_has_no_prefix_and_a_later_fold_names_itself(self, monkeypatch):
+        import fuzzyrough.evaluation as evaluation
+
+        two = DecisionSystem(("f0",), np.array([[0.0], [1.0]]), np.array(["a", "b"], dtype=object))
+        score = evaluation.resolve_and_score
+        calls = []
+
+        def second_fold_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise DomainError("the second fold cannot be scored")
+            return score(*args)
+
+        monkeypatch.setattr(evaluation, "resolve_and_score", second_fold_fails)
+        report = run_benchmark([("two", two), ("toy", tiny_dataset(1))],
+                               [AggregatorSpec(kind="min")], k=3, seed=0)
+        assert report.failures == {
+            "two": "DomainError: cannot split 2 instances into 3 folds",
+            "toy": "fold 1: DomainError: the second fold cannot be scored"}
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["valid", "all-failed"])
+    def test_matrices_hold_every_ordered_pair(self, fail):
+        # each pair is tested once and mirrored; the result must equal the
+        # test of every ordered pair, bit for bit and in row-major order
+        datasets = [(f"d{i}", tiny_dataset(30 + i, n_per=6 if not fail else 1, gap=1.0))
+                    for i in range(6)]
+        specs = [AggregatorSpec(kind=k) for k in ("min", "avg", "owa", "min", "wowa")]
+        report = run_benchmark(datasets, specs, k=2, seed=3)
+        n = len(specs)
+        p_values, rank_sums = np.full((n, n), np.nan), np.full((n, n), np.nan)
+        unreliable = []
+        if not fail:
+            assert not report.failures
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        res = wilcoxon_signed_rank(report.accuracies[:, i],
+                                                   report.accuracies[:, j])
+                        p_values[i, j], rank_sums[i, j] = res.p_value, res.rank_sum_positive
+                        if not res.reliable:
+                            unreliable.append((report.spec_names[i], report.spec_names[j]))
+            assert unreliable and len(unreliable) < n * (n - 1)  # both kinds occur
+        else:
+            assert len(report.failures) == len(datasets)
+        assert report.p_values.tobytes() == p_values.tobytes()
+        assert report.rank_sums.tobytes() == rank_sums.tobytes()
+        assert report.unreliable_pairs == tuple(unreliable)
+
+    def test_one_test_per_unordered_pair(self, monkeypatch):
+        import fuzzyrough.evaluation as evaluation
+
+        calls = []
+
+        def counted(a, b):
+            calls.append((a.tobytes(), b.tobytes()))
+            return wilcoxon_signed_rank(a, b)
+
+        monkeypatch.setattr(evaluation, "wilcoxon_signed_rank", counted)
+        datasets = [(f"d{i}", tiny_dataset(40 + i, gap=1.0)) for i in range(3)]
+        specs = [AggregatorSpec(kind=k) for k in ("min", "avg", "owa", "mino")]
+        report = run_benchmark(datasets, specs, k=2, seed=0)
+        cols = report.accuracies
+        assert calls == [(cols[:, i].tobytes(), cols[:, j].tobytes())
+                         for i in range(4) for j in range(i + 1, 4)]
 
     def test_program_errors_propagate(self, monkeypatch):
         import fuzzyrough.evaluation as evaluation

@@ -6,15 +6,17 @@ calling thread taking the first. The helper's own traps come first: it waits
 for every range before it returns or raises, leaves a late helper's range to
 the caller, starts no range after an error, runs nested and small calls
 serially, builds one pool for concurrent callers, rebuilds it in a forked
-child, and moves a helper off the caller's CPU without keeping it off. Then
-each split kernel (the similarity block, LOF's neighbour search and the fast
-branch of ``sort_rows``) runs with the work threshold at 0, which splits
-every call, and at the int64 maximum, which splits none; the two outputs
-must agree bit for bit.
+child, falls back to the CPU count and to no known CPU off Linux, and moves
+a helper off the caller's CPU without keeping it off. Then each split
+kernel (the similarity block, LOF's neighbour search and the fast branch of
+``sort_rows``) runs with the work threshold at 0, which splits every call,
+and at the int64 maximum, which splits none; the two outputs must agree bit
+for bit.
 """
 
 import concurrent.futures
 import os
+import signal
 import sys
 import threading
 import time
@@ -225,6 +227,47 @@ class TestHelper:
                 os._exit(status)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_splits_a_kernel_on_a_new_pool(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        X = np.random.default_rng(8).normal(size=(40, 3))
+        sigmas = np.std(X, axis=0, ddof=1)
+        monkeypatch.setattr(rows, "PARALLEL_WORK", SERIAL)
+        serial = approx.similarity_matrix(X, sigmas)
+        monkeypatch.setattr(rows, "PARALLEL_WORK", 0)
+        assert _same_bits(approx.similarity_matrix(X, sigmas), serial)
+        inherited = rows._pool
+        assert inherited is not None
+        with warnings.catch_warnings():
+            # forking a process that runs threads is what this test is about
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # child: exit 0 only if it split on a pool of its own
+            status = 1
+            try:
+                signal.alarm(60)  # a child that hangs is killed, and the parent sees it
+                split = approx.similarity_matrix(X, sigmas)
+                rebuilt = rows._pool is not None and rows._pool is not inherited
+                status = 0 if rebuilt and _same_bits(split, serial) else 2
+            finally:
+                os._exit(status)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_the_cpu_count_stands_in_where_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert rows._cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert rows._cpus() == 1
+
+    def test_no_current_cpu_where_proc_cannot_be_read(self, monkeypatch):
+        def unreadable(path, *args):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(rows, "open", unreadable, raising=False)
+        assert rows._current_cpu() is None
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
     def test_a_helper_on_the_callers_cpu_steps_off_and_keeps_every_cpu(self, monkeypatch):
