@@ -4,9 +4,13 @@
     python scripts/compare.py <rev> [--pairs N] [--out FILE]
 
 ``<rev>`` is extracted with ``git archive`` into a temporary directory (no
-worktree, nothing written into ``.git``); the change side is the checkout
-this script lives in, uncommitted edits included. ``perfbench/run.py`` is
-treated as a black box: each side runs its own copy from its own root.
+worktree, nothing written into ``.git``). The change side is the working tree
+of the checkout this script lives in, copied into a second temporary
+directory: the files ``git ls-files --cached --others --exclude-standard``
+lists, uncommitted edits and untracked files included, ignored ones such as
+``perfbench/out/`` left out. So both sides run from fresh trees.
+``perfbench/run.py`` is treated as a black box: each side runs its own copy
+from its own root.
 
 The workloads are those ``BENCHMARK.json`` lists.
 
@@ -46,6 +50,7 @@ import math
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -200,6 +205,22 @@ def extract(rev, directory):
     return tree
 
 
+def copy_worktree(directory):
+    """The working tree's files under ``directory``: those git tracks, as
+    edited, and the untracked ones it does not ignore. A tracked file deleted
+    in the working tree is left out."""
+    tree = os.path.join(directory, "tree")
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.split("\0")):
+        source = os.path.join(ROOT, name)
+        if not os.path.isfile(source):
+            continue
+        target = os.path.join(tree, name)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(source, target)
+    return tree
+
+
 def _env(tree):
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -310,11 +331,12 @@ def main(argv=None):
     workloads = [w["name"] for w in benchmark["workloads"]]
     rev = git("rev-parse", "--verify", f"{args.rev}^{{commit}}")
     head = git("rev-parse", "HEAD")
-    edited = git("status", "--porcelain", "--untracked-files=no")
+    edited = git("status", "--porcelain")
     report = {"parent": rev, "change": head + (" with uncommitted edits" if edited else ""),
               "host": host(), "hashes": [], "runs": []}
-    with tempfile.TemporaryDirectory(prefix="compare-parent-") as scratch:
-        trees = {"parent": extract(rev, scratch), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="compare-parent-") as scratch, \
+            tempfile.TemporaryDirectory(prefix="compare-change-") as change:
+        trees = {"parent": extract(rev, scratch), "change": copy_worktree(change)}
         unequal = 0
         for workload in workloads:
             for seed in HASH_SEEDS:

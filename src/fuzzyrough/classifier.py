@@ -43,12 +43,12 @@ sorted once by ``choquet.sort_rows`` (equal values keep their training
 order), and all strategies read the same sorted rows: min and avg directly,
 the OWAs and the Choquet integrals of fr, wowa and ts through the kernels
 behind ``owa_values`` and ``choquet_integral``; mino, avgo and owao share
-one extraction of each row's unlabelled elements. A fitted model builds one
-quantifier and one OWA weight vector per quantifier setting and length.
-Every row's result ignores the other rows, so the block size never changes
-a bit of it, and no rows x train array is ever whole. Comb's leave-one-out
-is the same computation on blocks of training rows with each row's own
-element deleted.
+one extraction of each row's unlabelled elements. A process builds one
+quantifier per setting and one read-only OWA weight vector per setting and
+length, which every model shares. Every row's result ignores the other rows,
+so the block size never changes a bit of it, and no rows x train array is
+ever whole. Comb's leave-one-out is the same computation on blocks of
+training rows with each row's own element deleted.
 
 Test rows are checked and scored by one entry, ``resolve_and_score``:
 ``membership_matrix``, ``predict_batch``, ``predict``,
@@ -69,6 +69,7 @@ strategies. A strategy requested twice, or chosen by comb, is scored once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,7 +85,7 @@ from .quantifiers import (
     RIMQuantifier,
     weights_from_quantifier,
 )
-from .sets import DomainError, check_whole_number, one_vector, unit_degrees
+from .sets import DomainError, check_seed, check_whole_number, one_vector, unit_degrees
 
 AGGREGATOR_KINDS = ("min", "mino", "fr", "avg", "avgo", "ts", "owa", "owao", "wowa", "comb")
 BASE_KINDS = AGGREGATOR_KINDS[:-1]
@@ -95,6 +96,21 @@ DISPLAY_NAMES = {
     "ts": "TS", "owa": "OWA", "owao": "OWAo", "wowa": "WOWA", "comb": "COMB",
 }
 BLOCK_ELEMENTS = 1 << 18  # similarities per scored row block (2 MB)
+MEMO_SIZE = 256  # quantifiers, and weight vectors, kept per process; bounds their memory
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _quantifier(setting: tuple) -> RIMQuantifier:
+    """The quantifier of a setting from ``AggregatorSpec._setting``: its class
+    and that class's arguments. Built, and so grid-checked, once per process."""
+    kind, *args = setting
+    return kind(*args)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _owa_weights(setting: tuple, n: int) -> np.ndarray:
+    """The read-only OWA weights of the quantifier of ``setting`` for length n."""
+    return weights_from_quantifier(_quantifier(setting), n).weights
 
 
 @dataclass(frozen=True)
@@ -116,7 +132,7 @@ class AggregatorSpec:
         if self.quantifier not in QUANTIFIER_KINDS:
             raise DomainError("quantifier must be 'additive' or 'quadratic'")
         if self.quantifier == "quadratic":
-            QuadraticQuantifier(self.alpha, self.beta)  # raises on knots outside 0 <= a < b <= 1
+            self.quantifier_for(1)  # the knots' quantifier; raises unless 0 <= a < b <= 1
         if not 0.0 <= self.t <= 1.0:
             raise DomainError("t must lie in [0, 1]")
         if not 0.0 <= self.contamination < 1.0:
@@ -129,10 +145,16 @@ class AggregatorSpec:
     def display_name(self) -> str:
         return DISPLAY_NAMES[self.kind]
 
-    def quantifier_for(self, n: int) -> RIMQuantifier:
+    def _setting(self, n: int) -> tuple:
+        """What the quantifier for n elements depends on: the knots of the
+        quadratic one, the length of the additive one."""
         if self.quantifier == "quadratic":
-            return QuadraticQuantifier(self.alpha, self.beta)
-        return AdditiveQuantifier(n)
+            return (QuadraticQuantifier, self.alpha, self.beta)
+        return (AdditiveQuantifier, n)
+
+    def quantifier_for(self, n: int) -> RIMQuantifier:
+        """The quantifier for n aggregated elements, built once per process."""
+        return _quantifier(self._setting(n))
 
 
 def default_specs() -> list[AggregatorSpec]:
@@ -140,45 +162,14 @@ def default_specs() -> list[AggregatorSpec]:
     return [AggregatorSpec(kind=k) for k in AGGREGATOR_KINDS]
 
 
-class _Quantifiers:
-    """The quantifier of each quantifier setting and length, and its OWA
-    weights, each built on first use and then reused.
-
-    A ``FittedModel`` keeps one for every strategy it scores, so each
-    quantifier validates its grid once per model, not once per row group.
-    The additive quantifier depends on the length; the quadratic one only on
-    its knots.
-    """
-
-    def __init__(self):
-        self._quantifiers: dict = {}
-        self._weights: dict = {}
-
-    @staticmethod
-    def _setting(spec: AggregatorSpec, n: int):
-        return (spec.alpha, spec.beta) if spec.quantifier == "quadratic" else n
-
-    def quantifier(self, spec: AggregatorSpec, n: int) -> RIMQuantifier:
-        key = self._setting(spec, n)
-        if key not in self._quantifiers:
-            self._quantifiers[key] = spec.quantifier_for(n)
-        return self._quantifiers[key]
-
-    def weights(self, spec: AggregatorSpec, n: int) -> np.ndarray:
-        key = (self._setting(spec, n), n)
-        if key not in self._weights:
-            self._weights[key] = weights_from_quantifier(self.quantifier(spec, n), n).weights
-        return self._weights[key]
-
-
-def _plain(kind: str, spec: AggregatorSpec, values: np.ndarray, asc: np.ndarray,
-           quantifiers: _Quantifiers) -> np.ndarray:
+def _plain(kind: str, spec: AggregatorSpec, values: np.ndarray, asc: np.ndarray) -> np.ndarray:
     """min, avg or owa of each row; ``asc`` holds the same rows sorted ascending."""
     if kind == "min":
         return asc[:, 0]
     if kind == "avg":
         return values.mean(axis=1)
-    return _owa_sorted(asc, quantifiers.weights(spec, asc.shape[1]))
+    n = asc.shape[1]
+    return _owa_sorted(asc, _owa_weights(spec._setting(n), n))
 
 
 def _unlabelled(values, order, asc, labels) -> list:
@@ -203,21 +194,19 @@ def _unlabelled(values, order, asc, labels) -> list:
     return groups
 
 
-def _measure(spec: AggregatorSpec, o: np.ndarray, n: int, quantifiers: _Quantifiers):
+def _measure(spec: AggregatorSpec, o: np.ndarray, n: int):
     """The measure of fr, wowa or ts on n elements with outlier degrees o."""
     if spec.kind == "fr":
         return FuzzyRemovalMeasure(o, spec.tnorm)
     if spec.kind == "wowa":
-        return WowaMeasure(quantifiers.quantifier(spec, n), o)
+        return WowaMeasure(spec.quantifier_for(n), o)
     if spec.kind == "ts":
-        return OrderedTwoSymmetricMeasure(quantifiers.quantifier(spec, n), o, spec.t,
-                                          spec.contamination)
+        return OrderedTwoSymmetricMeasure(spec.quantifier_for(n), o, spec.t, spec.contamination)
     raise DomainError("comb must be resolved to a concrete strategy before aggregation")
 
 
 def _aggregate_rows(values: np.ndarray, o: np.ndarray | None, labels: np.ndarray | None,
-                    specs: list[AggregatorSpec],
-                    quantifiers: _Quantifiers | None = None) -> np.ndarray:
+                    specs: list[AggregatorSpec]) -> np.ndarray:
     """Every row of ``values`` aggregated under every spec: (len(specs), rows).
 
     ``o`` and ``labels`` hold the aggregated elements' outlier degrees and
@@ -229,19 +218,18 @@ def _aggregate_rows(values: np.ndarray, o: np.ndarray | None, labels: np.ndarray
     # means run along contiguous rows, so each equals its one-row mean bit for bit
     values = np.ascontiguousarray(values)
     order, asc = sort_rows(values)
-    quantifiers = quantifiers or _Quantifiers()
     out = np.empty((len(specs), values.shape[0]))
     unlabelled = None
     for i, spec in enumerate(specs):
         if spec.kind in PLAIN_KINDS:
-            out[i] = _plain(spec.kind, spec, values, asc, quantifiers)
+            out[i] = _plain(spec.kind, spec, values, asc)
         elif spec.kind in ("mino", "avgo", "owao"):
             if unlabelled is None:
                 unlabelled = _unlabelled(values, order, asc, labels)
             for rows, kept, kept_asc in unlabelled:
-                out[i, rows] = _plain(spec.kind[:-1], spec, kept, kept_asc, quantifiers)
+                out[i, rows] = _plain(spec.kind[:-1], spec, kept, kept_asc)
         else:
-            mu = _measure(spec, o, values.shape[1], quantifiers)
+            mu = _measure(spec, o, values.shape[1])
             out[i] = _choquet_sorted(asc, mu.chain_values(order))
     return out
 
@@ -327,7 +315,7 @@ def _block_memberships(model: "FittedModel", S: np.ndarray, specs: list[Aggregat
             cols = np.flatnonzero(~model.class_masks[label])
             for rows, values, o, labels in _row_groups(S, cols, scores, loo_start):
                 out[np.ix_(indices, rows, [ci])] = _aggregate_rows(
-                    values, o, labels, group, model.quantifiers)[..., None]
+                    values, o, labels, group)[..., None]
     return out
 
 
@@ -353,13 +341,12 @@ def _streamed_memberships(model: "FittedModel", X: np.ndarray, specs: list[Aggre
 class FittedModel:
     """A training fold prepared for scoring, and the strategy fitted on it.
 
-    Scales, class masks, the outlier scores of each (lof_k, contamination)
-    setting and the quantifier of each quantifier setting and length are
-    computed once and shared by every strategy scored on the fold; outlier
-    scores are computed on first use by a strategy that reads them.
-    Similarities are not kept: scoring and comb's leave-one-out compute them
-    block by block. ``resolved`` is the strategy predictions use: the one
-    requested, or for comb its choice.
+    Scales, class masks and the outlier scores of each (lof_k, contamination)
+    setting are computed once and shared by every strategy scored on the
+    fold; outlier scores are computed on first use by a strategy that reads
+    them. Similarities are not kept: scoring and comb's leave-one-out compute
+    them block by block. ``resolved`` is the strategy predictions use: the
+    one requested, or for comb its choice.
     """
 
     def __init__(self, train: DecisionSystem, spec: AggregatorSpec = AggregatorSpec(),
@@ -368,7 +355,6 @@ class FittedModel:
             raise DomainError("training data must contain at least two classes")
         self.train = train
         self.sigmas = attribute_scales(train)
-        self.quantifiers = _Quantifiers()
         self.classes = train.classes
         self.class_masks = {c: train.y == c for c in self.classes}
         self._scores: dict = {}
@@ -411,6 +397,7 @@ def _choose(model: FittedModel, groups: list[list[AggregatorSpec]], seed: int,
     """
     from .evaluation import balanced_accuracies
 
+    check_seed(seed)
     if not groups:
         return [], {}
     if min(int(m.sum()) for m in model.class_masks.values()) < 2:

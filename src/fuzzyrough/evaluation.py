@@ -12,7 +12,7 @@ import numpy as np
 
 from .classifier import BASE_KINDS, DISPLAY_NAMES, AggregatorSpec, FittedModel, resolve_and_score
 from .data import DataFormatError, DecisionSystem
-from .sets import DomainError, check_whole_number, one_vector
+from .sets import DomainError, check_seed, check_whole_number, one_vector
 
 EXACT_WILCOXON_LIMIT = 25  # exact null distribution up to here, normal beyond
 
@@ -46,6 +46,7 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     folds are empty, which the protocol rejects (``_check_folds``).
     """
     _check_fold_count(k)
+    check_seed(seed)
     labels = _label_vector(labels)
     n = labels.size
     if k > n:
@@ -298,12 +299,13 @@ def run_benchmark(datasets, specs: list[AggregatorSpec], k: int = 5,
     k that would leave a fold empty, or a class too small for comb's
     leave-one-out, fails before the first fold);
     any other exception is a bug and propagates. Dataset names key the
-    reports, so a repeated name raises DomainError, and so does k < 2, which
-    no dataset could be split by.
+    reports, so a repeated name raises DomainError, and so do k < 2, which
+    no dataset could be split by, and a seed that is not a whole number >= 0.
     """
     dataset_names = tuple(name for name, _ in datasets)
     _reject_repeats(dataset_names, "dataset name")
     _check_fold_count(k)
+    check_seed(seed)
     spec_names = tuple(s.display_name for s in specs)
     acc = np.full((len(datasets), len(specs)), np.nan)
     usage_counts: dict = {}

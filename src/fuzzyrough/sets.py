@@ -42,6 +42,14 @@ def check_whole_number(value, name: str) -> None:
         raise DomainError(f"{name} must be a whole number, got {value!r}")
 
 
+def check_seed(seed) -> None:
+    """DomainError unless ``seed`` is a whole number >= 0, as numpy's
+    generators take."""
+    check_whole_number(seed, "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+
+
 def value_rows(a, what: str) -> np.ndarray:
     """``a`` as a float vector or 2-D array of rows; a scalar is a one-element vector."""
     a = np.atleast_1d(np.asarray(a, dtype=float))

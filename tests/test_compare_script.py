@@ -1,8 +1,8 @@
 """The summary, table and verdicts of ``scripts/compare.py`` on synthetic
 records, its reading of perfbench's run records from synthetic files, its
-tier-1 run with ``subprocess.run`` replaced, and the loops of its ``main``
-with git, extraction and the runs replaced by fakes; no test here starts a
-process."""
+tier-1 run and its copy of the working tree with ``subprocess.run``
+replaced, and the loops of its ``main`` with git, extraction, the copy and
+the runs replaced by fakes; no test here starts a process."""
 
 import json
 import os
@@ -173,17 +173,21 @@ WORKLOADS = [f"w{i}" for i in range(5)]
 
 def _fake_trees(monkeypatch, tmp_path, bench_result):
     """Run ``compare.main`` against fakes: a BENCHMARK.json listing five
-    workloads, no git, no extraction and no subprocess. Returns the calls
-    made to ``output_hashes``, ``bench_run`` and ``tier1``, and the fake
-    parent tree."""
+    workloads, no git, no extraction, no copy and no subprocess. Returns the
+    calls made to ``output_hashes``, ``bench_run`` and ``tier1``, and the
+    fake parent and change trees."""
     benchmark = {"run_seconds": 3, "end_to_end": END_TO_END,
                  "workloads": [{"name": name, "why": ""} for name in WORKLOADS]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
-    calls = {"hashes": [], "runs": [], "parent": [], "tier1": []}
+    calls = {"hashes": [], "runs": [], "parent": [], "change": [], "tier1": []}
 
     def extract(rev, directory):
         calls["parent"].append(os.path.join(directory, "tree"))
         return calls["parent"][-1]
+
+    def copy_worktree(directory):
+        calls["change"].append(os.path.join(directory, "tree"))
+        return calls["change"][-1]
 
     def output_hashes(tree, workload, seed):
         calls["hashes"].append((tree, workload, seed))
@@ -202,6 +206,7 @@ def _fake_trees(monkeypatch, tmp_path, bench_result):
     monkeypatch.setattr(compare, "git", lambda *args: "" if args[0] == "status" else "f00")
     monkeypatch.setattr(compare, "host", lambda: {"nproc": 1})
     monkeypatch.setattr(compare, "extract", extract)
+    monkeypatch.setattr(compare, "copy_worktree", copy_worktree)
     monkeypatch.setattr(compare, "output_hashes", output_hashes)
     monkeypatch.setattr(compare, "bench_run", bench_run)
     monkeypatch.setattr(compare, "tier1", tier1)
@@ -217,8 +222,9 @@ def test_main_hashes_and_pairs_every_listed_workload(monkeypatch, tmp_path, caps
     calls = _fake_trees(monkeypatch, tmp_path, _passed)
     out = tmp_path / "report.json"
     assert compare.main(["f00", "--pairs", "3", "--out", str(out)]) == 0
-    (parent,) = calls["parent"]
-    change = str(tmp_path)
+    (parent,), (change,) = calls["parent"], calls["change"]
+    # both sides run from fresh trees, neither from the checkout
+    assert str(tmp_path) not in (parent, change) and parent != change
     assert calls["hashes"] == [(tree, workload, seed) for workload in WORKLOADS
                                for seed in (0, 11) for tree in (parent, change)]
     # each seed runs both sides back to back, the first side alternating
@@ -270,11 +276,11 @@ def test_tier1_runs_the_verify_command_in_the_tree(monkeypatch, tmp_path, last, 
 
 def test_main_reports_a_workload_whose_change_runs_all_failed(monkeypatch, tmp_path, capsys):
     def result(tree, workload):
-        if workload == "w3" and tree == str(tmp_path):
+        if workload == "w3" and tree == calls["change"][0]:
             return {"exit_code": 1, "wall_s": 1.0, "steal_share": None}
         return _passed(tree, workload)
 
-    _fake_trees(monkeypatch, tmp_path, result)
+    calls = _fake_trees(monkeypatch, tmp_path, result)
     out = tmp_path / "report.json"
     assert compare.main(["f00", "--pairs", "2", "--out", str(out)]) == 1
     report = json.loads(out.read_text())
@@ -285,3 +291,32 @@ def test_main_reports_a_workload_whose_change_runs_all_failed(monkeypatch, tmp_p
     printed = capsys.readouterr().out
     assert "2 of 20 runs failed" in printed
     assert "| w3 | - | unpaired: 2 parent and 0 change runs passed" in printed
+
+
+def test_copy_worktree_takes_what_git_lists_as_it_is_on_disk(monkeypatch, tmp_path):
+    checkout, copies = tmp_path / "checkout", tmp_path / "copies"
+    files = {"src/pkg/mod.py": "edited, not committed\n", "src/pkg/new.py": "untracked\n",
+             "README.md": "tracked\n", "perfbench/out/record.json": "ignored\n"}
+    for name, text in files.items():
+        (checkout / name).parent.mkdir(parents=True, exist_ok=True)
+        (checkout / name).write_text(text)
+    runs = []
+
+    def run(command, **kwargs):
+        runs.append((command, kwargs))
+        # git lists tracked and untracked files, not ignored ones; gone.py is
+        # tracked but deleted in the working tree
+        listing = "\0".join(["README.md", "gone.py", "src/pkg/mod.py", "src/pkg/new.py"]) + "\0"
+        return subprocess.CompletedProcess(command, 0, stdout=listing)
+
+    monkeypatch.setattr(subprocess, "run", run)
+    monkeypatch.setattr(compare, "ROOT", str(checkout))
+    tree = compare.copy_worktree(str(copies))
+    ((command, kwargs),) = runs
+    assert command == ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"]
+    assert kwargs["cwd"] == str(checkout)
+    assert tree == str(copies / "tree")
+    copied = sorted(str(p.relative_to(tree)) for p in (copies / "tree").rglob("*") if p.is_file())
+    assert copied == ["README.md", "src/pkg/mod.py", "src/pkg/new.py"]
+    for name in copied:
+        assert (copies / "tree" / name).read_text() == files[name]

@@ -3,10 +3,10 @@
 The protocol scores a fold once for all strategies: comb's leave-one-out
 rows and the held-out rows in one ``_streamed_memberships`` pass (when all
 nine candidates are requested beside comb, as the protocol does), each
-distinct strategy once, one quantifier per setting and length, products as
-one stacked matmul and every strategy's balanced accuracy from one call.
-Each piece is checked here against the per-call code it replaced, by bit
-pattern where it computes floats.
+distinct strategy once, one quantifier per setting and length in a process,
+products as one stacked matmul and every strategy's balanced accuracy from
+one call. Each piece is checked here against the per-call code it replaced,
+by bit pattern where it computes floats.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from fuzzyrough.evaluation import (
     run_benchmark,
     stratified_kfold,
 )
+from fuzzyrough.quantifiers import QuadraticQuantifier, RIMQuantifier, weights_from_quantifier
 from fuzzyrough.sets import DomainError
 from tests.test_batched import _test_rows, decision_systems, specs
 
@@ -306,19 +307,52 @@ class TestOnePassPerFold:
         assert passes[1][0] == list(dict.fromkeys([choice] + spec_list[1:]))
 
     def test_one_quantifier_per_setting_and_length(self, monkeypatch):
-        built = Counter()
-        original = AggregatorSpec.quantifier_for
+        """Quantifiers and OWA weights are built once per process: over two
+        folds of additive and quadratic specs each setting's quantifier, and
+        its weights for each length, are built once, and the weights are one
+        read-only array every fold shares."""
+        built, weighed, arrays = Counter(), Counter(), []
+        validate = RIMQuantifier.__init__
 
-        def counting(spec, n):
-            built[(spec.alpha, spec.beta) if spec.quantifier == "quadratic" else n] += 1
-            return original(spec, n)
+        def knots_or_length(q):
+            return (q.alpha, q.beta) if isinstance(q, QuadraticQuantifier) else q.n
 
-        monkeypatch.setattr(AggregatorSpec, "quantifier_for", counting)
+        def counting_init(q):
+            validate(q)
+            built[knots_or_length(q)] += 1
+
+        def counting_weights(q, n):
+            weighed[(knots_or_length(q), n)] += 1
+            w = weights_from_quantifier(q, n)
+            arrays.append(w.weights)
+            return w
+
+        classifier._quantifier.cache_clear()
+        classifier._owa_weights.cache_clear()
+        monkeypatch.setattr(RIMQuantifier, "__init__", counting_init)
+        monkeypatch.setattr(classifier, "weights_from_quantifier", counting_weights)
         ds, plan = _protocol_fold()
-        quadratic = [replace(spec, quantifier="quadratic") for spec in default_specs()]
-        _evaluate_fold(ds, plan, 0, default_specs() + quadratic, 7)
-        assert built and max(built.values()) == 1
-        assert built[(0.3, 0.9)] == 1
+        spec_list = default_specs() + [replace(spec, quantifier="quadratic")
+                                       for spec in default_specs()]
+        needed, setting = [], AggregatorSpec._setting
+
+        def recording(spec, n):
+            needed[-1].add(setting(spec, n))
+            return setting(spec, n)
+
+        monkeypatch.setattr(AggregatorSpec, "_setting", recording)
+        for fold in (0, 1):
+            needed.append(set())
+            _evaluate_fold(ds, plan, fold, spec_list, 7)
+        assert needed[0] & needed[1]  # settings both folds use
+        assert built[(0.3, 0.9)] == 1 and max(built.values()) == 1
+        assert len(built) == classifier._quantifier.cache_info().misses
+        assert weighed and max(weighed.values()) == 1
+        assert len(weighed) == classifier._owa_weights.cache_info().misses
+        assert arrays and not any(w.flags.writeable for w in arrays)
+        n = min(n for knots, n in weighed if knots == (0.3, 0.9))
+        shared = classifier._owa_weights(setting(spec_list[-1], n), n)
+        assert any(w is shared for w in arrays)  # later lookups get the array built
 
 
 def _gaussian_fold(seed):

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import fuzzyrough as fr
-from fuzzyrough import approx, classifier, connectives, measures, outliers, quantifiers
+from fuzzyrough import (approx, classifier, connectives, evaluation, measures, outliers,
+                        quantifiers)
 
 U = fr.Universe.of_size(3)
 Q = fr.QuadraticQuantifier(0.3, 0.9)
@@ -60,6 +61,22 @@ CHECKS = {
     "AggregatorSpec lof_k": (lambda: fr.AggregatorSpec(lof_k=0), "lof_k must be at least 1"),
     "comb_select no candidates": (lambda: fr.comb_select(DS, [], 0),
                                   "need at least one candidate spec"),
+    # a seed is a whole number >= 0 at every entry that takes one
+    "comb_select seed": (
+        lambda: fr.comb_select(DS, [fr.AggregatorSpec(kind="min"), fr.AggregatorSpec()], True),
+        "seed must be a whole number, got True"),
+    "resolve_and_score seed": (
+        lambda: classifier.resolve_and_score(fr.FittedModel(DS), [fr.AggregatorSpec(kind="comb")],
+                                             DS.X, -1),
+        "seed must be nonnegative, got -1"),
+    "crossval_accuracies seed": (
+        lambda: evaluation.crossval_accuracies(DS, fr.AggregatorSpec(kind="min"), 2, 2.5),
+        "seed must be a whole number, got 2.5"),
+    "run_benchmark seed": (
+        lambda: fr.run_benchmark([("d", DS)], [fr.AggregatorSpec(kind="min")], 2, -1),
+        "seed must be nonnegative, got -1"),
+    "stratified_kfold seed": (lambda: fr.stratified_kfold(DS.y, 2, np.int64(-3)),
+                              "seed must be nonnegative, got -3"),
     "SimilarityRelation shape": (lambda: fr.SimilarityRelation(U, np.eye(2)),
                                  "similarity matrix shape must match the universe"),
     "SimilarityRelation diagonal": (lambda: fr.SimilarityRelation(U, np.full((3, 3), 0.5)),
