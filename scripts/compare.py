@@ -297,7 +297,8 @@ def tier1(tree):
 def host():
     """The machine and library versions the runs measured. The CPU model comes
     from /proc/cpuinfo; ``platform.processor()``, which may start a process,
-    is asked only where that names none."""
+    is asked only where that names none. scipy is no dependency of the
+    package; without it the record names its version None."""
     model = None
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -306,12 +307,15 @@ def host():
     except OSError:
         pass
     import numpy
-    import scipy
+    try:
+        import scipy
+    except ImportError:
+        scipy = None
     blas = numpy.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"nproc": os.cpu_count(), "cpu": model or platform.processor(),
             "python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
-            "machine": platform.machine()}
+            "scipy": scipy.__version__ if scipy else None,
+            "blas": f"{blas.get('name')} {blas.get('version')}", "machine": platform.machine()}
 
 
 def git(*args):

@@ -17,7 +17,7 @@ candidates include them) consume per-class normalized outlier scores, and
 their measures live on the universe each row actually aggregates. Only they
 trigger per-class LOF: a fitted model computes the scores of a (lof_k,
 contamination) setting the first time a strategy that reads them is scored,
-so min, avg and owa alone never run LOF or load ``scipy.special``.
+so min, avg and owa alone never run LOF.
 
 Every base strategy is the Choquet integral of a row against one measure on
 its n aggregated elements, k of them without a crisp outlier label, so the
@@ -346,11 +346,13 @@ class FittedModel:
     fold; outlier scores are computed on first use by a strategy that reads
     them. Similarities are not kept: scoring and comb's leave-one-out compute
     them block by block. ``resolved`` is the strategy predictions use: the
-    one requested, or for comb its choice.
+    one requested, or for comb its choice. The seed, which only comb's
+    tie-break reads, must be a whole number >= 0 whatever the strategy.
     """
 
     def __init__(self, train: DecisionSystem, spec: AggregatorSpec = AggregatorSpec(),
                  seed: int = 0):
+        check_seed(seed)
         if len(train.classes) < 2:
             raise DomainError("training data must contain at least two classes")
         self.train = train

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._special import ndtr
 from .classifier import BASE_KINDS, DISPLAY_NAMES, AggregatorSpec, FittedModel, resolve_and_score
 from .data import DataFormatError, DecisionSystem
 from .sets import DomainError, check_seed, check_whole_number, one_vector
@@ -146,18 +147,16 @@ def _mid_ranks(x: np.ndarray) -> np.ndarray:
 def _normal_p_value(ranks: np.ndarray, w_pos: float) -> float:
     """Normal approximation with tie correction and continuity correction.
 
-    ``scipy.special`` is imported here, at first use: only a test with more
-    than 25 nonzero differences loads it.
+    ``ndtr`` is ``_special.ndtr``, which gives the bits of
+    ``scipy.special.ndtr``.
     """
-    from scipy.special import ndtr
-
     m = ranks.size
     mean = m * (m + 1) / 4.0
     _, counts = np.unique(ranks, return_counts=True)
     tie_term = float(np.sum(counts.astype(float) ** 3 - counts)) / 48.0
     var = m * (m + 1) * (2 * m + 1) / 24.0 - tie_term
     z = max(abs(w_pos - mean) - 0.5, 0.0) / math.sqrt(var)
-    return min(1.0, 2.0 * float(ndtr(-z)))  # ndtr(-z) is the upper normal tail
+    return min(1.0, 2.0 * ndtr(-z))  # ndtr(-z) is the upper normal tail
 
 
 def wilcoxon_signed_rank(a, b) -> WilcoxonResult:

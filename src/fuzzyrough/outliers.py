@@ -11,8 +11,8 @@ copies, so a block of rows is rejected rather than flattened.
 
 The classifier runs this module only for the strategies that read outlier
 degrees or labels: mino, avgo, owao, fr, wowa, ts, and comb through its
-candidates. min, avg and owa never call it, and ``scipy.special`` (for
-``erf``) is imported by ``normalize_scores`` at first use.
+candidates. min, avg and owa never call it. ``erf`` comes from
+``_special``, a numpy port of the Cephes routine with scipy's bits.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._special import erf
 from .data import DecisionSystem
 from .rows import over_row_ranges
 from .sets import DomainError, check_whole_number, frozen_copy, one_vector, unit_degrees
@@ -121,11 +122,9 @@ def normalize_scores(raw: np.ndarray) -> np.ndarray:
 
     normalized(s) = max(0, erf((s - mean) / (std * sqrt(2)))), so scores at or
     below the mean map to 0 and the transform preserves the score ordering.
-    A constant score vector maps to all zeros. ``scipy.special`` is imported
-    here, at first use, so a process that normalizes no scores never loads it.
+    A constant score vector maps to all zeros. ``erf`` is ``_special.erf``,
+    which gives the bits of ``scipy.special.erf``.
     """
-    from scipy.special import erf
-
     raw = one_vector(raw, "raw scores must form one vector")
     if raw.size == 0:
         raise DomainError("cannot normalize an empty score vector")

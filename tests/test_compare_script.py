@@ -7,6 +7,7 @@ the runs replaced by fakes; no test here starts a process."""
 import json
 import os
 import subprocess
+import sys
 import types
 
 import pytest
@@ -147,6 +148,13 @@ def test_host_names_the_scipy_and_blas_versions():
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert info["scipy"] == scipy.__version__
     assert info["blas"] == f"{blas['name']} {blas['version']}"
+
+
+def test_host_names_no_scipy_version_without_scipy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy", None)  # import scipy raises ImportError
+    info = compare.host()
+    assert info["scipy"] is None
+    assert info["numpy"]
 
 
 def test_a_workload_without_pairs_is_listed_unpaired():

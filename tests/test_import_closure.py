@@ -1,17 +1,17 @@
-"""Outlier machinery is loaded and run only on demand, and nothing starts a thread.
+"""Outlier machinery is run only on demand, no step loads scipy, and nothing starts a thread.
 
-``import fuzzyrough`` and its CLI module load no ``scipy`` module at all:
-``scipy.special`` (``erf`` for normalised outlier degrees, ``ndtr`` for the
-Wilcoxon normal approximation) is imported by the function that needs it,
-at first use, and it is most of the import's time and memory. A library
-approximation and ``classify --aggregator owa`` load no scipy either, since
-min, avg and owa read no outlier degree and so run no LOF; ``lof-scores``
-does load ``scipy.special``. With ``outliers.lof_scores`` made to raise,
-min, avg and owa still score every row as before. A thread started at
-import, or by a small library call, would cost every process its start-up
-time and memory. The checks of what is loaded run in a fresh interpreter,
-since this test process holds scipy already (tests use it as an oracle) and
-runs other threads.
+scipy is no dependency of the package: ``erf`` (normalised outlier degrees)
+and ``ndtr`` (the Wilcoxon normal approximation) come from
+``fuzzyrough._special``, a numpy port of Cephes with scipy's bits. So
+``import fuzzyrough``, its CLI module, a library approximation,
+``classify --aggregator owa`` and ``lof-scores``, which normalises outlier
+degrees, load no scipy module: ``scipy.special`` would be most of a
+process's start-up time and memory. min, avg and owa read no outlier degree
+and so run no LOF: with ``outliers.lof_scores`` made to raise, they still
+score every row as before. A thread started at import, or by a small library
+call, would cost every process its start-up time and memory. The checks of
+what is loaded run in a fresh interpreter, since this test process holds
+scipy already (tests use it as an oracle) and runs other threads.
 """
 
 import json
@@ -96,7 +96,7 @@ def _write_csvs(directory):
         (directory / name).write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("step", ["import", "approx", "classify"])
+@pytest.mark.parametrize("step", ["import", "approx", "classify", "lof-scores"])
 def test_loads_no_scipy(step, tmp_path):
     _write_csvs(tmp_path)
     found = _probe(step, tmp_path)
@@ -104,11 +104,6 @@ def test_loads_no_scipy(step, tmp_path):
     assert found["loaded"] == [], (
         f"{step} loaded {len(found['loaded'])} scipy modules; "
         f"{first} was imported at {found['pulled'].get(first)}")
-
-
-def test_lof_scores_loads_scipy_special(tmp_path):
-    _write_csvs(tmp_path)
-    assert "scipy.special" in _probe("lof-scores", tmp_path)["loaded"]
 
 
 def test_import_and_a_library_call_start_no_thread():

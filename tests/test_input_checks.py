@@ -69,6 +69,10 @@ CHECKS = {
         lambda: classifier.resolve_and_score(fr.FittedModel(DS), [fr.AggregatorSpec(kind="comb")],
                                              DS.X, -1),
         "seed must be nonnegative, got -1"),
+    "fit seed": (lambda: classifier.fit(DS, fr.AggregatorSpec(kind="min"), -1),
+                 "seed must be nonnegative, got -1"),
+    "FittedModel seed": (lambda: fr.FittedModel(DS, fr.AggregatorSpec(kind="avg"), 2.5),
+                         "seed must be a whole number, got 2.5"),
     "crossval_accuracies seed": (
         lambda: evaluation.crossval_accuracies(DS, fr.AggregatorSpec(kind="min"), 2, 2.5),
         "seed must be a whole number, got 2.5"),
