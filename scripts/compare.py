@@ -42,6 +42,14 @@ in ten pairs and the gap between medians exceeds the parent's IQR; the
 verdict column says ``gain`` then, and ``-`` otherwise. A workload with no
 pair of passed runs is listed as unpaired, with no statistics; any failed
 run makes the exit status 1.
+
+A second table, printed before it, pairs the runs seed by seed: per
+workload and metric, the median of the per-pair ratios (change over
+parent) and the two-sided p-value of the package's own
+``evaluation.wilcoxon_signed_rank`` on the per-pair differences, exact up
+to 25 pairs. Host phases move both sides of a pair together, so the pairs
+separate the code from the host better than two unpaired IQRs do. These
+columns are reported, not judged: the claim rule above is unchanged.
 """
 
 import argparse
@@ -59,6 +67,9 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if os.path.join(ROOT, "src") not in sys.path:
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+from fuzzyrough.evaluation import wilcoxon_signed_rank  # noqa: E402
 HASH_SEEDS = (0, 11)
 FIRST_PAIR_SEED = 11
 WIN_SHARE = 0.9  # share of pairs the change must win for a claimed gain
@@ -127,10 +138,14 @@ def summarize(records, end_to_end):
             wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
             worse_by = sign * (cm - pm)  # > 0 when the change's median is worse
             gap, iqr = abs(cm - pm), p3 - p1
+            ratios = [c / p for p, c in zip(parent, change) if p]
+            paired = wilcoxon_signed_rank(change, parent)
             rows.append({
                 "workload": workload, "metric": name, "pairs": len(seeds),
                 "parent": [p1, pm, p3], "change": [c1, cm, c3], "wins": wins,
                 "gap": gap, "parent_iqr": iqr,
+                "pair_ratio": statistics.median(ratios) if ratios else None,
+                "p_value": paired.p_value, "p_method": paired.method,
                 "relative": (cm - pm) / abs(pm) if pm else 0.0,
                 "worse": worse_by > metric["bound"] * abs(pm),
                 "gain": (worse_by < 0 and gap > iqr
@@ -173,6 +188,19 @@ def table(rows, tier1_runs=None):
         lines.append(f"| tier-1 | wall_s | {_tier1_side(parent)} | {_tier1_side(change)} "
                      f"| {(change['wall_s'] - parent['wall_s']) / parent['wall_s']:+.1%} "
                      f"| 1 run each | | - |")
+    return "\n".join(lines)
+
+
+def paired_table(rows):
+    """The per-pair statistics of the summary rows as a Markdown table."""
+    lines = ["| workload | metric | pairs | median pair ratio | Wilcoxon p |",
+             "|---|---|---|---|---|"]
+    for r in rows:
+        if r["pairs"]:
+            ratio = "-" if r["pair_ratio"] is None else f"{r['pair_ratio']:.4f}"
+            method = "" if r["p_method"] == "exact" else f" ({r['p_method']})"
+            lines.append(f"| {r['workload']} | {r['metric']} | {r['pairs']} | {ratio} "
+                         f"| {_num(r['p_value'])}{method} |")
     return "\n".join(lines)
 
 
@@ -368,6 +396,7 @@ def main(argv=None):
     report["failed_runs"] = sum(r["exit_code"] != 0 for r in report["runs"])
     print(f"{len(report['hashes']) - unequal} of {len(report['hashes'])} output files equal")
     print(f"{report['failed_runs']} of {len(report['runs'])} runs failed")
+    print(paired_table(report["summary"]))
     print(table(report["summary"], report["tier1"]))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -9,6 +9,17 @@ label set is fuzzy removal on its 0/1 degrees. Scores and degrees are read
 as one vector (``sets.one_vector``), and ``OutlierScores`` keeps read-only
 copies, so a block of rows is rejected rather than flattened.
 
+The neighbor search keeps the bits of the full distance matrix without
+building it. Classes of fewer than 91 points (n * n below
+FAST_KNN_DISTANCES) compute every distance in row blocks and sort each row
+stably. Larger ones estimate all squared distances of a block of rows from
+a BLAS Gram matrix of the mean-centred points, keep as candidates the
+columns within a rounding margin of each row's k-th estimate, and compute
+only the candidates' distances exactly; the margin bounds the rounding of
+the centring, the Gram matrix and the exact sums, so the chosen neighbors,
+their distances and every score are independent of the BLAS, its threads
+and the row split. Memory grows with block * n + n * k.
+
 The classifier runs this module only for the strategies that read outlier
 degrees or labels: mino, avgo, owao, fr, wowa, ts, and comb through its
 candidates. min, avg and owa never call it. ``erf`` comes from
@@ -28,7 +39,9 @@ from .rows import over_row_ranges
 from .sets import DomainError, check_whole_number, frozen_copy, one_vector, unit_degrees
 
 DISTANCE_FLOOR = 1e-12  # keeps densities finite when points coincide
-FAST_KNN_DISTANCES = 8192  # _nearest calls on fewer distances keep the full stable sort
+FAST_KNN_DISTANCES = 8192  # classes with n * n below this keep the exact blocked search
+GRAM_BLOCK = 1 << 16  # Gram values per row block of the prefilter (512 KB)
+GATHER_ELEMENTS = 1 << 20  # candidate difference elements per exact chunk (8 MB)
 
 
 def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
@@ -37,18 +50,14 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
     LOF(x) is the mean ratio of each neighbor's local reachability density to
     x's own; values near 1 mean x sits in a region as dense as its neighbors'.
     Neighbor ties are broken by index; zero distances are floored so duplicate
-    points score 1 rather than dividing by zero. Distances are computed for
-    one block of rows at a time, and each block keeps only its rows' k
-    nearest neighbors and their distances, so memory grows with
-    block * n + n * k and no n x n matrix is built. The rows are split across
-    CPUs by ``rows.over_row_ranges``: each range fills its rows of the
-    neighbor arrays in blocks cut from its share of the one block buffer,
-    allocated by the calling thread. In blocks of at least
-    FAST_KNN_DISTANCES distances, ``_nearest`` selects the k nearest with a
-    partial sort and sorts a whole row only where its k-th distance is tied;
-    smaller blocks keep the full stable sort, which is faster there. Both
-    give the neighbors of the stable sort, ties broken by index, so no
-    block size or range split moves a bit.
+    points score 1 rather than dividing by zero. The neighbors and their
+    distances are those of the stable argsort of the full distance matrix,
+    bit for bit (``_neighbors``), though no n x n matrix is built: memory
+    grows with block * n + n * k. Classes of 91 or more points rule out far
+    points by a BLAS Gram matrix first, within a margin that bounds its
+    rounding (``_prefiltered``), and compute only the rest exactly, so the
+    scores do not depend on the BLAS. A neighbor distance that overflows to
+    infinity raises DomainError, since no density can be read from it.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -60,10 +69,49 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
     if n < k + 1:
         raise DomainError(f"need at least k+1={k + 1} points, got {n}")
 
-    m = points.shape[1]
+    neighbors, near = _neighbors(points, k)
+    if not np.isfinite(near).all():
+        raise DomainError("LOF neighbor distances overflow to infinity; "
+                          "rescale the attributes")
+    k_dist = np.maximum(near[:, -1], DISTANCE_FLOOR)
+
+    # reach(x, o) = max(k_dist(o), d(x, o)) over x's neighbors o
+    reach = np.maximum(k_dist[neighbors], np.maximum(near, DISTANCE_FLOOR))
+    lrd = 1.0 / np.mean(reach, axis=1)
+    return np.mean(lrd[neighbors], axis=1) / lrd
+
+
+def _neighbors(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's k nearest other points and their distances, nearest
+    first, ties broken by index: the first k columns of the stable argsort
+    of the Euclidean distance matrix, the point itself at distance inf.
+
+    A distance is always the square root of the ``einsum`` sum of squared
+    differences over the m attributes, so the result has the bits of that
+    matrix whichever path finds it. Classes with n * n below
+    FAST_KNN_DISTANCES compute every distance, a block of rows at a time in
+    one buffer of about 2^20 difference elements, and sort each row stably.
+    Larger classes compute exactly only the candidates that a BLAS Gram
+    matrix of the centred points cannot rule out (``_prefiltered``). The
+    rows are split across CPUs by ``rows.over_row_ranges``; each row goes
+    through the same operations whatever its range, and the Gram values
+    only choose candidates, so neither the split nor the BLAS moves a bit.
+    """
+    n, m = points.shape
     neighbors = np.empty((n, k), dtype=np.intp)
-    near = np.empty((n, k))  # distance to each neighbor
-    # blocks of rows hold about 2^20 difference elements (8 MB) in all, in one
+    near = np.empty((n, k))
+    if n * n >= FAST_KNN_DISTANCES:
+        part = _prefiltered(points, k, neighbors, near)
+    else:
+        part = _exact(points, k, neighbors, near)
+    over_row_ranges(part, n, n * n * m)
+    return neighbors, near
+
+
+def _exact(points, k, neighbors, near):
+    """``part(lo, hi)`` filling rows lo..hi-1 from every distance."""
+    n, m = points.shape
+    # blocks of rows hold about 2^20 difference elements in all, in one
     # buffer that the row ranges share out
     block_rows = min(n, max(1, (1 << 20) // max(1, n * m)))
     buffer = np.empty((block_rows, n, m))
@@ -81,40 +129,86 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
             np.sqrt(dist, out=dist)
             own = np.arange(i1 - i0)
             dist[own, own + i0] = np.inf
-            order = _nearest(dist, k)
+            order = np.argsort(dist, axis=1, kind="stable")[:, :k]
             neighbors[i0:i1] = order
             near[i0:i1] = np.take_along_axis(dist, order, axis=1)
 
-    over_row_ranges(part, n, n * n * m)
-    k_dist = np.maximum(near[:, -1], DISTANCE_FLOOR)
-
-    # reach(x, o) = max(k_dist(o), d(x, o)) over x's neighbors o
-    reach = np.maximum(k_dist[neighbors], np.maximum(near, DISTANCE_FLOOR))
-    lrd = 1.0 / np.mean(reach, axis=1)
-    return np.mean(lrd[neighbors], axis=1) / lrd
+    return part
 
 
-def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
-    """``np.argsort(dist, axis=1, kind="stable")[:, :k]``: each row's k
-    smallest entries, nearest first, ties broken by index.
+def _prefiltered(points, k, neighbors, near):
+    """``part(lo, hi)`` filling rows lo..hi-1 from the candidates of a Gram
+    prefilter.
 
-    For blocks of at least FAST_KNN_DISTANCES distances, ``np.argpartition``
-    picks k entries no farther than any other, and only those are sorted by
-    (distance, index). They are the stable k nearest unless the k-th
-    distance also occurs outside them (or is NaN); only such rows are sorted
-    in full. Smaller blocks keep the full stable sort: the selection and its
-    tie check cost more per call than they save on so few distances.
+    For a block of rows i, G[i, j] = sq_i + sq_j - 2 c_i . c_j estimates the
+    squared distance from the centred points c (sq = einsum squared norms of
+    c, the dot products one GEMM). Every column j whose G[i, j] is at most
+    row i's k-th smallest G plus a margin is a candidate; the candidates'
+    exact distances are computed as the full matrix would, and each row
+    keeps its first k by (distance, column).
+
+    The margin. Let u = eps / 2, s = sq_i + sq_j and D[i, j] the computed
+    einsum squared distance of the original points. Centring rounds each
+    c_ik with relative error u, so the exact |c_i - c_j|^2 is within
+    2u * d * (|c_i| + |c_j|) <= 4u * s of the exact squared distance d^2;
+    the einsum D is within (m + 2)u * d^2 <= 2(m + 2)u * s of d^2; and G,
+    whose norms and dot product each sum m products, is within
+    2(m + 2)u * s of |c_i - c_j|^2. So |G - D| <= E = (4m + 12)u * s. The
+    k true nearest have D at most the k-th smallest D, which is at most the
+    k-th smallest G plus E, so their G is at most the k-th smallest G plus
+    2E = 4(m + 3) eps * s <= 4(m + 3) eps * (sq_i + max sq). The margin
+    8(m + 4) eps * (sq_i + max sq) is about twice that, which also covers
+    distances whose square roots tie after rounding. Subnormal products
+    carry an absolute error of up to 2^-1075 each, so the margin adds
+    8(m + 4) of the smallest subnormal. Rows whose Gram values overflow get
+    an infinite or NaN bound and keep every column, and ``~(G > bound)``
+    keeps a NaN entry as a candidate.
+
+    Gram blocks hold at most GRAM_BLOCK values and the gathered candidate
+    differences at most GATHER_ELEMENTS, so an all-duplicates class, where
+    every column is a candidate, stays bounded too. The GEMM runs inside
+    each row range, on the BLAS's own threads.
     """
-    if dist.size < FAST_KNN_DISTANCES:
-        return np.argsort(dist, axis=1, kind="stable")[:, :k]
-    chosen = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
-    by_distance = np.argsort(np.take_along_axis(dist, chosen, axis=1), axis=1, kind="stable")
-    order = np.take_along_axis(chosen, by_distance, axis=1)
-    kth = np.take_along_axis(dist, order[:, -1:], axis=1)
-    redo = np.count_nonzero(dist <= kth, axis=1) != k
-    if redo.any():
-        order[redo] = np.argsort(dist[redo], axis=1, kind="stable")[:, :k]
-    return order
+    n, m = points.shape
+    finfo = np.finfo(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = points - points.mean(axis=0)
+        sq = np.einsum("ij,ij->i", centred, centred)
+        slack = 8 * (m + 4) * (finfo.eps * (sq + sq.max()) + finfo.smallest_subnormal)
+    block_rows = max(1, GRAM_BLOCK // n)
+    chunk = max(1, GATHER_ELEMENTS // m)
+
+    def part(lo, hi):
+        for i0 in range(lo, hi, block_rows):
+            i1 = min(i0 + block_rows, hi)
+            own = np.arange(i1 - i0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = centred[i0:i1] @ centred.T
+                gram *= -2
+                gram += sq[i0:i1, None]
+                gram += sq[None, :]
+                gram[own, own + i0] = np.inf
+                kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
+                candidates = ~(gram > (kth + slack[i0:i1])[:, None])
+            rows, cols = np.nonzero(candidates)
+            rows += i0
+            dist = np.empty(rows.size)
+            for s in range(0, rows.size, chunk):
+                diff = points[rows[s:s + chunk]] - points[cols[s:s + chunk]]
+                np.einsum("ij,ij->i", diff, diff, out=dist[s:s + chunk])
+            np.sqrt(dist, out=dist)
+            dist[rows == cols] = np.inf
+            # np.nonzero lists each row's columns in order and lexsort is
+            # stable, so this orders by (row, distance, column); the rows stay
+            # where np.nonzero put them, and each keeps its first k
+            order = np.lexsort((dist, rows))
+            counts = np.count_nonzero(candidates, axis=1)
+            starts = np.cumsum(counts) - counts
+            pick = order[starts[:, None] + np.arange(k)]
+            neighbors[i0:i1] = cols[pick]
+            near[i0:i1] = dist[pick]
+
+    return part
 
 
 def normalize_scores(raw: np.ndarray) -> np.ndarray:

@@ -110,8 +110,9 @@ def over_row_ranges(part, rows: int, work: int) -> None:
 
     ``work`` estimates the element operations of the whole call, so that one
     threshold stands for about the same serial time in every kernel: a
-    similarity block counts its elements once per attribute, LOF its
-    difference tensor, a sort its values times the bit length of a row
+    similarity block counts its elements once per attribute, LOF the n x n x
+    m differences of the full distance matrix (which its Gram prefilter
+    mostly avoids), a sort its values times the bit length of a row
     (about its comparisons). Calls with less than PARALLEL_WORK work, with
     fewer than two rows or CPUs, or from inside a helper thread (whose nested
     waits could deadlock the pool) run ``part(0, rows)`` on the calling

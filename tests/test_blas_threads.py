@@ -5,7 +5,9 @@ across the threads it started, one per CPU the process may use, so such a
 dot product may change its last bits with the CPU count. ``_dot_rows`` cuts
 a row longer than DOT_CHUNK into chunks, dots each and adds the chunk
 results left to right; rows up to one chunk keep the one dot product of
-``np.dot``.
+``np.dot``. ``lof_scores`` on a large class picks candidates from a BLAS
+Gram matrix, whose bits follow the BLAS, but computes every distance it
+keeps without the BLAS, so its scores must not.
 """
 
 import json
@@ -56,9 +58,12 @@ def test_longer_rows_add_their_chunks_left_to_right(rows, n, two_d, seed):
 
 
 # Pins itself to one CPU before numpy loads when asked, so that OpenBLAS
-# starts one thread, then prints the bits of a 20,000-element integral under
-# a symmetric measure and of an OWA block of 12,000 elements per row.
+# starts one thread and the package splits no rows, then prints the bits of
+# a 20,000-element integral under a symmetric measure and of an OWA block of
+# 12,000 elements per row, and the sha256 of the LOF scores of a 1,500 x 30
+# class.
 PROBE = r"""
+import hashlib
 import json
 import os
 import sys
@@ -75,7 +80,9 @@ values = rng.random(20_000)
 integral = fr.choquet_integral(values, fr.symmetric_from_quantifier(q, values.size))
 block = rng.random((4, 12_000))
 owa = fr.owa(block, fr.weights_from_quantifier(q, block.shape[1]))
-print(json.dumps([float(integral).hex(), [float(v).hex() for v in owa]]))
+lof = fr.lof_scores(rng.normal(size=(1500, 30)), 20)
+print(json.dumps([float(integral).hex(), [float(v).hex() for v in owa],
+                  hashlib.sha256(lof.tobytes()).hexdigest()]))
 """
 
 

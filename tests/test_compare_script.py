@@ -4,6 +4,7 @@ tier-1 run and its copy of the working tree with ``subprocess.run``
 replaced, and the loops of its ``main`` with git, extraction, the copy and
 the runs replaced by fakes; no test here starts a process."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -110,6 +111,35 @@ def test_table_has_one_line_per_row_and_its_verdict():
     assert lines[2] == ("| w | run_s | 1 [0.9825, 1.018] | 0.8 [0.7825, 0.8175] | -20.0% "
                         "| 10/10 | 0.2 vs 0.035 | gain |")
     assert lines[3].endswith("| 0/10 | 0.1 vs 0 | WORSE |")
+
+
+def test_pairs_give_the_median_ratio_and_the_exact_wilcoxon_p():
+    change = [p - 0.2 - 0.01 * i for i, p in enumerate(PARENT)]  # distinct differences
+    change[9] = 1.5  # one pair lost, by the largest difference
+    row = _row(compare.summarize(_records(PARENT, change), END_TO_END), "run_s")
+    ratios = sorted(c / p for p, c in zip(PARENT, change))
+    assert row["pair_ratio"] == (ratios[4] + ratios[5]) / 2
+    # W+ is the lost pair's rank, 10; p counts the sign patterns of ranks
+    # 1..10 whose W+ is that low, and those whose W- is
+    low = sum(sum(r for r, s in zip(range(1, 11), signs) if s) <= 10
+              for signs in itertools.product((0, 1), repeat=10))
+    assert row["p_method"] == "exact" and row["p_value"] == 2 * low / 1024
+    # reported only: nine wins and a gap above the IQR still claim the gain
+    assert row["gain"]
+    equal = _row(compare.summarize(_records(PARENT, PARENT), END_TO_END), "pass_rate")
+    assert equal["pair_ratio"] == 1.0 and equal["p_value"] == 1.0
+
+
+def test_paired_table_has_one_line_per_paired_row():
+    records = _records(PARENT, [p - 0.2 for p in PARENT]) + [
+        {"workload": "v", "seed": 11, "side": "parent", "exit_code": 1}]
+    rows = compare.summarize(records, END_TO_END)
+    lines = compare.paired_table(rows).splitlines()
+    assert lines[0] == "| workload | metric | pairs | median pair ratio | Wilcoxon p |"
+    assert len(lines) == 2 + 2  # the unpaired workload "v" has no line
+    # every pair won: 2 of the 1,024 sign patterns are as extreme
+    assert lines[2] == "| w | run_s | 10 | 0.8000 | 0.001953 |"
+    assert lines[3] == "| w | pass_rate | 10 | 1.0000 | 1 (degenerate) |"
 
 
 def test_steal_share_from_two_readings():

@@ -24,6 +24,10 @@ ELSEWHERE = fr.Universe(("x", "y", "z"))
 DS = fr.DecisionSystem(("a0", "a1"), np.array([[0, 1], [1, 1], [4, 5], [5, 4]], float),
                        np.array(["a", "a", "b", "b"], dtype=object))
 
+FAR = np.random.default_rng(0).normal(size=(40, 3))
+FAR[4, 1] = 1e160
+OVERFLOW = "LOF neighbor distances overflow to infinity; rescale the attributes"
+
 
 def _asymmetric():
     m = np.eye(3)
@@ -164,6 +168,13 @@ CHECKS = {
     "OutlierScores shapes": (lambda: fr.OutlierScores(np.ones(3), np.zeros(2)),
                              "raw and normalized score shapes must match"),
     "per_class_scores k": (lambda: fr.per_class_scores(DS, 0), "k must be at least 1"),
+    # a distance of 1e160 squares to inf: its LOF would be NaN
+    "lof_scores overflow": (lambda: fr.lof_scores(FAR, 5), OVERFLOW),
+    "scored_with_labels overflow": (
+        lambda: outliers.scored_with_labels(
+            fr.DecisionSystem(("a0", "a1", "a2"), FAR, np.array(["a", "b"] * 20, dtype=object)),
+            5, 0.1),
+        OVERFLOW),
     "top_fraction contamination": (lambda: outliers.top_fraction(OK, 1.0),
                                    "contamination must lie in [0, 1)"),
     "WeightVector empty": (lambda: fr.WeightVector(np.zeros(0)),

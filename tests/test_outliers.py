@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fuzzyrough import outliers
+from fuzzyrough import outliers, rows
 from fuzzyrough.data import DecisionSystem
 from fuzzyrough.outliers import (
     DISTANCE_FLOOR,
     FAST_KNN_DISTANCES,
-    _nearest,
+    _neighbors,
     label_outliers,
     lof_scores,
     normalize_scores,
@@ -116,9 +116,8 @@ class TestLofScores:
                 assert np.array_equal(lof_scores(pts, k), full_tensor_lof(pts, k))
 
     def test_partial_neighbor_selection_equals_full_tensor(self):
-        # 160 points on a coarse grid with 20 duplicates: the one block of
-        # distances is large enough for partial selection, and k-th
-        # distances recur
+        # 160 points on a coarse grid with 20 duplicates: the class is large
+        # enough for the Gram prefilter, and k-th distances recur
         assert 160 * 160 >= FAST_KNN_DISTANCES
         rng = np.random.default_rng(47)
         pts = np.round(rng.normal(size=(160, 3)), 1)
@@ -139,8 +138,9 @@ class TestLofScores:
         assert peak < 40 << 20
 
     def test_memory_holds_no_distance_matrix(self):
-        # one 8 MB difference block plus k neighbors per point; the 1200 x
-        # 1200 distance matrix and its argsort would add 23 MB
+        # one Gram block of 2^16 values and its candidates per row range,
+        # plus k neighbors per point; the 1200 x 1200 distance matrix and its
+        # argsort would add 23 MB
         pts = np.random.default_rng(46).normal(size=(1200, 30))
         tracemalloc.start()
         try:
@@ -148,7 +148,7 @@ class TestLofScores:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14 << 20
+        assert peak < 8 << 20
 
     def test_too_few_points_rejected(self):
         with pytest.raises(DomainError):
@@ -157,80 +157,147 @@ class TestLofScores:
             lof_scores(np.zeros((3, 2)), 0)
 
 
-def stable_knn(dist, k):
-    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+def full_neighbors(points, k):
+    """The first k columns of the stable argsort of the whole distance
+    matrix, each point at distance inf from itself, and their distances."""
+    points = np.asarray(points, dtype=float)
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, np.inf)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(dist, order, axis=1)
+
+
+def assert_full_matrix_bits(points, k):
+    """``_neighbors`` and ``lof_scores`` have the bits of the full matrix."""
+    got, near = _neighbors(np.asarray(points, dtype=float), k)
+    want, want_near = full_neighbors(points, k)
+    assert np.array_equal(got, want)
+    assert np.array_equal(near.view(np.int64), want_near.view(np.int64))
+    assert np.array_equal(lof_scores(points, k).view(np.int64),
+                          full_tensor_lof(points, k).view(np.int64))
+    return got
 
 
 @pytest.fixture(params=("stable", "fast"))
 def knn_kernel(request, monkeypatch):
-    """Run a test once with every block on the full stable sort and once
-    with every block on the partial selection and its tie check."""
+    """Run a test once with every class on the exact blocked search and its
+    stable sort, and once with every class on the Gram prefilter."""
     threshold = {"stable": np.iinfo(np.int64).max, "fast": 0}[request.param]
     monkeypatch.setattr(outliers, "FAST_KNN_DISTANCES", threshold)
 
 
 @pytest.mark.usefixtures("knn_kernel")
 class TestNearest:
-    """_nearest gives exactly the first k columns of the stable argsort, with
-    either kernel: the full stable sort, or partial selection with the rows
-    whose k-th distance is tied sorted in full."""
+    """The neighbors lof_scores reads are exactly the first k columns of the
+    stable argsort of the full distance matrix, with their distances' bits,
+    whichever search finds them. NaN and signed-zero distances, which the
+    stable sort orders in its own way, cannot arise from finite points: a
+    sum of squares is never NaN or -0.0."""
 
     @pytest.mark.parametrize("n", (2, 3, 50, 127, 128, 300))
     def test_tie_heavy_grid(self, n):
         rng = np.random.default_rng(n)
-        dist = rng.integers(0, 5, (30, n)).astype(float)
-        dist[::3] = rng.random((10, n))  # every third row without ties
-        dist[np.arange(30), np.arange(30) % n] = np.inf  # each row's own point
-        for k in sorted({1, 2, min(20, n - 1), n - 1}):
-            assert np.array_equal(_nearest(dist, k), stable_knn(dist, k))
+        points = rng.integers(0, 5, (n, 3)).astype(float)  # equal distances abound
+        for k in sorted({1, min(2, n - 1), min(20, n - 1), n - 1}):
+            assert_full_matrix_bits(points, k)
 
     @pytest.mark.parametrize("n", (127, 128, 300))
     def test_mixed_signed_zeros(self, n):
         rng = np.random.default_rng(100 + n)
-        dist = rng.choice([0.0, -0.0, 1.0, 2.0], size=(20, n))
+        points = rng.choice([0.0, -0.0, 1.0, 2.0], size=(n, 2))
         for k in (1, 5, n - 1):
-            assert np.array_equal(_nearest(dist, k), stable_knn(dist, k))
+            assert_full_matrix_bits(points, k)
 
     @pytest.mark.parametrize("n", (127, 128, 300))
     def test_kth_distance_recurs_outside_the_chosen(self, n):
         k = 5
-        dist = np.tile(np.arange(n, dtype=float) + 10.0, (4, 1))
-        dist[:, [n - 20, 20, 90, 3]] = [1.0, 2.0, 3.0, 4.0]
-        # the 5th smallest distance, 5.0, at three points: stable takes index 60
-        dist[0, [n - 10, 60, n - 40]] = 5.0
-        # and at two points, one of them before every chosen index
-        dist[1, [n - 1, 0]] = 5.0
-        # rows 2 and 3: a unique k-th distance; row 3 repeats a farther one
-        dist[3, [n - 30, 50, n - 2]] = 1e3
-        assert np.count_nonzero(dist[0] == 5.0) == 3
-        got = _nearest(dist, k)
-        assert np.array_equal(got, stable_knn(dist, k))
-        assert got[0, -1] == 60 and got[1, -1] == 0
+        x = np.arange(n, dtype=float) + 10.0
+        x[0] = 0.0
+        x[[n - 20, 20, 90, 3]] = [1.0, 2.0, 3.0, 4.0]
+        # point 0's 5th smallest distance, 5.0, at three points: index 60 wins
+        x[[n - 10, 60, n - 40]] = 5.0
+        assert assert_full_matrix_bits(x[:, None], k)[0, -1] == 60
+        # and at a point before every chosen index, which wins instead
+        x[1] = -5.0
+        assert assert_full_matrix_bits(x[:, None], k)[0, -1] == 1
 
     @pytest.mark.parametrize("n", (127, 128, 300))
     def test_k_is_n_minus_one(self, n):
         rng = np.random.default_rng(300 + n)
-        dist = np.round(rng.random((n, n)), 1)
-        np.fill_diagonal(dist, np.inf)
-        assert np.array_equal(_nearest(dist, n - 1), stable_knn(dist, n - 1))
+        assert_full_matrix_bits(np.round(rng.random((n, 2)), 1), n - 1)
 
     def test_nan_distances(self):
+        # two clusters near +-1e154 in 4 attributes: the centred squared norms
+        # overflow, so the Gram estimates are inf and NaN and keep every
+        # column a candidate, while the distances within a cluster are finite
         rng = np.random.default_rng(8)
-        dist = rng.random((6, 256))
-        dist[0, :128] = np.nan  # half NaN: for k > 128 the k-th is NaN
-        dist[1, [4, 9, 200]] = np.nan
-        for k in (3, 133):
-            assert np.array_equal(_nearest(dist, k), stable_knn(dist, k))
+        side = np.where(np.arange(200) < 100, 1e154, -1e154)[:, None]
+        points = side + rng.normal(size=(200, 4)) * 1e150
+        centred = points - points.mean(axis=0)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.einsum("ij,ij->i", centred, centred)).all()
+        for k in (1, 20, 99):
+            assert_full_matrix_bits(points, k)
+
+    def test_overflowing_neighbor_distance_raises(self):
+        # the far point's distances square to inf, and so would its LOF's
+        # densities
+        points = np.random.default_rng(11).normal(size=(120, 3))
+        points[7, 1] = 1e160
+        with pytest.raises(DomainError, match="^LOF neighbor distances overflow"):
+            lof_scores(points, 20)
+
+    @pytest.mark.parametrize("offset, scale", ((0.0, 1e-3), (1e5, 1.0), (1e5, 1e-3),
+                                               (0.0, 1e5), (0.0, 1e-200), (0.0, 1e-160)))
+    def test_offsets_and_scales(self, offset, scale):
+        # far from the origin the Gram matrix of uncentred points would lose
+        # the distances; at 1e-160 the squares are subnormal, and at 1e-200
+        # every square underflows to 0
+        rng = np.random.default_rng(9)
+        points = offset + np.round(rng.normal(size=(150, 6)), 1) * scale
+        for k in (1, 20):
+            assert_full_matrix_bits(points, k)
+
+    @pytest.mark.parametrize("work", (0, np.iinfo(np.int64).max))
+    def test_row_range_split_on_and_off(self, monkeypatch, work):
+        # 400 rows: two ranges cut the Gram blocks of 163 rows elsewhere than
+        # one serial pass does
+        monkeypatch.setattr(rows, "PARALLEL_WORK", work)
+        rng = np.random.default_rng(10)
+        points = np.round(rng.normal(size=(400, 5)), 1)
+        points[300:] = points[:100]
+        for k in (1, 20, 399):
+            assert_full_matrix_bits(points, k)
 
 
-@pytest.mark.parametrize("size", (FAST_KNN_DISTANCES - 1, FAST_KNN_DISTANCES))
-def test_nearest_on_both_sides_of_the_threshold(size):
-    """A block of distances just below and at FAST_KNN_DISTANCES, with and
-    without tied k-th distances, gives the stable k nearest."""
-    rng = np.random.default_rng(size)
-    for dist in (rng.random((1, size)), rng.integers(0, 5, (1, size)).astype(float)):
-        for k in (1, 20, size - 1):
-            assert np.array_equal(_nearest(dist, k), stable_knn(dist, k))
+@pytest.mark.parametrize("n", (90, 91))
+def test_lof_on_both_sides_of_the_switch(monkeypatch, n):
+    """90 points (8,100 distances) take the exact search, 91 (8,281) the Gram
+    prefilter; both give the full matrix's bits."""
+    calls = []
+    prefiltered = outliers._prefiltered
+    monkeypatch.setattr(outliers, "_prefiltered", lambda *a: calls.append(a) or prefiltered(*a))
+    rng = np.random.default_rng(n)
+    for points in (rng.normal(size=(n, 30)), rng.integers(0, 3, (n, 30)).astype(float)):
+        for k in (1, 20, n - 1):
+            assert_full_matrix_bits(points, k)
+    assert bool(calls) == (n * n >= FAST_KNN_DISTANCES)
+
+
+@given(st.integers(2, 120), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from((1e-3, 1.0, 1e5)))
+def test_neighbors_have_the_full_matrix_bits(n, m, seed, grid, scale):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, m))
+    if grid:
+        points = np.round(points, 0)  # ties and duplicates
+    points = points * scale
+    k = int(rng.integers(1, n))
+    for threshold in (0, np.iinfo(np.int64).max):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(outliers, "FAST_KNN_DISTANCES", threshold)
+            assert_full_matrix_bits(points, k)
 
 
 class TestNormalizeScores:
