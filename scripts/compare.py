@@ -27,7 +27,17 @@ The workloads are those ``BENCHMARK.json`` lists.
    also keeps the ``setup.generate_s`` and ``setup.import_s`` lists of the
    record ``perfbench/run.py`` wrote in that tree, so a change in setup_s
    shows whether it comes from the import or from generating the inputs.
-3. Tier-1. Each tree runs the Tier-1 verify command of ROADMAP.md once (with
+3. Layers. Each workload runs ``perfbench/run.py --trace 1`` once per side
+   at seed 11. Every layer metric that is not a time (calls, calls per row
+   or label, computed bytes, the error rate) repeats exactly between runs of
+   one tree, so each is printed for both sides and flagged when they
+   differ. The times (``self_s``, ``tracing.overhead_s``) are printed and
+   not judged. Rows the protocol workloads cannot move are marked blind:
+   the protocol selects and scores through ``resolve_and_score`` and
+   ``balanced_accuracies``, so ``comb_select``, ``predict_batch`` and
+   ``balanced_accuracy`` read 0 there whatever the code does. A failed
+   trace run makes the exit status 1.
+4. Tier-1. Each tree runs the Tier-1 verify command of ROADMAP.md once (with
    ``-p no:cacheprovider``, so it writes no cache into either tree), with
    its own ``src`` first on ``PYTHONPATH``; its wall seconds and its passed,
    skipped and failed counts are recorded and given one line of the table.
@@ -72,6 +82,10 @@ if os.path.join(ROOT, "src") not in sys.path:
 from fuzzyrough.evaluation import wilcoxon_signed_rank  # noqa: E402
 HASH_SEEDS = (0, 11)
 FIRST_PAIR_SEED = 11
+TRACE_SEED = 11
+BLIND_LAYERS = ("classifier.comb_select.", "classifier.predict_batch.",
+                "evaluation.balanced_accuracy.")
+BLIND_ON = ("protocol_wdbc", "protocol_many")
 WIN_SHARE = 0.9  # share of pairs the change must win for a claimed gain
 
 # Runs in a fresh interpreter inside one tree: generate, run the body once,
@@ -305,6 +319,64 @@ def bench_run(tree, workload, seed, seconds):
     return record
 
 
+def trace_run(tree, workload):
+    """The layer metrics ({name: {"value", "unit"}}) of one ``perfbench/run.py
+    --trace 1`` run of ``workload`` at TRACE_SEED in ``tree``, or None when
+    the run failed."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(TRACE_SEED), "--seconds", "0", "--trace", "1"],
+                          cwd=tree, env=_env(tree), stdout=subprocess.PIPE, timeout=300)
+    if proc.returncode != 0:
+        return None
+    return json.loads(proc.stdout.decode().splitlines()[-1])["metrics"]
+
+
+def layer_rows(traces):
+    """One row per workload and layer metric from ``traces`` ({workload:
+    {side: ``trace_run`` result}}): both sides' values, whether the metric is
+    a count (any unit but seconds), whether a count differs, and whether the
+    row is blind. A workload with a failed side gets one row naming the
+    failed sides."""
+    rows = []
+    for workload, sides in traces.items():
+        failed = [side for side, metrics in sides.items() if metrics is None]
+        if failed:
+            rows.append({"workload": workload, "metric": None, "failed": failed})
+            continue
+        parent, change = sides["parent"], sides["change"]
+        for name in dict.fromkeys([*parent, *change]):
+            unit = (parent.get(name) or change[name])["unit"]
+            a, b = (side[name]["value"] if name in side else None for side in (parent, change))
+            count = unit != "s"
+            rows.append({"workload": workload, "metric": name, "unit": unit,
+                         "parent": a, "change": b, "count": count,
+                         "differs": count and a != b,
+                         "blind": workload in BLIND_ON and name.startswith(BLIND_LAYERS)})
+    return rows
+
+
+def layer_table(rows):
+    """The layer rows as a Markdown table: counts in full, flagged DIFFERS
+    or equal; times to four digits, marked reported; blind rows marked
+    blind."""
+    lines = ["| workload | layer metric | unit | parent | change | note |",
+             "|---|---|---|---|---|---|"]
+    for r in rows:
+        if r["metric"] is None:
+            lines.append(f"| {r['workload']} | - | | | | trace run failed: "
+                         f"{', '.join(r['failed'])} |")
+            continue
+        note = ("DIFFERS" if r["differs"] else "equal") if r["count"] else "reported"
+        if r["blind"]:
+            note += ", blind"
+        # counts in full, so two that differ never print alike
+        values = ["-" if v is None else str(v) if r["count"] else _num(v)
+                  for v in (r["parent"], r["change"])]
+        lines.append(f"| {r['workload']} | {r['metric']} | {r['unit']} | {values[0]} "
+                     f"| {values[1]} | {note} |")
+    return "\n".join(lines)
+
+
 def tier1(tree):
     """One run of the Tier-1 verify command in ``tree``, with the tree's own
     ``src`` first on ``PYTHONPATH``: its wall seconds, exit code and the
@@ -391,11 +463,17 @@ def main(argv=None):
                     report["runs"].append(record)
                     print(f"{workload} seed {seed} {side}: exit {record['exit_code']}, "
                           f"steal {record['steal_share']}", file=sys.stderr)
+        report["layers"] = layer_rows({workload: {side: trace_run(tree, workload)
+                                                  for side, tree in trees.items()}
+                                       for workload in workloads})
         report["tier1"] = {side: tier1(tree) for side, tree in trees.items()}
     report["summary"] = summarize(report["runs"], benchmark["end_to_end"])
     report["failed_runs"] = sum(r["exit_code"] != 0 for r in report["runs"])
+    failed_traces = sum(len(r["failed"]) for r in report["layers"] if r["metric"] is None)
     print(f"{len(report['hashes']) - unequal} of {len(report['hashes'])} output files equal")
     print(f"{report['failed_runs']} of {len(report['runs'])} runs failed")
+    print(f"{failed_traces} of {2 * len(workloads)} trace runs failed")
+    print(layer_table(report["layers"]))
     print(paired_table(report["summary"]))
     print(table(report["summary"], report["tier1"]))
     if args.out:
@@ -403,7 +481,7 @@ def main(argv=None):
             json.dump(report, fh, indent=1)
             fh.write("\n")
     worse = any(row.get("worse") for row in report["summary"])
-    return 1 if unequal or worse or report["failed_runs"] else 0
+    return 1 if unequal or worse or report["failed_runs"] or failed_traces else 0
 
 
 if __name__ == "__main__":

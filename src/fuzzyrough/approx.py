@@ -42,10 +42,17 @@ class SimilarityRelation:
 
 
 def attribute_scales(ds: DecisionSystem) -> np.ndarray:
-    """Per-attribute sample standard deviations of the training data."""
+    """Per-attribute sample standard deviations of the training data; one
+    that overflows raises DomainError, as similarity would ignore it."""
     if ds.n < 2:
         raise DomainError("need at least two instances to estimate scales")
-    return np.std(ds.X, axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigmas = np.std(ds.X, axis=0, ddof=1)
+    overflowed = np.flatnonzero(~np.isfinite(sigmas))
+    if overflowed.size:
+        raise DomainError(f"the scale of attribute {ds.attributes[overflowed[0]]!r} overflows "
+                          "to infinity; rescale the attributes")
+    return sigmas
 
 
 def _similarity_block(rows: np.ndarray, X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -131,9 +138,11 @@ def _similarity_row(r: SimilarityRelation, a: FuzzySet, mu: MonotoneMeasure, y) 
 
 def lower_approximation(r: SimilarityRelation, a: FuzzySet, mu_l: MonotoneMeasure,
                         implicator: str, y) -> float:
-    """Degree to which (mu_l-many) elements similar to y belong to a."""
+    """Degree to which (mu_l-many) elements similar to y belong to a. The
+    relation and the concept checked their degrees when built, so the
+    implicator is applied directly."""
     row = _similarity_row(r, a, mu_l, y)
-    g = connectives.implicator_eval(implicator, row, a.memberships)
+    g = connectives.implicator_fn(implicator)(row, a.memberships)
     return choquet_integral(g, mu_l)
 
 

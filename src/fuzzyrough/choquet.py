@@ -110,15 +110,17 @@ def sort_rows(values) -> tuple[np.ndarray, np.ndarray]:
     rows with an equal neighbour (0.0 and -0.0 count as equal) or a NaN are
     sorted again stably. Such calls go through ``rows.over_row_ranges``,
     which splits the large ones by rows across CPUs, each range sorting and
-    checking its own rows. Smaller calls, such as one library integral over a few hundred
-    elements, keep the stable sort: the tie check's fixed cost per call
-    outweighs what the faster sort saves on so few values.
+    checking its own rows. Smaller calls, such as one library integral over
+    a few hundred elements, keep the stable sort: the tie check's fixed cost
+    per call outweighs what the faster sort saves on so few values. They
+    gather directly, as ``np.take_along_axis`` would at a higher cost.
     """
     values = np.asarray(values)
-    if values.size < FAST_SORT_VALUES:
-        order = np.argsort(values, axis=-1, kind="stable")
-        return order, np.take_along_axis(values, order, axis=-1)
     table = values.reshape(math.prod(values.shape[:-1]), values.shape[-1])
+    if values.size < FAST_SORT_VALUES:
+        order = np.argsort(table, axis=-1, kind="stable")
+        asc = table[np.arange(table.shape[0])[:, None], order]
+        return order.reshape(values.shape), asc.reshape(values.shape)
     order = np.empty(table.shape, dtype=np.intp)
     asc = np.empty(table.shape, dtype=values.dtype)
 

@@ -25,6 +25,7 @@ _TNORMS = {
     PRODUCT: np.multiply,
     LUKASIEWICZ: lambda x, y: np.maximum(x + y - 1.0, 0.0),
 }
+_BUILT_IN_LUKASIEWICZ = _TNORMS[LUKASIEWICZ]
 
 _IMPLICATORS = {
     KLEENE_DIENES: lambda x, y: np.maximum(1.0 - x, y),
@@ -70,6 +71,11 @@ def tnorm_accumulate(kind: str, xs) -> np.ndarray:
     Each step folds one more element into the previous result, so the whole
     chain costs one t-norm evaluation per element and every entry equals the
     n-ary ``tnorm_eval`` of its prefix exactly.
+
+    The built-in Lukasiewicz fold stops once every row is 0 and fills the
+    rest with +0.0, which is exact: from a running 0 a step computes
+    fl(0 + x) - 1 <= 0, and its maximum with 0.0 is +0.0. A registered
+    t-norm folds every step, since its T(0, x) need only be within 1e-9 of 0.
     """
     values = unit_degrees(xs, _DEGREES)
     t = _lookup(_TNORMS, kind, "t-norm")
@@ -78,12 +84,15 @@ def tnorm_accumulate(kind: str, xs) -> np.ndarray:
     out = values.copy()
     for i in range(1, values.shape[-1]):
         out[..., i] = t(out[..., i - 1], values[..., i])
+        if t is _BUILT_IN_LUKASIEWICZ and not out[..., i].any():
+            out[..., i + 1:] = 0.0
+            break
     return out
 
 
 def implicator_eval(kind: str, x, y):
     x, y = unit_degrees(x, _DEGREES), unit_degrees(y, _DEGREES)
-    return _lookup(_IMPLICATORS, kind, "implicator")(x, y)
+    return implicator_fn(kind)(x, y)
 
 
 def negator_eval(kind: str, x):
@@ -107,6 +116,11 @@ def conjunctor_fn(implicator: str = KLEENE_DIENES, negator: str = STANDARD):
 def tnorm_fn(kind: str):
     """The raw binary (and elementwise-vectorized) t-norm."""
     return _lookup(_TNORMS, kind, "t-norm")
+
+
+def implicator_fn(kind: str):
+    """The raw binary implicator; ``implicator_eval`` is the checked entry."""
+    return _lookup(_IMPLICATORS, kind, "implicator")
 
 
 def complement(a: FuzzySet, negator: str = STANDARD) -> FuzzySet:

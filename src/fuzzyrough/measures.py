@@ -68,10 +68,11 @@ def _stack_rows(degrees: np.ndarray) -> int | None:
 
 
 def _gather(params: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Per-element parameters in chain order, one row per ordering."""
+    """Per-element parameters in chain order, one row per ordering; a stack
+    gathers directly, as ``np.take_along_axis`` would at a higher cost."""
     if params.ndim == 1:
         return params[order]
-    return np.take_along_axis(params, order, axis=-1)
+    return params[np.arange(params.shape[0])[:, None], order]
 
 
 class MonotoneMeasure:
@@ -118,19 +119,19 @@ class MonotoneMeasure:
 
 
 class SymmetricMeasure(MonotoneMeasure):
-    """mu(A) = Q(|A|/n): depends on cardinality only."""
+    """mu(A) = Q(|A|/n): depends on cardinality only, so every ordering has
+    the chain Q(n/n), ..., Q(1/n), built once as the read-only ``chain``."""
 
     def __init__(self, quantifier: RIMQuantifier, n: int, universe: Universe | None = None):
         super().__init__(n, universe)
         self.quantifier = quantifier
+        self.chain = frozen_copy(quantifier(np.arange(self.n, 0, -1, dtype=float) / self.n))
 
     def _value(self, mask, k):
         return self.quantifier(k / self.n)
 
     def chain_values(self, order):
-        sizes = np.arange(self.n, 0, -1, dtype=float)
-        chain = np.asarray(self.quantifier(sizes / self.n), dtype=float)
-        return np.broadcast_to(chain, np.shape(order)).copy()
+        return np.broadcast_to(self.chain, np.shape(order)).copy()
 
 
 class _DistortedAdditiveMeasure(MonotoneMeasure):

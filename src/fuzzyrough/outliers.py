@@ -18,7 +18,8 @@ columns within a rounding margin of each row's k-th estimate, and compute
 only the candidates' distances exactly; the margin bounds the rounding of
 the centring, the Gram matrix and the exact sums, so the chosen neighbors,
 their distances and every score are independent of the BLAS, its threads
-and the row split. Memory grows with block * n + n * k.
+and the row split. Each Gram product is cut into column chunks small enough
+for OpenBLAS to run on the calling thread. Memory grows with block * n + n * k.
 
 The classifier runs this module only for the strategies that read outlier
 degrees or labels: mino, avgo, owao, fr, wowa, ts, and comb through its
@@ -42,6 +43,9 @@ DISTANCE_FLOOR = 1e-12  # keeps densities finite when points coincide
 FAST_KNN_DISTANCES = 8192  # classes with n * n below this keep the exact blocked search
 GRAM_BLOCK = 1 << 16  # Gram values per row block of the prefilter (512 KB)
 GATHER_ELEMENTS = 1 << 20  # candidate difference elements per exact chunk (8 MB)
+# multiply-adds per Gram product: OpenBLAS runs a GEMM of at most 65,536 x 4
+# (SMP_THRESHOLD_MIN x GEMM_MULTITHREAD_THRESHOLD) on the calling thread
+GEMM_WORK = 1 << 18
 
 
 def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
@@ -166,8 +170,11 @@ def _prefiltered(points, k, neighbors, near):
 
     Gram blocks hold at most GRAM_BLOCK values and the gathered candidate
     differences at most GATHER_ELEMENTS, so an all-duplicates class, where
-    every column is a candidate, stays bounded too. The GEMM runs inside
-    each row range, on the BLAS's own threads.
+    every column is a candidate, stays bounded too. Each block is written by
+    column chunks of at most GEMM_WORK multiply-adds (or one column, when one
+    needs more), which OpenBLAS keeps on the calling row range's thread: a
+    threaded product starts BLAS workers whose spinning takes CPU from the
+    row ranges and the kernels that follow. Chunks only choose candidates.
     """
     n, m = points.shape
     finfo = np.finfo(float)
@@ -182,8 +189,11 @@ def _prefiltered(points, k, neighbors, near):
         for i0 in range(lo, hi, block_rows):
             i1 = min(i0 + block_rows, hi)
             own = np.arange(i1 - i0)
+            gram = np.empty((i1 - i0, n))
+            step = max(1, GEMM_WORK // ((i1 - i0) * m))
             with np.errstate(over="ignore", invalid="ignore"):
-                gram = centred[i0:i1] @ centred.T
+                for j0 in range(0, n, step):
+                    np.matmul(centred[i0:i1], centred[j0:j0 + step].T, out=gram[:, j0:j0 + step])
                 gram *= -2
                 gram += sq[i0:i1, None]
                 gram += sq[None, :]

@@ -1,8 +1,9 @@
 """The summary, table and verdicts of ``scripts/compare.py`` on synthetic
-records, its reading of perfbench's run records from synthetic files, its
-tier-1 run and its copy of the working tree with ``subprocess.run``
-replaced, and the loops of its ``main`` with git, extraction, the copy and
-the runs replaced by fakes; no test here starts a process."""
+records, its layer rows on synthetic traces, its reading of perfbench's run
+records from synthetic files, its trace run, tier-1 run and copy of the
+working tree with ``subprocess.run`` replaced, and the loops of its ``main``
+with git, extraction, the copy and the runs replaced by fakes; no test here
+starts a process."""
 
 import itertools
 import json
@@ -212,12 +213,12 @@ WORKLOADS = [f"w{i}" for i in range(5)]
 def _fake_trees(monkeypatch, tmp_path, bench_result):
     """Run ``compare.main`` against fakes: a BENCHMARK.json listing five
     workloads, no git, no extraction, no copy and no subprocess. Returns the
-    calls made to ``output_hashes``, ``bench_run`` and ``tier1``, and the
-    fake parent and change trees."""
+    calls made to ``output_hashes``, ``bench_run``, ``trace_run`` and
+    ``tier1``, and the fake parent and change trees."""
     benchmark = {"run_seconds": 3, "end_to_end": END_TO_END,
                  "workloads": [{"name": name, "why": ""} for name in WORKLOADS]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
-    calls = {"hashes": [], "runs": [], "parent": [], "change": [], "tier1": []}
+    calls = {"hashes": [], "runs": [], "parent": [], "change": [], "traces": [], "tier1": []}
 
     def extract(rev, directory):
         calls["parent"].append(os.path.join(directory, "tree"))
@@ -235,6 +236,10 @@ def _fake_trees(monkeypatch, tmp_path, bench_result):
         calls["runs"].append((tree, workload, seed, seconds))
         return bench_result(tree, workload)
 
+    def trace_run(tree, workload):
+        calls["traces"].append((tree, workload))
+        return {"choquet.choquet_integral.calls": {"value": 1680, "unit": "count"}}
+
     def tier1(tree):
         calls["tier1"].append(tree)
         return {"wall_s": 40.0 + len(calls["tier1"]), "exit_code": 0, "passed": 700,
@@ -247,6 +252,7 @@ def _fake_trees(monkeypatch, tmp_path, bench_result):
     monkeypatch.setattr(compare, "copy_worktree", copy_worktree)
     monkeypatch.setattr(compare, "output_hashes", output_hashes)
     monkeypatch.setattr(compare, "bench_run", bench_run)
+    monkeypatch.setattr(compare, "trace_run", trace_run)
     monkeypatch.setattr(compare, "tier1", tier1)
     return calls
 
@@ -275,12 +281,18 @@ def test_main_hashes_and_pairs_every_listed_workload(monkeypatch, tmp_path, caps
     assert report["failed_runs"] == 0 and len(report["runs"]) == 30
     assert [(r["workload"], r["pairs"]) for r in report["summary"]] == [
         (workload, 3) for workload in WORKLOADS for _ in END_TO_END]
-    # the tier-1 suite runs once in each tree, after the pairs
+    # one trace run per side and workload, then the tier-1 suite once per tree
+    assert calls["traces"] == [(tree, workload) for workload in WORKLOADS
+                               for tree in (parent, change)]
+    assert [(r["workload"], r["differs"]) for r in report["layers"]] == [
+        (workload, False) for workload in WORKLOADS]
     assert calls["tier1"] == [parent, change]
     assert report["tier1"]["change"] == {"wall_s": 42.0, "exit_code": 0, "passed": 700,
                                          "skipped": 2, "failed": 0}
     printed = capsys.readouterr().out
     assert "10 of 10 output files equal" in printed and "0 of 30 runs failed" in printed
+    assert "0 of 10 trace runs failed" in printed
+    assert "| w0 | choquet.choquet_integral.calls | count | 1680 | 1680 | equal |" in printed
     assert printed.rstrip().splitlines()[-1] == (
         "| tier-1 | wall_s | 41.0 s: 700 passed, 2 skipped, 0 failed "
         "| 42.0 s: 700 passed, 2 skipped, 0 failed | +2.4% | 1 run each | | - |")
@@ -358,3 +370,93 @@ def test_copy_worktree_takes_what_git_lists_as_it_is_on_disk(monkeypatch, tmp_pa
     assert copied == ["README.md", "src/pkg/mod.py", "src/pkg/new.py"]
     for name in copied:
         assert (copies / "tree" / name).read_text() == files[name]
+
+
+def _trace(**values):
+    """Layer metrics as ``trace_run`` returns them; a name ending in _s is a time."""
+    return {name.replace("__", "."): {"value": v, "unit": "s" if name.endswith("_s") else
+                                      "count"} for name, v in values.items()}
+
+
+def test_layer_rows_flag_counts_that_differ_and_only_report_times():
+    parent = _trace(measures__FuzzyRemovalMeasure__chain_values__self_s=0.049,
+                    quantifiers__RIMQuantifier__call__calls=720,
+                    choquet__choquet_integral__calls=1680,
+                    classifier__comb_select__calls=0)
+    change = _trace(measures__FuzzyRemovalMeasure__chain_values__self_s=0.008,
+                    quantifiers__RIMQuantifier__call__calls=321,
+                    choquet__choquet_integral__calls=1680,
+                    classifier__comb_select__calls=0)
+    rows = compare.layer_rows({"approx_library": {"parent": parent, "change": change},
+                               "protocol_wdbc": {"parent": parent, "change": change},
+                               "classify_large": {"parent": parent, "change": None}})
+    approx = {r["metric"]: r for r in rows if r["workload"] == "approx_library"}
+    assert list(approx) == list(parent)
+    time = approx["measures.FuzzyRemovalMeasure.chain_values.self_s"]
+    assert not time["count"] and not time["differs"]  # 0.049 -> 0.008, not judged
+    assert approx["quantifiers.RIMQuantifier.call.calls"]["differs"]
+    assert not approx["choquet.choquet_integral.calls"]["differs"]
+    # comb_select is blind on the protocol workloads only
+    blind = {(r["workload"], r["metric"]) for r in rows if r.get("blind")}
+    assert blind == {("protocol_wdbc", "classifier.comb_select.calls")}
+    assert rows[-1] == {"workload": "classify_large", "metric": None, "failed": ["change"]}
+    lines = compare.layer_table(rows).splitlines()
+    assert lines[0] == "| workload | layer metric | unit | parent | change | note |"
+    assert len(lines) == 2 + len(rows)
+    assert lines[2:6] == [
+        "| approx_library | measures.FuzzyRemovalMeasure.chain_values.self_s | s | 0.049 "
+        "| 0.008 | reported |",
+        "| approx_library | quantifiers.RIMQuantifier.call.calls | count | 720 | 321 "
+        "| DIFFERS |",
+        "| approx_library | choquet.choquet_integral.calls | count | 1680 | 1680 | equal |",
+        "| approx_library | classifier.comb_select.calls | count | 0 | 0 | equal |"]
+    assert lines[9] == ("| protocol_wdbc | classifier.comb_select.calls | count | 0 | 0 "
+                        "| equal, blind |")
+    assert lines[-1] == "| classify_large | - | | | | trace run failed: change |"
+
+
+def test_a_metric_on_one_side_only_differs():
+    rows = compare.layer_rows({"w": {"parent": _trace(a__calls=3),
+                                     "change": _trace(a__calls=3, b__calls=1)}})
+    assert [(r["metric"], r["parent"], r["change"], r["differs"]) for r in rows] == [
+        ("a.calls", 3, 3, False), ("b.calls", None, 1, True)]
+    assert compare.layer_table(rows).splitlines()[-1] == "| w | b.calls | count | - | 1 | DIFFERS |"
+    # counts print in full: these two would both read 1.235e+05 to four digits
+    rows = compare.layer_rows({"w": {"parent": _trace(a__bytes=123456),
+                                     "change": _trace(a__bytes=123457)}})
+    assert compare.layer_table(rows).splitlines()[-1] == (
+        "| w | a.bytes | count | 123456 | 123457 | DIFFERS |")
+
+
+@pytest.mark.parametrize("code", (0, 1))
+def test_trace_run_runs_perfbench_traced_in_the_tree(monkeypatch, tmp_path, code):
+    runs = []
+    metrics = _trace(choquet__choquet_integral__calls=1680)
+
+    def run(command, **kwargs):
+        runs.append((command, kwargs))
+        return subprocess.CompletedProcess(command, code, stdout=(
+            b"perfbench: noise\n" + json.dumps({"metrics": metrics}).encode() + b"\n"))
+
+    monkeypatch.setattr(subprocess, "run", run)
+    got = compare.trace_run(str(tmp_path), "approx_library")
+    assert got == (metrics if code == 0 else None)
+    ((command, kwargs),) = runs
+    assert command[1:] == ["perfbench/run.py", "--workload", "approx_library", "--seed", "11",
+                           "--seconds", "0", "--trace", "1"]
+    assert kwargs["cwd"] == str(tmp_path)
+    assert kwargs["env"]["PYTHONPATH"] == str(tmp_path / "src")
+    assert kwargs["env"]["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_main_fails_on_a_failed_trace_run(monkeypatch, tmp_path, capsys):
+    calls = _fake_trees(monkeypatch, tmp_path, _passed)
+
+    def trace_run(tree, workload):
+        return None if workload == "w2" and tree == calls["change"][0] else {}
+
+    monkeypatch.setattr(compare, "trace_run", trace_run)
+    assert compare.main(["f00"]) == 1
+    printed = capsys.readouterr().out
+    assert "1 of 10 trace runs failed" in printed
+    assert "| w2 | - | | | | trace run failed: change |" in printed

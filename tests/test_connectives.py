@@ -67,6 +67,63 @@ class TestTnormEval:
         assert 0.0 <= t(x, y) <= 1.0
 
 
+def lukasiewicz_fold(xs):
+    """The running Lukasiewicz fold, every step computed."""
+    out = np.array(xs, dtype=float)
+    for i in range(1, out.shape[-1]):
+        out[..., i] = np.maximum(out[..., i - 1] + out[..., i] - 1.0, 0.0)
+    return out
+
+
+# values that reach 0 at once, late, or never (ones), signed zeros included
+fold_degrees = st.one_of(st.sampled_from((0.0, -0.0, 1.0, 0.5)), st.floats(0.9, 1.0), degrees)
+
+
+class TestLukasiewiczFold:
+    """The built-in Lukasiewicz fold stops once every row is 0 and fills the
+    rest with 0.0; the entries keep the bits of folding every step."""
+
+    @given(st.data(), st.integers(0, 4), st.integers(1, 12))
+    def test_equals_the_step_by_step_fold(self, data, rows, n):
+        shape = (n,) if rows == 0 else (rows, n)  # 0 rows: one 1-D vector
+        xs = np.array(data.draw(st.lists(fold_degrees, min_size=n * max(rows, 1),
+                                         max_size=n * max(rows, 1)))).reshape(shape)
+        got = con.tnorm_accumulate(con.LUKASIEWICZ, xs)
+        assert got.shape == xs.shape
+        assert got.tobytes() == lukasiewicz_fold(xs).tobytes()
+
+    def test_rows_reaching_zero_at_different_steps_or_never(self):
+        xs = np.array([[0.3, 0.9, 0.8, 1.0, 0.7],
+                       [0.9, 0.95, 0.4, 0.9, 1.0],
+                       [1.0, 1.0, 1.0, 1.0, 1.0],
+                       [0.9, 0.9, 0.9, 0.9, 0.9]])
+        for block in (xs, xs[:2], xs[2:], xs[1], xs[2], xs[:, :1]):
+            got = con.tnorm_accumulate(con.LUKASIEWICZ, block)
+            assert got.tobytes() == lukasiewicz_fold(block).tobytes()
+        assert con.tnorm_eval(con.LUKASIEWICZ, xs[0]) == 0.0
+        assert con.tnorm_eval(con.LUKASIEWICZ, xs[2]) == 1.0
+
+    def test_a_registered_tnorm_near_zero_folds_every_step(self):
+        # within the axioms' 1e-9 of Lukasiewicz, but T(0, x) = 5e-14 x, not 0;
+        # registered under the built-in's own name, it still folds every step
+        def near(x, y):
+            return np.maximum(x + y - 1.0, 0.0) + 1e-13 * (x + y) / 2
+
+        built_in = con.tnorm_fn(con.LUKASIEWICZ)
+        con.register_tnorm(con.LUKASIEWICZ, near)
+        try:
+            # every row is 0 after step 1, where the built-in fold would stop
+            xs = np.array([[0.0, 0.0, 0.6, 0.9], [0.0, 0.0, 0.3, 1.0]])
+            got = con.tnorm_accumulate(con.LUKASIEWICZ, xs)
+            want = xs.copy()
+            for i in range(1, 4):
+                want[:, i] = near(want[:, i - 1], xs[:, i])
+            assert got.tobytes() == want.tobytes()
+            assert np.all(got[:, 1] == 0.0) and np.all(got[:, 2:] > 0.0)
+        finally:
+            con._TNORMS[con.LUKASIEWICZ] = built_in
+
+
 class TestImplicatorEval:
     def test_boundary(self):
         assert con.implicator_eval(con.KLEENE_DIENES, 1.0, 0.0) == 0.0

@@ -26,7 +26,9 @@ DS = fr.DecisionSystem(("a0", "a1"), np.array([[0, 1], [1, 1], [4, 5], [5, 4]], 
 
 FAR = np.random.default_rng(0).normal(size=(40, 3))
 FAR[4, 1] = 1e160
+FAR_DS = fr.DecisionSystem(("a0", "a1", "a2"), FAR, np.array(["a", "b"] * 20, dtype=object))
 OVERFLOW = "LOF neighbor distances overflow to infinity; rescale the attributes"
+SCALE_OVERFLOW = "the scale of attribute 'a1' overflows to infinity; rescale the attributes"
 
 
 def _asymmetric():
@@ -170,11 +172,12 @@ CHECKS = {
     "per_class_scores k": (lambda: fr.per_class_scores(DS, 0), "k must be at least 1"),
     # a distance of 1e160 squares to inf: its LOF would be NaN
     "lof_scores overflow": (lambda: fr.lof_scores(FAR, 5), OVERFLOW),
-    "scored_with_labels overflow": (
-        lambda: outliers.scored_with_labels(
-            fr.DecisionSystem(("a0", "a1", "a2"), FAR, np.array(["a", "b"] * 20, dtype=object)),
-            5, 0.1),
-        OVERFLOW),
+    "scored_with_labels overflow": (lambda: outliers.scored_with_labels(FAR_DS, 5, 0.1),
+                                    OVERFLOW),
+    # 1e160 squares to inf in the standard deviation: a1 would be ignored
+    "attribute_scales overflow": (lambda: approx.attribute_scales(FAR_DS), SCALE_OVERFLOW),
+    "fit scale overflow": (lambda: classifier.fit(FAR_DS, fr.AggregatorSpec(kind="owa"), 0),
+                           SCALE_OVERFLOW),
     "top_fraction contamination": (lambda: outliers.top_fraction(OK, 1.0),
                                    "contamination must lie in [0, 1)"),
     "WeightVector empty": (lambda: fr.WeightVector(np.zeros(0)),

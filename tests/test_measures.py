@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fuzzyrough import connectives as con
+from fuzzyrough import measures
 from fuzzyrough import (
     additive_from_weights,
     dual_measure,
@@ -99,6 +100,45 @@ class TestSymmetricMeasure:
     def test_additive_quantifier_half(self):
         mu = symmetric_from_quantifier(AdditiveQuantifier(4), 4)
         assert abs(mu.value(np.arange(2)) - 0.3) < TOL
+
+
+class TestSymmetricChain:
+    def test_the_quantifier_is_called_once_however_many_chains_are_read(self):
+        calls = []
+
+        class Counted(QuadraticQuantifier):
+            def __call__(self, p):
+                calls.append(np.shape(p))
+                return super().__call__(p)
+
+        q = Counted(0.3, 0.9)
+        n = 7
+        mu = symmetric_from_quantifier(q, n)
+        want = q(np.arange(n, 0, -1) / n)
+        del calls[:]
+        rng = np.random.default_rng(3)
+        dual = mu.dual()
+        for _ in range(3):
+            order = rng.permutation(n)
+            chain = mu.chain_values(order)
+            assert chain.tobytes() == want.tobytes()
+            chain[:] = 0.0  # a fresh array each time
+            orders = np.array([rng.permutation(n) for _ in range(4)])
+            assert mu.chain_values(orders).tobytes() == np.tile(want, (4, 1)).tobytes()
+            dual.chain_values(order)
+        assert calls == [] and not mu.chain.flags.writeable
+        assert mu.chain.tobytes() == want.tobytes()
+
+
+class TestGather:
+    def test_a_stack_gathers_as_take_along_axis(self):
+        rng = np.random.default_rng(4)
+        for rows, n in ((1, 1), (1, 9), (5, 1), (5, 9), (3, 0)):
+            params = rng.random((rows, n))
+            order = np.argsort(rng.random((rows, n)), axis=-1)
+            got = measures._gather(params, order)
+            assert got.tobytes() == np.take_along_axis(params, order, axis=-1).tobytes()
+            assert got.shape == (rows, n)
 
 
 class TestAdditiveMeasure:

@@ -285,6 +285,36 @@ def test_lof_on_both_sides_of_the_switch(monkeypatch, n):
     assert bool(calls) == (n * n >= FAST_KNN_DISTANCES)
 
 
+def test_gram_products_stay_within_one_blas_thread(monkeypatch):
+    """Every Gram product of the prefilter has at most GEMM_WORK
+    multiply-adds, and together they write each Gram value once."""
+    shapes = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        shapes.append((a.shape[0], b.shape[1], a.shape[1]))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    points = np.random.default_rng(12).normal(size=(1500, 30))
+    lof_scores(points, 20)
+    assert shapes and all(m * n * k <= outliers.GEMM_WORK for m, n, k in shapes)
+    assert sum(m * n for m, n, _ in shapes) == 1500 * 1500
+
+
+@pytest.mark.parametrize("work", (1, 2**40))
+def test_gram_chunks_keep_the_scores_bits(monkeypatch, work):
+    """One column per product, or the whole block in one: the same scores as
+    the default chunks, which only choose candidates."""
+    rng = np.random.default_rng(13)
+    points = np.round(rng.normal(size=(300, 7)), 1)
+    points[250:] = points[:50]
+    default = lof_scores(points, 20)
+    monkeypatch.setattr(outliers, "GEMM_WORK", work)
+    assert lof_scores(points, 20).tobytes() == default.tobytes()
+    assert_full_matrix_bits(points, 20)
+
+
 @given(st.integers(2, 120), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans(),
        st.sampled_from((1e-3, 1.0, 1e5)))
 def test_neighbors_have_the_full_matrix_bits(n, m, seed, grid, scale):
