@@ -8,12 +8,9 @@ this is the weighted mean, for symmetric measures the OWA operator.
 Both operators take a leading row axis: a 2-D array of values is integrated
 row by row and gives one result per row, and a one-dimensional input is the
 one-row case of the same code; input with three or more dimensions is
-rejected. The rows' final products are one stacked ``np.matmul`` of
-contiguous operands, which numpy hands to the same BLAS dot product per row
-as ``np.dot``, so a row's result is bit-identical to integrating it alone.
-A row longer than DOT_CHUNK is dotted chunk by chunk, since BLAS may split
-a longer dot product across as many threads as it started, in an order that
-follows the CPU count.
+rejected. Each row's final sum of products is numpy's pairwise sum
+(``_dot_rows``), so a row's result is bit-identical to integrating it alone
+and no BLAS kernel or thread count moves a bit.
 
 Every integral and OWA sorts its rows once with ``sort_rows`` (the stable
 ascending argsort, ties broken by index) and reads them through one private
@@ -34,7 +31,6 @@ from .rows import over_row_ranges
 from .sets import DomainError, FuzzySet, Universe, frozen_copy, value_rows
 
 FAST_SORT_VALUES = 4096  # sort_rows calls on fewer values keep numpy's stable sort
-DOT_CHUNK = 8192  # below OpenBLAS's threading threshold of 10,000 elements per dot
 
 
 @dataclass(frozen=True)
@@ -74,30 +70,15 @@ def _extract(f, mu: MonotoneMeasure | None = None) -> np.ndarray:
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.dot of each row of a with b, or with the same row of a 2-D b.
+    """Sum of products of each row of a with b, or with the same row of a 2-D b.
 
-    One stacked matmul of (1 x n) by (n x 1) products calls the BLAS dot
-    product of ``np.dot`` once per row, so each result is bit-identical to
-    the one-row product of rows whose elements are adjacent, as in every
-    operand the package passes; a matrix product would sum in another order.
-    On a non-contiguous operand (a reversed chain) matmul takes numpy's own
-    loop, which sums differently, so both operands are made contiguous
-    first; for length-1 rows matmul gives +0.0 where np.dot keeps -0.0, so
-    those are plain products. Rows longer than DOT_CHUNK are cut into chunks
-    of DOT_CHUNK elements (the last may be shorter), each dotted as above,
-    and the chunk results are added left to right: the same sum whatever
-    the number of BLAS threads.
+    The products fill a fresh row-contiguous array and ``np.add.reduce``
+    sums each row pairwise, so every result is bit-identical to the one-row
+    call on that row, whatever the layout of the operands. A length-1 row is
+    its plain product: the reduction would turn a lone -0.0 into +0.0.
     """
-    n = a.shape[1]
-    if n > DOT_CHUNK:
-        out = _dot_rows(a[:, :DOT_CHUNK], b[..., :DOT_CHUNK])
-        for start in range(DOT_CHUNK, n, DOT_CHUNK):
-            out += _dot_rows(a[:, start:start + DOT_CHUNK], b[..., start:start + DOT_CHUNK])
-        return out
-    if n == 1:
-        return a[:, 0] * (b if b.ndim == 1 else b[:, 0])
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+    products = np.multiply(a, b, order="C")
+    return products[:, 0] if a.shape[1] == 1 else np.add.reduce(products, axis=1)
 
 
 def sort_rows(values) -> tuple[np.ndarray, np.ndarray]:

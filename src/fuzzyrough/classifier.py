@@ -74,7 +74,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import connectives
-from .approx import attribute_scales, check_test_rows, similarity_to_test
+from .approx import _similarity_block, attribute_scales, check_test_rows
 from .choquet import _choquet_sorted, _owa_sorted, sort_rows
 from .data import DecisionSystem
 from .measures import FuzzyRemovalMeasure, OrderedTwoSymmetricMeasure, WowaMeasure
@@ -327,7 +327,8 @@ def _streamed_memberships(model: "FittedModel", X: np.ndarray, specs: list[Aggre
     and is scored before the next is built. With ``loo`` the first rows of X
     are the training data itself and each leaves itself out; rows beyond the
     training size delete nothing, so held-out rows may follow them in the
-    same pass.
+    same pass. The rows were checked once, by ``resolve_and_score`` or as the
+    fold's DecisionSystem, so no block is checked again.
 
     Before the first block an array of four blocks is allocated and dropped
     at once. glibc serves it by mmap and, on its release, raises its mmap
@@ -345,7 +346,7 @@ def _streamed_memberships(model: "FittedModel", X: np.ndarray, specs: list[Aggre
     step = max(1, BLOCK_ELEMENTS // model.n)
     np.empty((4 * min(step, X.shape[0]), model.n))  # dropped at once
     for start in range(0, X.shape[0], step):
-        S = similarity_to_test(model.train.X, model.sigmas, X[start:start + step])
+        S = _similarity_block(X[start:start + step], model.train.X, model.sigmas)
         out[:, start:start + step] = _block_memberships(model, S, specs,
                                                         start if loo else None)
     return out

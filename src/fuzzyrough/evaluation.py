@@ -172,7 +172,7 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     b = one_vector(b, "paired samples must each form one vector")
     if a.size != b.size or a.size == 0:
         raise DomainError("paired samples must be nonempty and of equal length")
-    with np.errstate(invalid="ignore"):  # inf - inf gives NaN, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # +-inf ranks highest, NaN is rejected
         d = a - b
     if np.isnan(d).any():
         raise DomainError("paired differences must not be NaN")

@@ -67,6 +67,8 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
     if points.ndim == 1:
         points = points[:, None]
     n = points.shape[0]
+    if points.shape[1] == 0:
+        raise DomainError("LOF needs at least one attribute")
     check_whole_number(k, "k")
     if k < 1:
         raise DomainError("k must be at least 1")
@@ -226,13 +228,21 @@ def normalize_scores(raw: np.ndarray) -> np.ndarray:
 
     normalized(s) = max(0, erf((s - mean) / (std * sqrt(2)))), so scores at or
     below the mean map to 0 and the transform preserves the score ordering.
-    A constant score vector maps to all zeros. ``erf`` is ``_special.erf``,
-    which gives the bits of ``scipy.special.erf``.
+    A constant score vector maps to all zeros, a score that is not finite
+    raises DomainError, and scores whose std overflows are first divided by
+    their largest magnitude, which leaves the transform unchanged. ``erf`` is
+    ``_special.erf``, which gives the bits of ``scipy.special.erf``.
     """
     raw = one_vector(raw, "raw scores must form one vector")
     if raw.size == 0:
         raise DomainError("cannot normalize an empty score vector")
-    std = raw.std()
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = raw.std()
+    if not np.isfinite(std):  # as it is whenever the mean overflows
+        if not np.all(np.isfinite(raw)):
+            raise DomainError("raw scores to normalize must be finite")
+        raw = raw / np.abs(raw).max()
+        std = raw.std()
     if std == 0.0:
         return np.zeros_like(raw)
     return np.maximum(erf((raw - raw.mean()) / (std * math.sqrt(2.0))), 0.0)

@@ -19,9 +19,17 @@ def frozen_copy(a, dtype=float) -> np.ndarray:
     return a
 
 
+def _reals(a) -> np.ndarray:
+    """``a`` as a float array; DomainError for strings, complex numbers and objects."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise DomainError(f"expected real numbers, got {a.dtype} values")
+    return a.astype(float, copy=False)
+
+
 def unit_degrees(a, message: str) -> np.ndarray:
     """``a`` as a float array; DomainError(message) unless each entry is in [0, 1] (NaN is not)."""
-    a = np.asarray(a, dtype=float)
+    a = _reals(a)
     if not np.all((a >= 0.0) & (a <= 1.0)):
         raise DomainError(message)
     return a
@@ -29,7 +37,7 @@ def unit_degrees(a, message: str) -> np.ndarray:
 
 def one_vector(a, message: str) -> np.ndarray:
     """``a`` as a float vector, a scalar as a one-element vector; DomainError(message) otherwise."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
+    a = np.atleast_1d(_reals(a))
     if a.ndim != 1:
         raise DomainError(message)
     return a
@@ -52,7 +60,7 @@ def check_seed(seed) -> None:
 
 def value_rows(a, what: str) -> np.ndarray:
     """``a`` as a float vector or 2-D array of rows; a scalar is a one-element vector."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
+    a = np.atleast_1d(_reals(a))
     if a.ndim > 2:
         raise DomainError(f"{what} must form a vector or a 2-D array of rows")
     return a

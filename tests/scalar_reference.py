@@ -19,11 +19,21 @@ from fuzzyrough.outliers import top_fraction
 from fuzzyrough.quantifiers import weights_from_quantifier
 
 
+def dot(x, y) -> float:
+    """The sum of products of two vectors as the package forms it: numpy's
+    pairwise sum of the products, or the plain product at length 1, which
+    keeps a lone -0.0."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.size == 1:
+        return x[0] * y[0]
+    return np.add.reduce(x * y)
+
+
 def owa(values, spec: AggregatorSpec) -> float:
     n = values.size
     w = weights_from_quantifier(spec.quantifier_for(n), n)
     desc = values[np.argsort(-values, kind="stable")]
-    return float(np.dot(desc, w.weights))
+    return float(dot(desc, w.weights))
 
 
 def _choquet(values, chain_of) -> float:
@@ -32,7 +42,7 @@ def _choquet(values, chain_of) -> float:
     chain = chain_of(order)
     if len(fs) == 1:
         return float(fs[0] * chain[0])
-    return float(fs[0] * chain[0] + np.dot(fs[1:] - fs[:-1], chain[1:]))
+    return float(fs[0] * chain[0] + dot(fs[1:] - fs[:-1], chain[1:]))
 
 
 def _fuzzy_removal_chain(o, tnorm):

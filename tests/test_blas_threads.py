@@ -1,17 +1,19 @@
-"""Long rows sum in one order whatever the number of BLAS threads.
+"""The bits of every output are independent of the BLAS: its threads and the
+CPU kernel it picks.
 
-numpy's bundled OpenBLAS splits a dot product of more than 10,000 elements
-across the threads it started, one per CPU the process may use, so such a
-dot product may change its last bits with the CPU count. ``_dot_rows`` cuts
-a row longer than DOT_CHUNK into chunks, dots each and adds the chunk
-results left to right; rows up to one chunk keep the one dot product of
-``np.dot``. ``lof_scores`` on a large class picks candidates from a BLAS
-Gram matrix, whose bits follow the BLAS, but computes every distance it
-keeps without the BLAS, so its scores must not.
+The integrals and OWAs sum each row's products with numpy's pairwise
+reduction (``_dot_rows``), so a row of any length sums as it would alone and
+no BLAS routine runs. ``lof_scores`` on a large class picks candidates from
+a BLAS Gram matrix, whose bits follow the BLAS, but computes every distance
+it keeps without the BLAS, so its scores must not. Both are checked in
+subprocesses: pinned to one CPU against free to use all, and under several
+of the CPU kernels that numpy's bundled OpenBLAS can be told to run
+(``OPENBLAS_CORETYPE``).
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -21,47 +23,31 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fuzzyrough
-from fuzzyrough.choquet import DOT_CHUNK, _dot_rows
+from fuzzyrough.choquet import _dot_rows
+from tests.scalar_reference import dot
 
 
 def _bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-def _operands(rows, n, two_d, seed):
+# lengths up to three times numpy's 8,192-element iterator buffer, which an
+# einsum reduction would cut rows into
+@given(st.integers(1, 4), st.one_of(st.integers(1, 300), st.integers(8_000, 3 * 8_192 + 1)),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_every_row_equals_its_one_row_dot(rows, n, two_d, seed):
     rng = np.random.default_rng(seed)
-    return rng.normal(size=(rows, n)), rng.normal(size=(rows, n) if two_d else n)
-
-
-def _pairs(a, b):
-    return zip(a, b if b.ndim == 2 else [b] * a.shape[0])
-
-
-@given(st.integers(1, 3), st.integers(1, DOT_CHUNK), st.booleans(), st.integers(0, 2**32 - 1))
-def test_rows_up_to_one_chunk_equal_np_dot(rows, n, two_d, seed):
-    a, b = _operands(rows, n, two_d, seed)
-    want = [np.dot(x, y) for x, y in _pairs(a, b)]
-    assert np.array_equal(_bits(_dot_rows(a, b)), _bits(want))
-
-
-@given(st.integers(1, 3), st.integers(DOT_CHUNK + 1, 3 * DOT_CHUNK + 1), st.booleans(),
-       st.integers(0, 2**32 - 1))
-def test_longer_rows_add_their_chunks_left_to_right(rows, n, two_d, seed):
-    a, b = _operands(rows, n, two_d, seed)
-    want = []
-    for x, y in _pairs(a, b):
-        total = np.dot(x[:DOT_CHUNK], y[:DOT_CHUNK])
-        for start in range(DOT_CHUNK, n, DOT_CHUNK):
-            total += np.dot(x[start:start + DOT_CHUNK], y[start:start + DOT_CHUNK])
-        want.append(total)
+    a = rng.normal(size=(rows, n))
+    b = rng.normal(size=(rows, n) if two_d else n)
+    want = [dot(x, y) for x, y in zip(a, b if two_d else [b] * rows)]
     assert np.array_equal(_bits(_dot_rows(a, b)), _bits(want))
 
 
 # Pins itself to one CPU before numpy loads when asked, so that OpenBLAS
-# starts one thread and the package splits no rows, then prints the bits of
-# a 20,000-element integral under a symmetric measure and of an OWA block of
-# 12,000 elements per row, and the sha256 of the LOF scores of a 1,500 x 30
-# class.
+# starts one thread, then prints the bits of a 20,000-element integral under
+# a symmetric measure, of an OWA block of 12,000 elements per row and of a
+# wowa classifier's memberships, and the sha256 of the LOF scores of a
+# 1,500 x 30 class.
 PROBE = r"""
 import hashlib
 import json
@@ -73,6 +59,7 @@ if sys.argv[1] == "pinned":
 import numpy as np
 
 import fuzzyrough as fr
+from fuzzyrough.classifier import membership_matrix
 
 rng = np.random.default_rng(3)
 q = fr.QuadraticQuantifier(0.3, 0.9)
@@ -81,9 +68,22 @@ integral = fr.choquet_integral(values, fr.symmetric_from_quantifier(q, values.si
 block = rng.random((4, 12_000))
 owa = fr.owa(block, fr.weights_from_quantifier(q, block.shape[1]))
 lof = fr.lof_scores(rng.normal(size=(1500, 30)), 20)
+X = rng.normal(size=(300, 5))
+ds = fr.DecisionSystem(tuple("abcde"), X, np.where(X[:, 0] > 0, "p", "n").astype(object))
+model = fr.fit(ds, fr.AggregatorSpec(kind="wowa"))
+memberships = membership_matrix(model, rng.normal(size=(40, 5)))
 print(json.dumps([float(integral).hex(), [float(v).hex() for v in owa],
-                  hashlib.sha256(lof.tobytes()).hexdigest()]))
+                  hashlib.sha256(lof.tobytes()).hexdigest(),
+                  hashlib.sha256(memberships.tobytes()).hexdigest()]))
 """
+
+
+def _probe(mode: str, **env_vars) -> subprocess.CompletedProcess:
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(fuzzyrough.__file__)))
+    env = dict(os.environ, PYTHONPATH=package_root, **env_vars)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return subprocess.run([sys.executable, "-c", PROBE, mode], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
@@ -92,11 +92,27 @@ def test_a_process_pinned_to_one_cpu_gets_the_same_bits():
     # before rows were chunked, the integral read 0x1.98fa5b9ee50e2p-2 pinned
     # and 0x1.98fa5b9ee50e4p-2 unpinned on a 2-CPU host, and the OWA rows
     # differed too
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(fuzzyrough.__file__)))
-    env = dict(os.environ, PYTHONPATH=package_root)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    pinned, free = (
-        json.loads(subprocess.run([sys.executable, "-c", PROBE, mode], env=env, check=True,
-                                  capture_output=True, text=True, timeout=120).stdout)
-        for mode in ("pinned", "free"))
+    pinned, free = (json.loads(_probe(mode).stdout) for mode in ("pinned", "free"))
     assert pinned == free
+
+
+# x86-64 kernels from SSE4.2 to AVX2; the default is the host's own
+CORE_TYPES = ("Haswell", "Sandybridge", "Nehalem")
+
+
+def test_every_blas_cpu_kernel_gets_the_same_bits():
+    # with BLAS dot products, the memberships took four different hashes
+    # under the default (SkylakeX) and these three kernels on a 2-vCPU Xeon
+    # host, and the integral and the OWA rows three each; the LOF scores one
+    outputs = {}
+    for core in ("",) + CORE_TYPES:
+        run = _probe("free", OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2")
+        if run.returncode < 0:
+            continue  # a kernel this CPU cannot run dies by a signal
+        assert run.returncode == 0, run.stderr
+        chosen = re.findall(r"^Core: (\S+)", run.stderr, re.MULTILINE)
+        if chosen:
+            outputs[chosen[-1]] = json.loads(run.stdout)
+    if len(outputs) < 3:
+        pytest.skip(f"OPENBLAS_CORETYPE selects fewer than three cores here: {sorted(outputs)}")
+    assert len({json.dumps(v) for v in outputs.values()}) == 1, outputs

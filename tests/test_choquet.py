@@ -27,6 +27,7 @@ from fuzzyrough.quantifiers import (
     weights_from_quantifier,
 )
 from fuzzyrough.sets import DomainError, FuzzySet, Universe
+from tests.scalar_reference import dot
 from tests.test_measures import random_measure
 
 TOL = 1e-12
@@ -316,9 +317,9 @@ def _bits(x):
 
 def _owa_oracle(values, weights):
     """owa_values as it was before it sorted through sort_rows: a stable
-    descending argsort, then one np.dot per row."""
+    descending argsort, then one sum of products per row."""
     desc = np.take_along_axis(values, np.argsort(-values, axis=-1, kind="stable"), -1)
-    return np.array([np.dot(row, weights) for row in np.atleast_2d(desc)])
+    return np.array([dot(row, weights) for row in np.atleast_2d(desc)])
 
 
 @pytest.mark.usefixtures("sort_kernel")

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from fuzzyrough import classifier
+from fuzzyrough import approx, classifier
 from fuzzyrough import connectives as con
 from fuzzyrough.approx import (
     SimilarityRelation,
@@ -401,6 +401,23 @@ class TestFitPredict:
         rows[4, 1] = 0.0
         resolve_and_score(model, [spec(kind)], rows, 0)
         assert calls == [first_pass]
+
+    @pytest.mark.parametrize("kind", ["wowa", "comb"])
+    def test_the_rows_are_checked_once_however_many_blocks(self, monkeypatch, kind):
+        rng = np.random.default_rng(113)
+        model = FittedModel(toy_two_cluster(rng))
+        monkeypatch.setattr(classifier, "BLOCK_ELEMENTS", model.n)  # one row per block
+        checked = []
+        real = approx.check_test_rows
+
+        def spy(block, attributes):
+            checked.append(block.shape)
+            return real(block, attributes)
+
+        monkeypatch.setattr(approx, "check_test_rows", spy)
+        monkeypatch.setattr(classifier, "check_test_rows", spy)
+        resolve_and_score(model, [spec(kind)], np.zeros((5, 2)), 0)
+        assert checked == [(5, 2)]
 
 
 def _gaussian(rng, n, m):

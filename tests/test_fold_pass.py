@@ -4,9 +4,9 @@ The protocol scores a fold once for all strategies: comb's leave-one-out
 rows and the held-out rows in one ``_streamed_memberships`` pass (when all
 nine candidates are requested beside comb, as the protocol does), each
 distinct strategy once, one quantifier per setting and length in a process,
-products as one stacked matmul and every strategy's balanced accuracy from
-one call. Each piece is checked here against the per-call code it replaced,
-by bit pattern where it computes floats.
+the sums of products of all rows in one reduction and every strategy's
+balanced accuracy from one call. Each piece is checked here against the
+per-call code it replaced, by bit pattern where it computes floats.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from fuzzyrough.evaluation import (
 )
 from fuzzyrough.quantifiers import QuadraticQuantifier, RIMQuantifier, weights_from_quantifier
 from fuzzyrough.sets import DomainError
+from tests.scalar_reference import dot
 from tests.test_batched import _test_rows, decision_systems, specs
 
 
@@ -55,10 +56,10 @@ def _bits(a) -> np.ndarray:
 
 
 def _loop_dot_rows(a, b):
-    """One np.dot per row: the products before the stacked matmul."""
+    """One sum of products per row, each row on its own."""
     if b.ndim == 1:
-        return np.array([np.dot(row, b) for row in a])
-    return np.array([np.dot(x, y) for x, y in zip(a, b)])
+        return np.array([dot(row, b) for row in a])
+    return np.array([dot(x, y) for x, y in zip(a, b)])
 
 
 # values drawn from a tie grid with both zeros, or from a continuous law
@@ -74,19 +75,18 @@ def _operand(rng, shape, ties):
 class TestDotRows:
     """Operands are laid out as the package passes them: contiguous,
     reversed (negative stride) or a column slice such as ``chain[:, 1:]``
-    (not contiguous as a whole). Rows with gaps between their elements are
-    left out: on those np.dot itself takes BLAS's strided loop, which sums
-    in another order than on the same values side by side."""
+    (not contiguous as a whole), and also with gaps between a row's elements
+    or in column-major order, as a user-defined measure may return its chain."""
 
     @given(st.integers(1, 40), st.integers(1, 300), st.booleans(),
-           st.sampled_from(("contiguous", "reversed", "column slice")),
+           st.sampled_from(("contiguous", "reversed", "column slice", "gapped", "column-major")),
            st.sampled_from(("1-D", "2-D", "2-D reversed", "2-D column slice")),
            st.integers(0, 2**32 - 1))
     def test_equals_one_dot_per_row(self, rows, n, ties, a_kind, b_kind, seed):
         rng = np.random.default_rng(seed)
-        a = _operand(rng, (rows, n + 1), ties)
-        a = {"contiguous": a[:, :n].copy(), "reversed": a[:, n:0:-1], "column slice": a[:, 1:]}[
-            a_kind]
+        a = _operand(rng, (rows, 2 * n + 1), ties)
+        a = {"contiguous": a[:, :n].copy(), "reversed": a[:, n:0:-1], "column slice": a[:, 1:n + 1],
+             "gapped": a[:, :2 * n:2], "column-major": np.asfortranarray(a[:, :n])}[a_kind]
         if b_kind == "1-D":
             b = _operand(rng, n, ties)
         elif b_kind == "2-D":
@@ -105,8 +105,7 @@ class TestDotRows:
         assert np.signbit(_dot_rows(a, np.array([1.0]))[0])
 
     def test_reversed_chain_operand(self):
-        # the strided chain of a distorted additive measure: numpy's own
-        # matmul loop moved these products by up to 4.4e-16
+        # the strided chain of a distorted additive measure
         rng = np.random.default_rng(3)
         a = rng.normal(size=(40, 300))
         b = np.cumsum(rng.random((40, 300)), axis=1)[:, ::-1]
@@ -125,9 +124,9 @@ class TestDotRows:
         for i in range(rows):
             value = asc[i, 0] * chain[i, 0]
             if n > 1:
-                value += np.dot(asc[i, 1:] - asc[i, :-1], chain[i, 1:])
+                value += dot(asc[i, 1:] - asc[i, :-1], chain[i, 1:])
             choquet.append(value)
-        owa = [np.dot(asc[i, ::-1], weights) for i in range(rows)]
+        owa = [dot(asc[i, ::-1], weights) for i in range(rows)]
         assert np.array_equal(_bits(_choquet_sorted(asc, chain)), _bits(choquet))
         assert np.array_equal(_bits(_owa_sorted(asc, weights)), _bits(owa))
 

@@ -167,11 +167,18 @@ CHECKS = {
                              "unknown t-norm 'drastic'"),
     "normalize_scores empty": (lambda: fr.normalize_scores([]),
                                "cannot normalize an empty score vector"),
+    "normalize_scores infinite": (lambda: fr.normalize_scores([1.0, np.inf]),
+                                  "raw scores to normalize must be finite"),
     "OutlierScores shapes": (lambda: fr.OutlierScores(np.ones(3), np.zeros(2)),
                              "raw and normalized score shapes must match"),
     "per_class_scores k": (lambda: fr.per_class_scores(DS, 0), "k must be at least 1"),
     # a distance of 1e160 squares to inf: its LOF would be NaN
     "lof_scores overflow": (lambda: fr.lof_scores(FAR, 5), OVERFLOW),
+    # both sides of the class size where the neighbor search changes path
+    "lof_scores no attribute, exact search": (lambda: fr.lof_scores(np.zeros((90, 0)), 5),
+                                              "LOF needs at least one attribute"),
+    "lof_scores no attribute, prefiltered search": (
+        lambda: fr.lof_scores(np.zeros((100, 0)), 5), "LOF needs at least one attribute"),
     "scored_with_labels overflow": (lambda: outliers.scored_with_labels(FAR_DS, 5, 0.1),
                                     OVERFLOW),
     # 1e160 squares to inf in the standard deviation: a1 would be ignored
@@ -204,6 +211,28 @@ CHECKS = {
                         "membership vector length must match the universe size"),
     "wilcoxon_signed_rank lengths": (lambda: fr.wilcoxon_signed_rank([1.0, 2.0], [1.0, 2.0, 3.0]),
                                      "paired samples must be nonempty and of equal length"),
+    # sets._reals, reached through value_rows, one_vector and unit_degrees
+    "value_rows strings": (lambda: fr.choquet_integral(["a", "b", "c"],
+                                                       fr.symmetric_from_quantifier(Q, 3)),
+                           "expected real numbers, got <U1 values"),
+    "one_vector complex": (lambda: fr.wilcoxon_signed_rank([1.0 + 1.0j, 2.0], [0.0, 0.0]),
+                           "expected real numbers, got complex128 values"),
+    "unit_degrees objects": (lambda: fr.negator_eval("standard", np.array([0.5], dtype=object)),
+                             "expected real numbers, got object values"),
+}
+
+BIG = 1e308
+# name -> (a call whose arithmetic overflows, a call on ordinary numbers with
+# the same answer); the suite turns an overflow warning into a failure
+EXTREMES = {
+    "normalize_scores std overflow": (lambda: fr.normalize_scores([BIG, -BIG, 0.0]),
+                                      lambda: fr.normalize_scores([1.0, -1.0, 0.0])),
+    "normalize_scores mean overflow": (lambda: fr.normalize_scores([BIG, BIG, BIG / 2]),
+                                       lambda: fr.normalize_scores([1.0, 1.0, 0.5])),
+    # the difference overflows to inf, which still ranks largest
+    "wilcoxon_signed_rank difference overflow": (
+        lambda: fr.wilcoxon_signed_rank([BIG, 1.0, 2.0], [-BIG, 0.0, 0.5]),
+        lambda: fr.wilcoxon_signed_rank([3.0, 1.0, 2.0], [0.0, 0.0, 0.5])),
 }
 
 
@@ -214,6 +243,16 @@ def test_each_check_raises_its_own_message(entry):
         call()
     for table in (connectives._TNORMS, connectives._IMPLICATORS, connectives._NEGATORS):
         assert "axiom_check_test" not in table
+
+
+@pytest.mark.parametrize("entry", sorted(EXTREMES))
+def test_overflowing_input_gives_the_answer_of_ordinary_input(entry):
+    extreme, ordinary = EXTREMES[entry]
+    got, want = extreme(), ordinary()
+    if isinstance(want, np.ndarray):
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got == want
 
 
 def test_a_fuzzy_set_of_degrees_gives_the_measure_its_universe():
