@@ -31,16 +31,32 @@ def _bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-# lengths up to three times numpy's 8,192-element iterator buffer, which an
-# einsum reduction would cut rows into
-@given(st.integers(1, 4), st.one_of(st.integers(1, 300), st.integers(8_000, 3 * 8_192 + 1)),
-       st.booleans(), st.integers(0, 2**32 - 1))
-def test_every_row_equals_its_one_row_dot(rows, n, two_d, seed):
+# Each row of _dot_rows must equal the one-row pairwise sum of its products,
+# whatever its length. Rows are checked in two bands around numpy's
+# 8,192-element iterator buffer, which an einsum reduction would cut rows
+# into. The test names date from when rows longer than 8,192 elements were
+# dotted by BLAS in chunks of that size, added left to right.
+BUFFER = 8_192
+
+
+def _check_rows(rows, n, two_d, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(rows, n))
     b = rng.normal(size=(rows, n) if two_d else n)
     want = [dot(x, y) for x, y in zip(a, b if two_d else [b] * rows)]
     assert np.array_equal(_bits(_dot_rows(a, b)), _bits(want))
+
+
+@given(st.integers(1, 4), st.one_of(st.integers(1, 300), st.integers(BUFFER - 192, BUFFER)),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_rows_up_to_one_chunk_equal_np_dot(rows, n, two_d, seed):
+    _check_rows(rows, n, two_d, seed)
+
+
+@given(st.integers(1, 4), st.integers(BUFFER + 1, 3 * BUFFER + 1), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_longer_rows_add_their_chunks_left_to_right(rows, n, two_d, seed):
+    _check_rows(rows, n, two_d, seed)
 
 
 # Pins itself to one CPU before numpy loads when asked, so that OpenBLAS
