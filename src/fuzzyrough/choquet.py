@@ -7,15 +7,19 @@ this is the weighted mean, for symmetric measures the OWA operator.
 
 Both operators take a leading row axis: a 2-D array of values is integrated
 row by row and gives one result per row, and a one-dimensional input is the
-one-row case of the same code; input with three or more dimensions is
-rejected. Each row's final sum of products is numpy's pairwise sum
-(``_dot_rows``), so a row's result is bit-identical to integrating it alone
-and no BLAS kernel or thread count moves a bit.
+one-row case of the same code, passed on as a table of one row; input with
+three or more dimensions is rejected.
 
 Every integral and OWA sorts its rows once with ``sort_rows`` (the stable
-ascending argsort, ties broken by index) and reads them through one private
-kernel per operator, ``_choquet_sorted`` and ``_owa_sorted``, which the
-classifier's scoring calls too.
+ascending argsort, ties broken by index), which sums nothing, and reads them
+through one private kernel per operator, ``_choquet_sorted`` and
+``_owa_sorted``, which the classifier's scoring calls too. Each kernel ends
+in one sum per row, and each sum happens in one place: an integral's in
+``_choquet_sorted``, over the steps it multiplied by the chain in place, an
+OWA's in ``_dot_rows``, over the products of the reversed row and the
+weights. Both sum with ``_sum_rows``, numpy's pairwise sum of a fresh
+row-contiguous array, so a row's result is bit-identical to integrating it
+alone and no BLAS kernel or thread count moves a bit.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ def _extract(f, mu: MonotoneMeasure | None = None) -> np.ndarray:
         values, universe = f.memberships, f.universe
     else:
         values = value_rows(f, "values")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise DomainError("values must be finite")
         universe = None
     if mu is not None:
@@ -69,16 +73,23 @@ def _extract(f, mu: MonotoneMeasure | None = None) -> np.ndarray:
     return values
 
 
+def _sum_rows(products: np.ndarray) -> np.ndarray:
+    """Each row's sum of a fresh row-contiguous array of products.
+
+    ``np.add.reduce`` sums each row pairwise, so every result is
+    bit-identical to the one-row call on that row. A length-1 row is its
+    plain product: the reduction would turn a lone -0.0 into +0.0.
+    """
+    return products[:, 0] if products.shape[1] == 1 else np.add.reduce(products, axis=1)
+
+
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sum of products of each row of a with b, or with the same row of a 2-D b.
 
-    The products fill a fresh row-contiguous array and ``np.add.reduce``
-    sums each row pairwise, so every result is bit-identical to the one-row
-    call on that row, whatever the layout of the operands. A length-1 row is
-    its plain product: the reduction would turn a lone -0.0 into +0.0.
+    The products fill a fresh row-contiguous array, whatever the layout of
+    the operands, and ``_sum_rows`` sums it: the OWA's sum happens here.
     """
-    products = np.multiply(a, b, order="C")
-    return products[:, 0] if a.shape[1] == 1 else np.add.reduce(products, axis=1)
+    return _sum_rows(np.multiply(a, b, order="C"))
 
 
 def sort_rows(values) -> tuple[np.ndarray, np.ndarray]:
@@ -95,18 +106,23 @@ def sort_rows(values) -> tuple[np.ndarray, np.ndarray]:
     a few hundred elements, keep the stable sort: the tie check's fixed cost
     per call outweighs what the faster sort saves on so few values. They
     gather directly, as ``np.take_along_axis`` would at a higher cost.
+
+    A 2-D input is the table of rows itself, sorted as it is. A vector, or
+    an input with more axes, is reshaped into its table of rows and given
+    back in its own shape. Nothing is summed here.
     """
     values = np.asarray(values)
-    table = values.reshape(math.prod(values.shape[:-1]), values.shape[-1])
-    if values.size < FAST_SORT_VALUES:
-        order = np.argsort(table, axis=-1, kind="stable")
-        asc = table[np.arange(table.shape[0])[:, None], order]
+    if values.ndim != 2:
+        order, asc = sort_rows(values.reshape(math.prod(values.shape[:-1]), values.shape[-1]))
         return order.reshape(values.shape), asc.reshape(values.shape)
-    order = np.empty(table.shape, dtype=np.intp)
-    asc = np.empty(table.shape, dtype=values.dtype)
+    if values.size < FAST_SORT_VALUES:
+        order = values.argsort(axis=-1, kind="stable")
+        return order, values[np.arange(values.shape[0])[:, None], order]
+    order = np.empty(values.shape, dtype=np.intp)
+    asc = np.empty(values.shape, dtype=values.dtype)
 
     def part(lo, hi):
-        v, o, a = table[lo:hi], order[lo:hi], asc[lo:hi]
+        v, o, a = values[lo:hi], order[lo:hi], asc[lo:hi]
         o[...] = np.argsort(v, axis=-1)
         a[...] = np.take_along_axis(v, o, axis=-1)
         tied = ~np.all(a[..., 1:] > a[..., :-1], axis=-1)
@@ -115,15 +131,21 @@ def sort_rows(values) -> tuple[np.ndarray, np.ndarray]:
             # equal values may differ in their bits (signed zeros), so gather again
             a[tied] = np.take_along_axis(v[tied], o[tied], axis=-1)
 
-    over_row_ranges(part, table.shape[0], values.size * table.shape[1].bit_length())
-    return order.reshape(values.shape), asc.reshape(values.shape)
+    over_row_ranges(part, values.shape[0], values.size * values.shape[1].bit_length())
+    return order, asc
 
 
 def _choquet_sorted(asc: np.ndarray, chain: np.ndarray) -> np.ndarray:
-    """Choquet integrals of rows sorted ascending, given the chains of their order."""
+    """Choquet integrals of rows sorted ascending, given the chains of their order.
+
+    The integral's sum happens here: the steps between neighbouring values
+    fill a fresh row-contiguous array, which is multiplied by the chain in
+    place and summed by ``_sum_rows``; the first value's term is added last.
+    """
     out = asc[:, 0] * chain[:, 0]
     if asc.shape[1] > 1:
-        out += _dot_rows(asc[:, 1:] - asc[:, :-1], chain[:, 1:])
+        steps = np.subtract(asc[:, 1:], asc[:, :-1], order="C")
+        out += _sum_rows(np.multiply(steps, chain[:, 1:], out=steps))
     return out
 
 
@@ -141,7 +163,7 @@ def choquet_integral(f, mu: MonotoneMeasure):
     three or more dimensions raises DomainError.
     """
     values = _extract(f, mu)
-    order, asc = sort_rows(np.atleast_2d(values))
+    order, asc = sort_rows(values[None] if values.ndim == 1 else values)
     out = _choquet_sorted(asc, mu.chain_values(order))
     return out if values.ndim == 2 else float(out[0])
 
@@ -152,7 +174,7 @@ def owa_values(f, w: WeightVector):
     values = _extract(f)
     if values.shape[-1] != len(w):
         raise DomainError("value and weight lengths differ")
-    _, asc = sort_rows(np.atleast_2d(values))
+    _, asc = sort_rows(values[None] if values.ndim == 1 else values)
     out = _owa_sorted(asc, w.weights)
     return out if values.ndim == 2 else float(out[0])
 

@@ -131,7 +131,9 @@ class SymmetricMeasure(MonotoneMeasure):
         return self.quantifier(k / self.n)
 
     def chain_values(self, order):
-        return np.broadcast_to(self.chain, np.shape(order)).copy()
+        out = np.empty(np.shape(order))
+        out[...] = self.chain
+        return out
 
 
 class _DistortedAdditiveMeasure(MonotoneMeasure):

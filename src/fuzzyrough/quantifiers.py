@@ -60,9 +60,7 @@ class RIMQuantifier:
     def __call__(self, p):
         arr = unit_degrees(p, "quantifier argument must lie in [0, 1]")
         out = self._eval(arr)
-        if np.isscalar(p) or arr.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if arr.ndim == 0 else out
 
 
 class UniversalQuantifier(RIMQuantifier):

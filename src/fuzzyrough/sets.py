@@ -30,7 +30,7 @@ def _reals(a) -> np.ndarray:
 def unit_degrees(a, message: str) -> np.ndarray:
     """``a`` as a float array; DomainError(message) unless each entry is in [0, 1] (NaN is not)."""
     a = _reals(a)
-    if not np.all((a >= 0.0) & (a <= 1.0)):
+    if not ((a >= 0.0) & (a <= 1.0)).all():
         raise DomainError(message)
     return a
 

@@ -64,6 +64,25 @@ def _fuzzy_removal_chain(o, tnorm):
     return chain_of
 
 
+def symmetric_chain(quantifier, n):
+    """The chain of the symmetric measure Q(|A|/n): Q((n - i)/n) at step i,
+    whatever the order."""
+    def chain_of(order):
+        return np.array([quantifier((n - i) / n) for i in range(n)])
+    return chain_of
+
+
+def dual_chain(chain_of):
+    """The chain of the dual measure 1 - mu(complement): 1 at step 0, and at
+    step i one minus the inner measure of the first i elements of the order,
+    which is step n - i of the inner chain of the reversed order."""
+    def dual_of(order):
+        n = len(order)
+        rev = chain_of(order[::-1])
+        return np.array([1.0] + [1.0 - rev[n - i] for i in range(1, n)])
+    return dual_of
+
+
 def _distorted_chain(weights, quantifier):
     def chain_of(order):
         suffix = np.cumsum(weights[order][::-1])[::-1]

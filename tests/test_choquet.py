@@ -27,6 +27,7 @@ from fuzzyrough.quantifiers import (
     weights_from_quantifier,
 )
 from fuzzyrough.sets import DomainError, FuzzySet, Universe
+from tests import scalar_reference
 from tests.scalar_reference import dot
 from tests.test_measures import random_measure
 
@@ -297,8 +298,20 @@ class TestSortRows:
         _assert_stable_sort(values)
 
     def test_empty_rows(self):
-        for shape in ((0, 128), (3, 0), (0,)):
+        for shape in ((0, 128), (3, 0), (0,), (2, 0, 5), (2, 3, 0), (0, 4, 6)):
             _assert_stable_sort(np.zeros(shape))
+
+    def test_a_table_of_any_layout_sorts_into_new_arrays(self):
+        """A 2-D input is sorted as the table it is: transposed, strided and
+        reversed views give the stable argsort, in new row-contiguous arrays."""
+        rng = np.random.default_rng(9)
+        base = rng.integers(0, 3, (40, 12)).astype(float)
+        base[::5] = rng.choice([0.0, -0.0], size=(8, 12))
+        for values in (base, base.T, base[:, ::-2], base[::3], np.asfortranarray(base)):
+            _assert_stable_sort(values)
+            order, asc = sort_rows(values)
+            assert order.flags.c_contiguous and asc.flags.c_contiguous
+            assert not np.shares_memory(asc, base)
 
 
 @pytest.mark.parametrize("size", (FAST_SORT_VALUES - 1, FAST_SORT_VALUES))
@@ -309,6 +322,42 @@ def test_sort_rows_on_both_sides_of_the_threshold(size):
     for shape in ((size,), (1, size)):
         _assert_stable_sort(rng.random(shape))
         _assert_stable_sort(rng.integers(0, 3, shape).astype(float))
+
+
+class TestChoquetSortedOracle:
+    """_choquet_sorted multiplies the steps into the array that holds them and
+    sums it as _dot_rows does: each row of a stack keeps every bit of the
+    scalar reference, signed zeros included, whatever the stack's layout, and
+    neither input is written."""
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_every_short_row_of_signed_zeros(self, n):
+        rows = np.array(list(itertools.product([-0.5, -0.0, 0.0, 0.5], repeat=n)))
+        # a chain may hold -0.0: fuzzy removal under the product on a degree -0.0
+        chains = np.array(list(itertools.product([-0.0, 0.0, 0.25, 1.0], repeat=n)))
+        # every row against every chain; a stable sort keeps 0.0 before -0.0,
+        # so their step is -0.0
+        asc = np.sort(np.repeat(rows, len(chains), axis=0), axis=1, kind="stable")
+        self._assert_rows_match(asc, np.tile(chains, (len(rows), 1)))
+
+    @pytest.mark.parametrize("n", (3, 9, 130))
+    def test_tie_heavy_and_tie_free_stacks(self, n):
+        rng = np.random.default_rng(500 + n)
+        values = rng.choice([-0.5, -0.0, 0.0, 0.25, 0.5], size=(24, n))
+        chain = rng.choice([0.0, 0.25, 0.5, 1.0], size=(24, n))
+        # rows whose sums round, so that a different summation order shows
+        values[::2], chain[::2] = rng.normal(size=(12, n)), rng.random((12, n))
+        self._assert_rows_match(np.sort(values, axis=1, kind="stable"), chain)
+
+    @staticmethod
+    def _assert_rows_match(asc, chain):
+        want = _bits([scalar_reference._choquet(a, lambda order, c=c: c[order])
+                      for a, c in zip(asc, chain)])
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            a, c = layout(asc), layout(chain)
+            got = choquet._choquet_sorted(a, c)
+            assert np.array_equal(_bits(got), want)
+            assert a.tobytes() == asc.tobytes() and c.tobytes() == chain.tobytes()
 
 
 def _bits(x):

@@ -25,6 +25,7 @@ from fuzzyrough.quantifiers import (
     WeightVector,
 )
 from fuzzyrough.sets import DomainError, FuzzySet, Universe
+from tests import scalar_reference
 
 TOL = 1e-12
 MOST = QuadraticQuantifier(0.3, 0.9)
@@ -128,6 +129,26 @@ class TestSymmetricChain:
             dual.chain_values(order)
         assert calls == [] and not mu.chain.flags.writeable
         assert mu.chain.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", (1, 2, 7))
+    def test_symmetric_and_dual_chains_are_fresh_writable_and_row_contiguous(self, n):
+        """Every chain of a symmetric measure and of its dual is a new C-ordered
+        array the caller may write, for one order or a stack of them, contiguous
+        or not, and each row keeps every bit of the scalar reference."""
+        mu = symmetric_from_quantifier(MOST, n)
+        reference = scalar_reference.symmetric_chain(MOST, n)
+        rng = np.random.default_rng(n)
+        orders = np.array([rng.permutation(n) for _ in range(5)])
+        layouts = (orders[0], orders, orders[:, ::-1], orders[::2], np.asfortranarray(orders))
+        for measure, chain_of in ((mu, reference),
+                                  (mu.dual(), scalar_reference.dual_chain(reference))):
+            for order in layouts:
+                chain = measure.chain_values(order)
+                assert chain.shape == order.shape and chain.dtype == np.float64
+                assert chain.flags.writeable and chain.flags.c_contiguous and chain.flags.owndata
+                assert not np.shares_memory(chain, mu.chain)
+                want = np.array([chain_of(row) for row in np.atleast_2d(order)])
+                assert chain.tobytes() == want.tobytes()
 
 
 class TestGather:
