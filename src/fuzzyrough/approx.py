@@ -30,7 +30,7 @@ class SimilarityRelation:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = unit_degrees(frozen_copy(self.matrix), "similarities must lie in [0, 1]")
+        m = frozen_copy(unit_degrees(self.matrix, "similarities must lie in [0, 1]"))
         n = self.universe.size
         if m.shape != (n, n):
             raise DomainError("similarity matrix shape must match the universe")

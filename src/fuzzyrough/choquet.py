@@ -32,7 +32,7 @@ import numpy as np
 from .measures import MonotoneMeasure
 from .quantifiers import WeightVector
 from .rows import over_row_ranges
-from .sets import DomainError, FuzzySet, Universe, frozen_copy, value_rows
+from .sets import DomainError, FuzzySet, Universe, _reals, frozen_copy, value_rows
 
 FAST_SORT_VALUES = 4096  # sort_rows calls on fewer values keep numpy's stable sort
 
@@ -45,7 +45,7 @@ class Valuation:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = frozen_copy(self.values)
+        v = frozen_copy(_reals(self.values))
         if v.ndim != 1 or v.size != self.universe.size:
             raise DomainError("value vector length must match the universe size")
         if not np.all(np.isfinite(v)):

@@ -85,7 +85,7 @@ from .quantifiers import (
     RIMQuantifier,
     weights_from_quantifier,
 )
-from .sets import DomainError, check_seed, check_whole_number, one_vector, unit_degrees
+from .sets import DomainError, _reals, check_seed, check_whole_number, one_vector, unit_degrees
 
 AGGREGATOR_KINDS = ("min", "mino", "fr", "avg", "avgo", "ts", "owa", "owao", "wowa", "comb")
 BASE_KINDS = AGGREGATOR_KINDS[:-1]
@@ -463,7 +463,7 @@ def resolve_and_score(model: FittedModel, specs: list[AggregatorSpec], X_test,
     leave-one-out runs alone, and the held-out rows get one pass under the
     resolved specs not yet scored. Comb resolves as ``comb_select`` does.
     """
-    X_test = np.asarray(X_test, dtype=float)
+    X_test = _reals(X_test)
     if X_test.ndim != 2:
         raise DomainError("test instances must form a 2-D array, one instance per row")
     check_test_rows(X_test, model.train.X.shape[1])

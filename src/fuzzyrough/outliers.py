@@ -37,7 +37,7 @@ import numpy as np
 from ._special import erf
 from .data import DecisionSystem
 from .rows import over_row_ranges
-from .sets import DomainError, check_whole_number, frozen_copy, one_vector, unit_degrees
+from .sets import DomainError, _reals, check_whole_number, frozen_copy, one_vector, unit_degrees
 
 DISTANCE_FLOOR = 1e-12  # keeps densities finite when points coincide
 FAST_KNN_DISTANCES = 8192  # classes with n * n below this keep the exact blocked search
@@ -260,8 +260,8 @@ class OutlierScores:
     labels: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        raw = frozen_copy(self.raw)
-        norm = unit_degrees(frozen_copy(self.normalized), "normalized scores must lie in [0, 1]")
+        raw = frozen_copy(_reals(self.raw))
+        norm = frozen_copy(unit_degrees(self.normalized, "normalized scores must lie in [0, 1]"))
         if raw.shape != norm.shape or raw.ndim != 1:
             raise DomainError("raw and normalized score shapes must match")
         if not np.all(np.isfinite(raw)):

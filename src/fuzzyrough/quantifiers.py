@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sets import DomainError, FuzzySet, frozen_copy, unit_degrees
+from .sets import DomainError, FuzzySet, _reals, frozen_copy, unit_degrees
 
 _VALIDATION_GRID = np.linspace(0.0, 1.0, 1001)
 
@@ -25,7 +25,7 @@ class WeightVector:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        w = frozen_copy(self.weights)
+        w = frozen_copy(_reals(self.weights))
         if w.ndim != 1 or w.size == 0:
             raise DomainError("weight vector must be a nonempty 1-d array")
         if np.any(w < 0.0):

@@ -20,8 +20,13 @@ def frozen_copy(a, dtype=float) -> np.ndarray:
 
 
 def _reals(a) -> np.ndarray:
-    """``a`` as a float array; DomainError for strings, complex numbers and objects."""
-    a = np.asarray(a)
+    """``a`` as a float array; DomainError for strings, complex numbers and
+    objects, and for nested sequences of unequal lengths."""
+    try:
+        a = np.asarray(a)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise DomainError("expected real numbers in a rectangular array, got ragged "
+                          "sequences") from None
     if a.dtype.kind not in "biuf":
         raise DomainError(f"expected real numbers, got {a.dtype} values")
     return a.astype(float, copy=False)
@@ -104,7 +109,7 @@ class FuzzySet:
     memberships: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = unit_degrees(frozen_copy(self.memberships), "memberships must lie in [0, 1]")
+        m = frozen_copy(unit_degrees(self.memberships, "memberships must lie in [0, 1]"))
         if m.ndim != 1 or len(m) != self.universe.size:
             raise DomainError("membership vector length must match the universe size")
         object.__setattr__(self, "memberships", m)

@@ -219,6 +219,24 @@ CHECKS = {
                            "expected real numbers, got complex128 values"),
     "unit_degrees objects": (lambda: fr.negator_eval("standard", np.array([0.5], dtype=object)),
                              "expected real numbers, got object values"),
+    "_reals ragged": (lambda: fr.choquet_integral([[0.1, 0.2, 0.3], [0.4]],
+                                                  fr.symmetric_from_quantifier(Q, 3)),
+                      "expected real numbers in a rectangular array, got ragged sequences"),
+    # the entries that keep a read-only copy apply the same rule before copying
+    "FuzzySet strings": (lambda: fr.FuzzySet(U, ["a", "b", "c"]),
+                         "expected real numbers, got <U1 values"),
+    "SimilarityRelation complex": (lambda: fr.SimilarityRelation(U, np.eye(3) + 0j),
+                                   "expected real numbers, got complex128 values"),
+    "OutlierScores strings": (lambda: fr.OutlierScores(["a", "b"], [0.1, 0.2]),
+                              "expected real numbers, got <U1 values"),
+    "Valuation strings": (lambda: fr.Valuation(U, ["a", "b", "c"]),
+                          "expected real numbers, got <U1 values"),
+    "WeightVector complex": (lambda: fr.WeightVector([0.5 + 0j, 0.5]),
+                             "expected real numbers, got complex128 values"),
+    "resolve_and_score strings": (
+        lambda: classifier.resolve_and_score(fr.FittedModel(DS), [fr.AggregatorSpec(kind="min")],
+                                             [["a", "b"]], 0),
+        "expected real numbers, got <U1 values"),
 }
 
 BIG = 1e308
