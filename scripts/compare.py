@@ -37,7 +37,18 @@ The workloads are those ``BENCHMARK.json`` lists.
    ``balanced_accuracies``, so ``comb_select``, ``predict_batch`` and
    ``balanced_accuracy`` read 0 there whatever the code does. A failed
    trace run makes the exit status 1.
-4. Tier-1. Each tree runs the Tier-1 verify command of ROADMAP.md once (with
+4. Work counts. Per workload and side, one subprocess in that tree generates
+   the inputs at seed 11, runs the body once to warm imports, memos and the
+   row pool, then runs it again while ``sys.setprofile`` and
+   ``threading.setprofile`` count every Python and C call and ``tracemalloc``
+   records the peak of traced memory. Calls on threads that already run when
+   counting starts, such as the row pool's helpers, are not counted. Unlike
+   wall time these repeat almost exactly from run to run, so they show a
+   change in per-call work through host noise; a call on ten elements counts
+   as much as one on ten million, so they do not measure kernel work. Both
+   sides' values and their ratios are printed beside the paired table,
+   reported and not judged.
+5. Tier-1. Each tree runs the Tier-1 verify command of ROADMAP.md once (with
    ``-p no:cacheprovider``, so it writes no cache into either tree), with
    its own ``src`` first on ``PYTHONPATH``; its wall seconds and its passed,
    skipped and failed counts are recorded and given one line of the table.
@@ -109,6 +120,47 @@ for name in sorted(os.listdir(out)):
     hashes[name] = hashlib.sha256(data).hexdigest()
 print(json.dumps({"package": fuzzyrough.__file__, "exit_code": result["exit_code"],
                   "hashes": hashes}))
+"""
+
+
+# Runs in a fresh interpreter inside one tree: generate, run the body once
+# to warm up, then once more counting calls and tracing memory. argv:
+# workload, seed, scratch directory.
+WORK_BODY = r"""
+import json, os, sys, threading, tracemalloc
+sys.path.insert(0, os.path.join(os.getcwd(), "perfbench"))
+import workloads
+workload, seed, scratch = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+inputs = os.path.join(scratch, "inputs")
+os.makedirs(inputs)
+manifest = workloads.generate(workload, seed, inputs)
+
+
+def body(name):
+    out = os.path.join(scratch, name)
+    os.makedirs(out)
+    return workloads.BODIES[workload](manifest, out)["exit_code"]
+
+
+calls = [0]
+
+
+def count(frame, event, arg):
+    if event in ("call", "c_call"):
+        calls[0] += 1
+
+
+warm = body("warm")
+tracemalloc.start()
+threading.setprofile(count)
+sys.setprofile(count)
+counted = body("counted")
+sys.setprofile(None)
+threading.setprofile(None)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps({"exit_codes": [warm, counted], "calls": calls[0],
+                  "traced_peak_bytes": peak}))
 """
 
 
@@ -377,6 +429,44 @@ def layer_table(rows):
     return "\n".join(lines)
 
 
+def work_counts(tree, workload):
+    """``calls`` and ``traced_peak_bytes`` of one warm body of ``workload`` at
+    TRACE_SEED in ``tree`` (see WORK_BODY), with the two bodies' exit codes."""
+    with tempfile.TemporaryDirectory(prefix="compare-") as scratch:
+        proc = subprocess.run([sys.executable, "-c", WORK_BODY, workload, str(TRACE_SEED),
+                               scratch], cwd=tree, env=_env(tree), stdout=subprocess.PIPE,
+                              check=True, timeout=600)
+    return json.loads(proc.stdout.decode().splitlines()[-1])
+
+
+def work_rows(counts):
+    """One row per workload from ``counts`` ({workload: {side: ``work_counts``
+    result}}): each side's calls and traced peak, and change over parent."""
+    rows = []
+    for workload, sides in counts.items():
+        parent, change = sides["parent"], sides["change"]
+        row = {"workload": workload}
+        for name in ("calls", "traced_peak_bytes"):
+            row[name] = {"parent": parent[name], "change": change[name],
+                         "ratio": change[name] / parent[name] if parent[name] else None}
+        rows.append(row)
+    return rows
+
+
+def work_table(rows):
+    """The work rows as a Markdown table: counts in full, ratios to four digits."""
+    lines = ["| workload | parent calls | change calls | ratio | parent traced peak bytes "
+             "| change traced peak bytes | ratio |", "|---|---|---|---|---|---|---|"]
+    for r in rows:
+        cells = [r["workload"]]
+        for name in ("calls", "traced_peak_bytes"):
+            ratio = r[name]["ratio"]
+            cells += [str(r[name]["parent"]), str(r[name]["change"]),
+                      "-" if ratio is None else f"{ratio:.4f}"]
+        lines.append("| " + " | ".join(cells) + " |")
+    return "\n".join(lines)
+
+
 def tier1(tree):
     """One run of the Tier-1 verify command in ``tree``, with the tree's own
     ``src`` first on ``PYTHONPATH``: its wall seconds, exit code and the
@@ -453,6 +543,9 @@ def main(argv=None):
                     report["hashes"].append({"workload": workload, "seed": seed, "file": name,
                                              "parent": a, "change": b, "equal": a == b})
                     print(f"{workload} seed {seed} {name}: {'equal' if a == b else 'DIFFERS'}")
+        report["work"] = work_rows({workload: {side: work_counts(tree, workload)
+                                               for side, tree in trees.items()}
+                                    for workload in workloads})
         for workload in workloads:
             for i in range(args.pairs):
                 seed = FIRST_PAIR_SEED + i
@@ -475,6 +568,7 @@ def main(argv=None):
     print(f"{failed_traces} of {2 * len(workloads)} trace runs failed")
     print(layer_table(report["layers"]))
     print(paired_table(report["summary"]))
+    print(work_table(report["work"]))
     print(table(report["summary"], report["tier1"]))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,7 +1,7 @@
 """The summary, table and verdicts of ``scripts/compare.py`` on synthetic
 records, its layer rows on synthetic traces, its reading of perfbench's run
-records from synthetic files, its trace run, tier-1 run and copy of the
-working tree with ``subprocess.run`` replaced, and the loops of its ``main``
+records from synthetic files, its trace run, work counts, tier-1 run and
+copy of the working tree with ``subprocess.run`` replaced, and the loops of its ``main``
 with git, extraction, the copy and the runs replaced by fakes; no test here
 starts a process."""
 
@@ -213,12 +213,13 @@ WORKLOADS = [f"w{i}" for i in range(5)]
 def _fake_trees(monkeypatch, tmp_path, bench_result):
     """Run ``compare.main`` against fakes: a BENCHMARK.json listing five
     workloads, no git, no extraction, no copy and no subprocess. Returns the
-    calls made to ``output_hashes``, ``bench_run``, ``trace_run`` and
-    ``tier1``, and the fake parent and change trees."""
+    calls made to ``output_hashes``, ``work_counts``, ``bench_run``,
+    ``trace_run`` and ``tier1``, and the fake parent and change trees."""
     benchmark = {"run_seconds": 3, "end_to_end": END_TO_END,
                  "workloads": [{"name": name, "why": ""} for name in WORKLOADS]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
-    calls = {"hashes": [], "runs": [], "parent": [], "change": [], "traces": [], "tier1": []}
+    calls = {"hashes": [], "work": [], "runs": [], "parent": [], "change": [], "traces": [],
+             "tier1": []}
 
     def extract(rev, directory):
         calls["parent"].append(os.path.join(directory, "tree"))
@@ -231,6 +232,12 @@ def _fake_trees(monkeypatch, tmp_path, bench_result):
     def output_hashes(tree, workload, seed):
         calls["hashes"].append((tree, workload, seed))
         return {"hashes": {"results.csv": f"{workload}-{seed}"}}
+
+    def work_counts(tree, workload):
+        calls["work"].append((tree, workload))
+        side = 1 if tree == calls["parent"][0] else 0
+        return {"exit_codes": [0, 0], "calls": 1000 + 250 * side,
+                "traced_peak_bytes": 4096}
 
     def bench_run(tree, workload, seed, seconds):
         calls["runs"].append((tree, workload, seed, seconds))
@@ -251,6 +258,7 @@ def _fake_trees(monkeypatch, tmp_path, bench_result):
     monkeypatch.setattr(compare, "extract", extract)
     monkeypatch.setattr(compare, "copy_worktree", copy_worktree)
     monkeypatch.setattr(compare, "output_hashes", output_hashes)
+    monkeypatch.setattr(compare, "work_counts", work_counts)
     monkeypatch.setattr(compare, "bench_run", bench_run)
     monkeypatch.setattr(compare, "trace_run", trace_run)
     monkeypatch.setattr(compare, "tier1", tier1)
@@ -271,6 +279,9 @@ def test_main_hashes_and_pairs_every_listed_workload(monkeypatch, tmp_path, caps
     assert str(tmp_path) not in (parent, change) and parent != change
     assert calls["hashes"] == [(tree, workload, seed) for workload in WORKLOADS
                                for seed in (0, 11) for tree in (parent, change)]
+    # one warm, counted body per side and workload
+    assert calls["work"] == [(tree, workload) for workload in WORKLOADS
+                             for tree in (parent, change)]
     # each seed runs both sides back to back, the first side alternating
     assert calls["runs"] == [
         (tree, workload, seed, 3) for workload in WORKLOADS
@@ -293,6 +304,10 @@ def test_main_hashes_and_pairs_every_listed_workload(monkeypatch, tmp_path, caps
     assert "10 of 10 output files equal" in printed and "0 of 30 runs failed" in printed
     assert "0 of 10 trace runs failed" in printed
     assert "| w0 | choquet.choquet_integral.calls | count | 1680 | 1680 | equal |" in printed
+    assert "| w4 | 1250 | 1000 | 0.8000 | 4096 | 4096 | 1.0000 |" in printed
+    assert report["work"][0] == {
+        "workload": "w0", "calls": {"parent": 1250, "change": 1000, "ratio": 0.8},
+        "traced_peak_bytes": {"parent": 4096, "change": 4096, "ratio": 1.0}}
     assert printed.rstrip().splitlines()[-1] == (
         "| tier-1 | wall_s | 41.0 s: 700 passed, 2 skipped, 0 failed "
         "| 42.0 s: 700 passed, 2 skipped, 0 failed | +2.4% | 1 run each | | - |")
@@ -460,3 +475,42 @@ def test_main_fails_on_a_failed_trace_run(monkeypatch, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "1 of 10 trace runs failed" in printed
     assert "| w2 | - | | | | trace run failed: change |" in printed
+
+
+def test_work_counts_run_one_warm_and_one_counted_body_in_the_tree(monkeypatch, tmp_path):
+    runs = []
+    counts = {"exit_codes": [0, 0], "calls": 80203, "traced_peak_bytes": 326080}
+
+    def run(command, **kwargs):
+        runs.append((command, kwargs))
+        assert os.path.isdir(command[-1])  # the scratch directory lives through the run
+        return subprocess.CompletedProcess(command, 0, stdout=(
+            b"noise\n" + json.dumps(counts).encode() + b"\n"))
+
+    monkeypatch.setattr(subprocess, "run", run)
+    assert compare.work_counts(str(tmp_path), "approx_library") == counts
+    ((command, kwargs),) = runs
+    assert command[:2] == [sys.executable, "-c"] and command[2] == compare.WORK_BODY
+    assert command[3:5] == ["approx_library", "11"]
+    assert not os.path.exists(command[5])
+    assert kwargs["cwd"] == str(tmp_path) and kwargs["check"]
+    assert kwargs["env"]["PYTHONPATH"] == str(tmp_path / "src")
+    assert kwargs["env"]["OPENBLAS_NUM_THREADS"] == "1"
+    # the counted body runs under both profilers and tracemalloc, after a warm one
+    body = compare.WORK_BODY
+    assert body.index('warm = body("warm")') < body.index("tracemalloc.start()") < body.index(
+        'counted = body("counted")') < body.index("sys.setprofile(None)")
+    assert "threading.setprofile(count)" in body and "sys.setprofile(count)" in body
+
+
+def test_work_rows_give_both_sides_and_their_ratio():
+    rows = compare.work_rows({
+        "a": {"parent": {"calls": 116878, "traced_peak_bytes": 326008},
+              "change": {"calls": 80203, "traced_peak_bytes": 326080}},
+        "b": {"parent": {"calls": 0, "traced_peak_bytes": 10},
+              "change": {"calls": 5, "traced_peak_bytes": 10}}})
+    assert rows[0]["calls"] == {"parent": 116878, "change": 80203, "ratio": 80203 / 116878}
+    assert rows[1]["calls"]["ratio"] is None
+    assert compare.work_table(rows).splitlines()[2:] == [
+        "| a | 116878 | 80203 | 0.6862 | 326008 | 326080 | 1.0002 |",
+        "| b | 0 | 5 | - | 10 | 10 | 1.0000 |"]
