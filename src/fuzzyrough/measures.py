@@ -153,14 +153,14 @@ class _DistortedAdditiveMeasure(MonotoneMeasure):
     def _distort(self, p):
         if self.quantifier is None:
             return p
-        return self.quantifier(np.clip(p, 0.0, 1.0))
+        return self.quantifier(p.clip(0.0, 1.0))
 
     def _value(self, mask, k):
-        return float(self._distort(float(self.base_weights[mask].sum())))
+        return float(self._distort(self.base_weights[mask].sum()))
 
     def chain_values(self, order):
         picked = _gather(self.base_weights, np.asarray(order))
-        suffix = np.cumsum(picked[..., ::-1], axis=-1)[..., ::-1]
+        suffix = picked[..., ::-1].cumsum(axis=-1)[..., ::-1]
         suffix[..., 0] = 1.0
         return np.asarray(self._distort(suffix), dtype=float)
 

@@ -89,14 +89,12 @@ class QuadraticQuantifier(RIMQuantifier):
 
     def _eval(self, p):
         a, b = self.alpha, self.beta
-        mid = (a + b) / 2.0
-        span2 = (b - a) ** 2
-        rising = 2.0 * (p - a) ** 2 / span2
-        falling = 1.0 - 2.0 * (p - b) ** 2 / span2
-        out = np.where(p <= mid, rising, falling)
+        rising = p <= (a + b) / 2.0
+        # up to the midpoint 2 (p - a)^2 / (b - a)^2, after it 1 - 2 (p - b)^2 / (b - a)^2
+        arc = 2.0 * (p - np.where(rising, a, b)) ** 2 / (b - a) ** 2
+        out = np.where(rising, arc, 1.0 - arc)
         out = np.where(p <= a, 0.0, out)
-        out = np.where(p >= b, 1.0, out)
-        return out
+        return np.where(p >= b, 1.0, out)
 
 
 class AdditiveQuantifier(RIMQuantifier):

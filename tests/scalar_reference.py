@@ -64,6 +64,20 @@ def _fuzzy_removal_chain(o, tnorm):
     return chain_of
 
 
+def quadratic(alpha: float, beta: float, p: float) -> float:
+    """QuadraticQuantifier(alpha, beta) at one p, piece by piece: 0 up to
+    alpha, one parabolic arc up to the midpoint, the other up to beta, then
+    1. Each square is a product, as numpy squares an array."""
+    if p >= beta:
+        return 1.0
+    if p <= alpha:
+        return 0.0
+    span2 = (beta - alpha) ** 2
+    if p <= (alpha + beta) / 2.0:
+        return 2.0 * ((p - alpha) * (p - alpha)) / span2
+    return 1.0 - 2.0 * ((p - beta) * (p - beta)) / span2
+
+
 def symmetric_chain(quantifier, n):
     """The chain of the symmetric measure Q(|A|/n): Q((n - i)/n) at step i,
     whatever the order."""

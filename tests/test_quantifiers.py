@@ -20,6 +20,7 @@ from fuzzyrough.quantifiers import (
     zadeh_eval,
 )
 from fuzzyrough.sets import DomainError, FuzzySet, Universe
+from tests import scalar_reference
 
 TOL = 1e-12
 
@@ -52,6 +53,16 @@ class TestEvalQuantifier:
     def test_additive_formula(self):
         q = AdditiveQuantifier(4)
         assert abs(q(0.5) - 0.3) < TOL  # 0.5 * 3 / 5
+
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.9), (0.0, 1.0), (0.0, 0.5), (0.5, 1.0)])
+    def test_quadratic_is_its_piecewise_definition_bit_for_bit(self, alpha, beta):
+        q = QuadraticQuantifier(alpha, beta)
+        mid = (alpha + beta) / 2.0
+        edges = [0.0, 1.0, alpha, beta, mid, *(np.nextafter(x, y) for x in (alpha, beta, mid)
+                                                for y in (0.0, 1.0) if 0.0 <= np.nextafter(x, y) <= 1.0)]
+        p = np.concatenate([np.random.default_rng(7).random(300), edges])
+        want = np.array([scalar_reference.quadratic(alpha, beta, x) for x in p.tolist()])
+        assert q(p).tobytes() == want.tobytes()
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
