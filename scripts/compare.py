@@ -14,11 +14,23 @@ from its own root.
 
 The workloads are those ``BENCHMARK.json`` lists.
 
-1. Output hashes. In each tree a subprocess whose ``PYTHONPATH`` is that
-   tree's ``src`` generates every workload's inputs at seeds 0 and 11 with
-   the tree's ``perfbench/workloads.py``, runs the workload body once and
-   hashes every output file. Temporary paths in ``summary.json`` are masked,
-   so equal outputs hash equal.
+1. Output hashes and work counts. Per workload, seed (0 and 11) and side,
+   one subprocess runs ``TREE_BODY`` in that tree, with that tree's ``src``
+   as ``PYTHONPATH``. It generates the inputs with the tree's
+   ``perfbench/workloads.py``, runs the workload body once and hashes every
+   output file; temporary paths in ``summary.json`` are masked, so equal
+   outputs hash equal. At seed 11 it then runs the body again while
+   ``sys.setprofile`` and ``threading.setprofile`` count every Python and C
+   call and ``tracemalloc`` records the peak of traced memory; the first
+   body has warmed imports, memos and the row pool. Calls on threads that
+   already run when counting starts, such as the row pool's helpers, are
+   not counted. Unlike wall time the counts repeat almost exactly from run
+   to run, so they show a change in per-call work through host noise; a
+   call on ten elements counts as much as one on ten million, so they do
+   not measure kernel work. Both sides' values and their ratios are printed
+   beside the paired table, reported and not judged. The comparison stops
+   with an error unless the subprocess imported ``fuzzyrough`` from the
+   tree's own ``src`` and every body it ran exited 0.
 2. Pairs. With ``--pairs N`` each workload runs ``perfbench/run.py`` N times
    per side at seeds 11, 12, ..., for the ``run_seconds`` of
    ``BENCHMARK.json``. Each seed runs both sides back to back; which side runs
@@ -27,28 +39,19 @@ The workloads are those ``BENCHMARK.json`` lists.
    also keeps the ``setup.generate_s`` and ``setup.import_s`` lists of the
    record ``perfbench/run.py`` wrote in that tree, so a change in setup_s
    shows whether it comes from the import or from generating the inputs.
-3. Layers. Each workload runs ``perfbench/run.py --trace 1`` once per side
-   at seed 11. Every layer metric that is not a time (calls, calls per row
-   or label, computed bytes, the error rate) repeats exactly between runs of
-   one tree, so each is printed for both sides and flagged when they
-   differ. The times (``self_s``, ``tracing.overhead_s``) are printed and
-   not judged. Rows the protocol workloads cannot move are marked blind:
-   the protocol selects and scores through ``resolve_and_score`` and
-   ``balanced_accuracies``, so ``comb_select``, ``predict_batch`` and
-   ``balanced_accuracy`` read 0 there whatever the code does. A failed
-   trace run makes the exit status 1.
-4. Work counts. Per workload and side, one subprocess in that tree generates
-   the inputs at seed 11, runs the body once to warm imports, memos and the
-   row pool, then runs it again while ``sys.setprofile`` and
-   ``threading.setprofile`` count every Python and C call and ``tracemalloc``
-   records the peak of traced memory. Calls on threads that already run when
-   counting starts, such as the row pool's helpers, are not counted. Unlike
-   wall time these repeat almost exactly from run to run, so they show a
-   change in per-call work through host noise; a call on ten elements counts
-   as much as one on ten million, so they do not measure kernel work. Both
-   sides' values and their ratios are printed beside the paired table,
-   reported and not judged.
-5. Tier-1. Each tree runs the Tier-1 verify command of ROADMAP.md once (with
+3. Layers. Each workload runs ``perfbench/run.py --trace 1`` at seed 11
+   four times, parent, change, change, parent, so a host phase weighs on
+   both sides alike. Every layer metric that is not a time (calls, calls
+   per row or label, computed bytes, the error rate) repeats exactly
+   between runs of one tree, so each is printed for both sides and flagged
+   when any two of the four runs differ, within a tree or between trees.
+   The times (``self_s``, ``tracing.overhead_s``) are printed as each
+   side's median and not judged. Rows the protocol workloads cannot move
+   are marked blind: the protocol selects and scores through
+   ``resolve_and_score`` and ``balanced_accuracies``, so ``comb_select``,
+   ``predict_batch`` and ``balanced_accuracy`` read 0 there whatever the
+   code does. A failed trace run makes the exit status 1.
+4. Tier-1. Each tree runs the Tier-1 verify command of ROADMAP.md once (with
    ``-p no:cacheprovider``, so it writes no cache into either tree), with
    its own ``src`` first on ``PYTHONPATH``; its wall seconds and its passed,
    skipped and failed counts are recorded and given one line of the table.
@@ -94,42 +97,20 @@ from fuzzyrough.evaluation import wilcoxon_signed_rank  # noqa: E402
 HASH_SEEDS = (0, 11)
 FIRST_PAIR_SEED = 11
 TRACE_SEED = 11
+TRACE_ORDER = ("parent", "change", "change", "parent")  # traced runs per workload
 BLIND_LAYERS = ("classifier.comb_select.", "classifier.predict_batch.",
                 "evaluation.balanced_accuracy.")
 BLIND_ON = ("protocol_wdbc", "protocol_many")
 WIN_SHARE = 0.9  # share of pairs the change must win for a claimed gain
 
-# Runs in a fresh interpreter inside one tree: generate, run the body once,
-# hash every output file. argv: workload, seed, scratch directory.
-HASH_BODY = r"""
-import hashlib, json, os, sys
+# Runs in a fresh interpreter inside one tree: generate, run the body once and
+# hash every output file; with a fourth argument, run the body once more
+# counting calls and tracing memory. argv: workload, seed, scratch directory
+# and, to count, "count".
+TREE_BODY = r"""
+import hashlib, json, os, sys, threading, tracemalloc
 sys.path.insert(0, os.path.join(os.getcwd(), "perfbench"))
 import fuzzyrough, workloads
-workload, seed, scratch = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-inputs, out = os.path.join(scratch, "inputs"), os.path.join(scratch, "out")
-os.makedirs(inputs)
-os.makedirs(out)
-manifest = workloads.generate(workload, seed, inputs)
-result = workloads.BODIES[workload](manifest, out)
-hashes = {}
-for name in sorted(os.listdir(out)):
-    with open(os.path.join(out, name), "rb") as fh:
-        data = fh.read()
-    if name == "summary.json":
-        data = data.replace(scratch.encode(), b"<tmp>")
-    hashes[name] = hashlib.sha256(data).hexdigest()
-print(json.dumps({"package": fuzzyrough.__file__, "exit_code": result["exit_code"],
-                  "hashes": hashes}))
-"""
-
-
-# Runs in a fresh interpreter inside one tree: generate, run the body once
-# to warm up, then once more counting calls and tracing memory. argv:
-# workload, seed, scratch directory.
-WORK_BODY = r"""
-import json, os, sys, threading, tracemalloc
-sys.path.insert(0, os.path.join(os.getcwd(), "perfbench"))
-import workloads
 workload, seed, scratch = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 inputs = os.path.join(scratch, "inputs")
 os.makedirs(inputs)
@@ -139,28 +120,35 @@ manifest = workloads.generate(workload, seed, inputs)
 def body(name):
     out = os.path.join(scratch, name)
     os.makedirs(out)
-    return workloads.BODIES[workload](manifest, out)["exit_code"]
+    return out, workloads.BODIES[workload](manifest, out)["exit_code"]
 
 
-calls = [0]
+out, code = body("out")
+hashes = {}
+for name in sorted(os.listdir(out)):
+    with open(os.path.join(out, name), "rb") as fh:
+        data = fh.read()
+    if name == "summary.json":
+        data = data.replace(scratch.encode(), b"<tmp>")
+    hashes[name] = hashlib.sha256(data).hexdigest()
+result = {"package": fuzzyrough.__file__, "exit_codes": [code], "hashes": hashes}
+if sys.argv[4:] == ["count"]:
+    calls = [0]
 
+    def count(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls[0] += 1
 
-def count(frame, event, arg):
-    if event in ("call", "c_call"):
-        calls[0] += 1
-
-
-warm = body("warm")
-tracemalloc.start()
-threading.setprofile(count)
-sys.setprofile(count)
-counted = body("counted")
-sys.setprofile(None)
-threading.setprofile(None)
-peak = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
-print(json.dumps({"exit_codes": [warm, counted], "calls": calls[0],
-                  "traced_peak_bytes": peak}))
+    tracemalloc.start()
+    threading.setprofile(count)
+    sys.setprofile(count)
+    counted = body("counted")[1]
+    sys.setprofile(None)
+    threading.setprofile(None)
+    result.update(calls=calls[0], traced_peak_bytes=tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+    result["exit_codes"].append(counted)
+print(json.dumps(result))
 """
 
 
@@ -229,45 +217,51 @@ def _tier1_side(run):
             f"{run['failed']} failed")
 
 
+def markdown(header, lines):
+    """A Markdown table: ``header``'s cells, the rule, then one row per list
+    of cells in ``lines``; an empty cell prints as one space."""
+    def row(cells):
+        return "|" + "|".join(f" {cell} " if cell != "" else " " for cell in cells) + "|"
+
+    return "\n".join([row(header), "|" + "---|" * len(header), *map(row, lines)])
+
+
 def table(rows, tier1_runs=None):
     """The summary rows as a Markdown table, then the tier-1 line when
     ``tier1_runs`` ({side: ``tier1`` record}) is given."""
-    lines = ["| workload | metric | parent median [q1, q3] | change median [q1, q3] "
-             "| change | wins | gap vs parent IQR | verdict |",
-             "|---|---|---|---|---|---|---|---|"]
+    lines = []
     for r in rows:
         if not r["pairs"]:
             passed = r["passed"]
-            lines.append(f"| {r['workload']} | - | unpaired: {passed['parent']} parent and "
-                         f"{passed['change']} change runs passed | | | 0/0 | | - |")
+            lines.append([r["workload"], "-", f"unpaired: {passed['parent']} parent and "
+                          f"{passed['change']} change runs passed", "", "", "0/0", "", "-"])
             continue
         p1, pm, p3 = r["parent"]
         c1, cm, c3 = r["change"]
-        verdict = "WORSE" if r["worse"] else "gain" if r["gain"] else "-"
-        lines.append(
-            f"| {r['workload']} | {r['metric']} | {_num(pm)} [{_num(p1)}, {_num(p3)}] "
-            f"| {_num(cm)} [{_num(c1)}, {_num(c3)}] | {r['relative']:+.1%} "
-            f"| {r['wins']}/{r['pairs']} | {_num(r['gap'])} vs {_num(r['parent_iqr'])} "
-            f"| {verdict} |")
+        lines.append([r["workload"], r["metric"], f"{_num(pm)} [{_num(p1)}, {_num(p3)}]",
+                      f"{_num(cm)} [{_num(c1)}, {_num(c3)}]", f"{r['relative']:+.1%}",
+                      f"{r['wins']}/{r['pairs']}",
+                      f"{_num(r['gap'])} vs {_num(r['parent_iqr'])}",
+                      "WORSE" if r["worse"] else "gain" if r["gain"] else "-"])
     if tier1_runs:
         parent, change = tier1_runs["parent"], tier1_runs["change"]
-        lines.append(f"| tier-1 | wall_s | {_tier1_side(parent)} | {_tier1_side(change)} "
-                     f"| {(change['wall_s'] - parent['wall_s']) / parent['wall_s']:+.1%} "
-                     f"| 1 run each | | - |")
-    return "\n".join(lines)
+        lines.append(["tier-1", "wall_s", _tier1_side(parent), _tier1_side(change),
+                      f"{(change['wall_s'] - parent['wall_s']) / parent['wall_s']:+.1%}",
+                      "1 run each", "", "-"])
+    return markdown(["workload", "metric", "parent median [q1, q3]", "change median [q1, q3]",
+                     "change", "wins", "gap vs parent IQR", "verdict"], lines)
 
 
 def paired_table(rows):
     """The per-pair statistics of the summary rows as a Markdown table."""
-    lines = ["| workload | metric | pairs | median pair ratio | Wilcoxon p |",
-             "|---|---|---|---|---|"]
+    lines = []
     for r in rows:
         if r["pairs"]:
             ratio = "-" if r["pair_ratio"] is None else f"{r['pair_ratio']:.4f}"
             method = "" if r["p_method"] == "exact" else f" ({r['p_method']})"
-            lines.append(f"| {r['workload']} | {r['metric']} | {r['pairs']} | {ratio} "
-                         f"| {_num(r['p_value'])}{method} |")
-    return "\n".join(lines)
+            lines.append([r["workload"], r["metric"], str(r["pairs"]), ratio,
+                          _num(r["p_value"]) + method])
+    return markdown(["workload", "metric", "pairs", "median pair ratio", "Wilcoxon p"], lines)
 
 
 # ---------------------------------------------------------------- processes
@@ -322,16 +316,26 @@ def _env(tree):
     return env
 
 
-def output_hashes(tree, workload, seed):
+def _last_json(proc):
+    return json.loads(proc.stdout.decode().splitlines()[-1])
+
+
+def tree_body(tree, workload, seed):
+    """What ``TREE_BODY`` reports for ``workload`` at ``seed`` in ``tree``:
+    ``hashes`` ({file: sha256}) and, at TRACE_SEED, ``calls`` and
+    ``traced_peak_bytes`` of a second, counted body. RuntimeError unless it
+    imported ``fuzzyrough`` from the tree's own ``src`` and every body it
+    ran exited 0."""
+    count = ["count"] if seed == TRACE_SEED else []
     with tempfile.TemporaryDirectory(prefix="compare-") as scratch:
-        proc = subprocess.run([sys.executable, "-c", HASH_BODY, workload, str(seed), scratch],
-                              cwd=tree, env=_env(tree), stdout=subprocess.PIPE, check=True,
-                              timeout=600)
-    result = json.loads(proc.stdout.decode().splitlines()[-1])
+        proc = subprocess.run([sys.executable, "-c", TREE_BODY, workload, str(seed), scratch,
+                               *count], cwd=tree, env=_env(tree), stdout=subprocess.PIPE,
+                              check=True, timeout=600)
+    result = _last_json(proc)
     if not result["package"].startswith(os.path.join(tree, "src")):
         raise RuntimeError(f"{tree} imported fuzzyrough from {result['package']}")
-    if result["exit_code"] != 0:
-        raise RuntimeError(f"{workload} at seed {seed} exited {result['exit_code']} in {tree}")
+    if any(result["exit_codes"]):
+        raise RuntimeError(f"{workload} at seed {seed} exited {result['exit_codes']} in {tree}")
     return result
 
 
@@ -353,19 +357,24 @@ def setup_times(tree, workload, seed, since):
         return None
 
 
+def perfbench(tree, workload, seed, seconds, *options):
+    """One ``perfbench/run.py`` run in ``tree``: its exit code and, when it
+    passed, the result it printed last."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), *options],
+                          cwd=tree, env=_env(tree), stdout=subprocess.PIPE, timeout=300)
+    return proc.returncode, _last_json(proc) if proc.returncode == 0 else None
+
+
 def bench_run(tree, workload, seed, seconds):
     """One perfbench run in ``tree``: its metrics, wall time, steal share and
     setup times."""
     since = time.time()
     before, started = cpu_times(), time.monotonic()
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds)],
-                          cwd=tree, env=_env(tree), stdout=subprocess.PIPE, timeout=300)
+    code, result = perfbench(tree, workload, seed, seconds)
     wall, after = time.monotonic() - started, cpu_times()
-    record = {"exit_code": proc.returncode, "wall_s": wall,
-              "steal_share": steal_share(before, after)}
-    if proc.returncode == 0:
-        result = json.loads(proc.stdout.decode().splitlines()[-1])
+    record = {"exit_code": code, "wall_s": wall, "steal_share": steal_share(before, after)}
+    if result is not None:
         record["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
         record["setup"] = setup_times(tree, workload, seed, since)
     return record
@@ -375,34 +384,34 @@ def trace_run(tree, workload):
     """The layer metrics ({name: {"value", "unit"}}) of one ``perfbench/run.py
     --trace 1`` run of ``workload`` at TRACE_SEED in ``tree``, or None when
     the run failed."""
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(TRACE_SEED), "--seconds", "0", "--trace", "1"],
-                          cwd=tree, env=_env(tree), stdout=subprocess.PIPE, timeout=300)
-    if proc.returncode != 0:
-        return None
-    return json.loads(proc.stdout.decode().splitlines()[-1])["metrics"]
+    result = perfbench(tree, workload, TRACE_SEED, 0, "--trace", "1")[1]
+    return None if result is None else result["metrics"]
 
 
 def layer_rows(traces):
     """One row per workload and layer metric from ``traces`` ({workload:
-    {side: ``trace_run`` result}}): both sides' values, whether the metric is
-    a count (any unit but seconds), whether a count differs, and whether the
-    row is blind. A workload with a failed side gets one row naming the
-    failed sides."""
+    {side: [``trace_run`` result, ...]}}): both sides' values, whether the
+    metric is a count (any unit but seconds), whether a count differs
+    between any two runs, and whether the row is blind. A count is the
+    side's first run's, a time the median of its runs. A workload with a
+    failed run gets one row naming the sides that failed."""
     rows = []
     for workload, sides in traces.items():
-        failed = [side for side, metrics in sides.items() if metrics is None]
+        failed = [side for side, runs in sides.items() if None in runs]
         if failed:
             rows.append({"workload": workload, "metric": None, "failed": failed})
             continue
-        parent, change = sides["parent"], sides["change"]
-        for name in dict.fromkeys([*parent, *change]):
-            unit = (parent.get(name) or change[name])["unit"]
-            a, b = (side[name]["value"] if name in side else None for side in (parent, change))
+        runs = [*sides["parent"], *sides["change"]]
+        for name in dict.fromkeys(name for run in runs for name in run):
+            unit = next(run[name]["unit"] for run in runs if name in run)
             count = unit != "s"
+            parent, change = ([run[name]["value"] if name in run else None
+                               for run in sides[side]] for side in ("parent", "change"))
+            a, b = (got[0] if count or None in got else statistics.median(got)
+                    for got in (parent, change))
             rows.append({"workload": workload, "metric": name, "unit": unit,
                          "parent": a, "change": b, "count": count,
-                         "differs": count and a != b,
+                         "differs": count and len(set(parent + change)) > 1,
                          "blind": workload in BLIND_ON and name.startswith(BLIND_LAYERS)})
     return rows
 
@@ -411,37 +420,25 @@ def layer_table(rows):
     """The layer rows as a Markdown table: counts in full, flagged DIFFERS
     or equal; times to four digits, marked reported; blind rows marked
     blind."""
-    lines = ["| workload | layer metric | unit | parent | change | note |",
-             "|---|---|---|---|---|---|"]
+    lines = []
     for r in rows:
         if r["metric"] is None:
-            lines.append(f"| {r['workload']} | - | | | | trace run failed: "
-                         f"{', '.join(r['failed'])} |")
+            lines.append([r["workload"], "-", "", "", "", "trace run failed: "
+                          + ", ".join(r["failed"])])
             continue
         note = ("DIFFERS" if r["differs"] else "equal") if r["count"] else "reported"
-        if r["blind"]:
-            note += ", blind"
         # counts in full, so two that differ never print alike
-        values = ["-" if v is None else str(v) if r["count"] else _num(v)
-                  for v in (r["parent"], r["change"])]
-        lines.append(f"| {r['workload']} | {r['metric']} | {r['unit']} | {values[0]} "
-                     f"| {values[1]} | {note} |")
-    return "\n".join(lines)
-
-
-def work_counts(tree, workload):
-    """``calls`` and ``traced_peak_bytes`` of one warm body of ``workload`` at
-    TRACE_SEED in ``tree`` (see WORK_BODY), with the two bodies' exit codes."""
-    with tempfile.TemporaryDirectory(prefix="compare-") as scratch:
-        proc = subprocess.run([sys.executable, "-c", WORK_BODY, workload, str(TRACE_SEED),
-                               scratch], cwd=tree, env=_env(tree), stdout=subprocess.PIPE,
-                              check=True, timeout=600)
-    return json.loads(proc.stdout.decode().splitlines()[-1])
+        lines.append([r["workload"], r["metric"], r["unit"],
+                      *("-" if v is None else str(v) if r["count"] else _num(v)
+                        for v in (r["parent"], r["change"])),
+                      note + ", blind" if r["blind"] else note])
+    return markdown(["workload", "layer metric", "unit", "parent", "change", "note"], lines)
 
 
 def work_rows(counts):
-    """One row per workload from ``counts`` ({workload: {side: ``work_counts``
-    result}}): each side's calls and traced peak, and change over parent."""
+    """One row per workload from ``counts`` ({workload: {side: ``tree_body``
+    result at TRACE_SEED}}): each side's calls and traced peak, and change
+    over parent."""
     rows = []
     for workload, sides in counts.items():
         parent, change = sides["parent"], sides["change"]
@@ -455,16 +452,16 @@ def work_rows(counts):
 
 def work_table(rows):
     """The work rows as a Markdown table: counts in full, ratios to four digits."""
-    lines = ["| workload | parent calls | change calls | ratio | parent traced peak bytes "
-             "| change traced peak bytes | ratio |", "|---|---|---|---|---|---|---|"]
+    lines = []
     for r in rows:
         cells = [r["workload"]]
         for name in ("calls", "traced_peak_bytes"):
             ratio = r[name]["ratio"]
             cells += [str(r[name]["parent"]), str(r[name]["change"]),
                       "-" if ratio is None else f"{ratio:.4f}"]
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines)
+        lines.append(cells)
+    return markdown(["workload", "parent calls", "change calls", "ratio",
+                     "parent traced peak bytes", "change traced peak bytes", "ratio"], lines)
 
 
 def tier1(tree):
@@ -531,11 +528,10 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="compare-parent-") as scratch, \
             tempfile.TemporaryDirectory(prefix="compare-change-") as change:
         trees = {"parent": extract(rev, scratch), "change": copy_worktree(change)}
-        unequal = 0
+        unequal, counted = 0, {}
         for workload in workloads:
             for seed in HASH_SEEDS:
-                got = {side: output_hashes(tree, workload, seed)
-                       for side, tree in trees.items()}
+                got = {side: tree_body(tree, workload, seed) for side, tree in trees.items()}
                 for name in sorted(set(got["parent"]["hashes"]) | set(got["change"]["hashes"])):
                     a = got["parent"]["hashes"].get(name)
                     b = got["change"]["hashes"].get(name)
@@ -543,9 +539,9 @@ def main(argv=None):
                     report["hashes"].append({"workload": workload, "seed": seed, "file": name,
                                              "parent": a, "change": b, "equal": a == b})
                     print(f"{workload} seed {seed} {name}: {'equal' if a == b else 'DIFFERS'}")
-        report["work"] = work_rows({workload: {side: work_counts(tree, workload)
-                                               for side, tree in trees.items()}
-                                    for workload in workloads})
+                if seed == TRACE_SEED:
+                    counted[workload] = got
+        report["work"] = work_rows(counted)
         for workload in workloads:
             for i in range(args.pairs):
                 seed = FIRST_PAIR_SEED + i
@@ -556,16 +552,19 @@ def main(argv=None):
                     report["runs"].append(record)
                     print(f"{workload} seed {seed} {side}: exit {record['exit_code']}, "
                           f"steal {record['steal_share']}", file=sys.stderr)
-        report["layers"] = layer_rows({workload: {side: trace_run(tree, workload)
-                                                  for side, tree in trees.items()}
-                                       for workload in workloads})
+        traces = {workload: {"parent": [], "change": []} for workload in workloads}
+        for workload in workloads:
+            for side in TRACE_ORDER:
+                traces[workload][side].append(trace_run(trees[side], workload))
+        report["layers"] = layer_rows(traces)
         report["tier1"] = {side: tier1(tree) for side, tree in trees.items()}
     report["summary"] = summarize(report["runs"], benchmark["end_to_end"])
     report["failed_runs"] = sum(r["exit_code"] != 0 for r in report["runs"])
-    failed_traces = sum(len(r["failed"]) for r in report["layers"] if r["metric"] is None)
+    failed_traces = sum(run is None for sides in traces.values()
+                        for runs in sides.values() for run in runs)
     print(f"{len(report['hashes']) - unequal} of {len(report['hashes'])} output files equal")
     print(f"{report['failed_runs']} of {len(report['runs'])} runs failed")
-    print(f"{failed_traces} of {2 * len(workloads)} trace runs failed")
+    print(f"{failed_traces} of {len(TRACE_ORDER) * len(workloads)} trace runs failed")
     print(layer_table(report["layers"]))
     print(paired_table(report["summary"]))
     print(work_table(report["work"]))

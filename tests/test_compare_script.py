@@ -1,6 +1,6 @@
 """The summary, table and verdicts of ``scripts/compare.py`` on synthetic
 records, its layer rows on synthetic traces, its reading of perfbench's run
-records from synthetic files, its trace run, work counts, tier-1 run and
+records from synthetic files, its trace run, in-tree program, tier-1 run and
 copy of the working tree with ``subprocess.run`` replaced, and the loops of its ``main``
 with git, extraction, the copy and the runs replaced by fakes; no test here
 starts a process."""
@@ -17,6 +17,7 @@ import pytest
 from tests.scripts import load_script
 
 compare = load_script("scripts/compare.py", "compare_script")
+TREE_BODY_RUNNER = compare.tree_body
 
 END_TO_END = [
     {"name": "run_s", "better": "lower", "bound": 0.25},
@@ -213,13 +214,12 @@ WORKLOADS = [f"w{i}" for i in range(5)]
 def _fake_trees(monkeypatch, tmp_path, bench_result):
     """Run ``compare.main`` against fakes: a BENCHMARK.json listing five
     workloads, no git, no extraction, no copy and no subprocess. Returns the
-    calls made to ``output_hashes``, ``work_counts``, ``bench_run``,
-    ``trace_run`` and ``tier1``, and the fake parent and change trees."""
+    calls made to ``tree_body``, ``bench_run``, ``trace_run`` and ``tier1``,
+    and the fake parent and change trees."""
     benchmark = {"run_seconds": 3, "end_to_end": END_TO_END,
                  "workloads": [{"name": name, "why": ""} for name in WORKLOADS]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
-    calls = {"hashes": [], "work": [], "runs": [], "parent": [], "change": [], "traces": [],
-             "tier1": []}
+    calls = {"bodies": [], "runs": [], "parent": [], "change": [], "traces": [], "tier1": []}
 
     def extract(rev, directory):
         calls["parent"].append(os.path.join(directory, "tree"))
@@ -229,15 +229,13 @@ def _fake_trees(monkeypatch, tmp_path, bench_result):
         calls["change"].append(os.path.join(directory, "tree"))
         return calls["change"][-1]
 
-    def output_hashes(tree, workload, seed):
-        calls["hashes"].append((tree, workload, seed))
-        return {"hashes": {"results.csv": f"{workload}-{seed}"}}
-
-    def work_counts(tree, workload):
-        calls["work"].append((tree, workload))
-        side = 1 if tree == calls["parent"][0] else 0
-        return {"exit_codes": [0, 0], "calls": 1000 + 250 * side,
-                "traced_peak_bytes": 4096}
+    def tree_body(tree, workload, seed):
+        calls["bodies"].append((tree, workload, seed))
+        result = {"hashes": {"results.csv": f"{workload}-{seed}"}}
+        if seed == 11:  # the second body is counted at the trace seed only
+            side = 1 if tree == calls["parent"][0] else 0
+            result.update(calls=1000 + 250 * side, traced_peak_bytes=4096)
+        return result
 
     def bench_run(tree, workload, seed, seconds):
         calls["runs"].append((tree, workload, seed, seconds))
@@ -257,8 +255,7 @@ def _fake_trees(monkeypatch, tmp_path, bench_result):
     monkeypatch.setattr(compare, "host", lambda: {"nproc": 1})
     monkeypatch.setattr(compare, "extract", extract)
     monkeypatch.setattr(compare, "copy_worktree", copy_worktree)
-    monkeypatch.setattr(compare, "output_hashes", output_hashes)
-    monkeypatch.setattr(compare, "work_counts", work_counts)
+    monkeypatch.setattr(compare, "tree_body", tree_body)
     monkeypatch.setattr(compare, "bench_run", bench_run)
     monkeypatch.setattr(compare, "trace_run", trace_run)
     monkeypatch.setattr(compare, "tier1", tier1)
@@ -277,11 +274,10 @@ def test_main_hashes_and_pairs_every_listed_workload(monkeypatch, tmp_path, caps
     (parent,), (change,) = calls["parent"], calls["change"]
     # both sides run from fresh trees, neither from the checkout
     assert str(tmp_path) not in (parent, change) and parent != change
-    assert calls["hashes"] == [(tree, workload, seed) for workload in WORKLOADS
+    # four in-tree processes per workload: seeds 0 and 11 on each side; the
+    # work rows come from the counted bodies at seed 11
+    assert calls["bodies"] == [(tree, workload, seed) for workload in WORKLOADS
                                for seed in (0, 11) for tree in (parent, change)]
-    # one warm, counted body per side and workload
-    assert calls["work"] == [(tree, workload) for workload in WORKLOADS
-                             for tree in (parent, change)]
     # each seed runs both sides back to back, the first side alternating
     assert calls["runs"] == [
         (tree, workload, seed, 3) for workload in WORKLOADS
@@ -292,9 +288,10 @@ def test_main_hashes_and_pairs_every_listed_workload(monkeypatch, tmp_path, caps
     assert report["failed_runs"] == 0 and len(report["runs"]) == 30
     assert [(r["workload"], r["pairs"]) for r in report["summary"]] == [
         (workload, 3) for workload in WORKLOADS for _ in END_TO_END]
-    # one trace run per side and workload, then the tier-1 suite once per tree
+    # four trace runs per workload, parent, change, change, parent, then the
+    # tier-1 suite once per tree
     assert calls["traces"] == [(tree, workload) for workload in WORKLOADS
-                               for tree in (parent, change)]
+                               for tree in (parent, change, change, parent)]
     assert [(r["workload"], r["differs"]) for r in report["layers"]] == [
         (workload, False) for workload in WORKLOADS]
     assert calls["tier1"] == [parent, change]
@@ -302,7 +299,7 @@ def test_main_hashes_and_pairs_every_listed_workload(monkeypatch, tmp_path, caps
                                          "skipped": 2, "failed": 0}
     printed = capsys.readouterr().out
     assert "10 of 10 output files equal" in printed and "0 of 30 runs failed" in printed
-    assert "0 of 10 trace runs failed" in printed
+    assert "0 of 20 trace runs failed" in printed
     assert "| w0 | choquet.choquet_integral.calls | count | 1680 | 1680 | equal |" in printed
     assert "| w4 | 1250 | 1000 | 0.8000 | 4096 | 4096 | 1.0000 |" in printed
     assert report["work"][0] == {
@@ -402,9 +399,9 @@ def test_layer_rows_flag_counts_that_differ_and_only_report_times():
                     quantifiers__RIMQuantifier__call__calls=321,
                     choquet__choquet_integral__calls=1680,
                     classifier__comb_select__calls=0)
-    rows = compare.layer_rows({"approx_library": {"parent": parent, "change": change},
-                               "protocol_wdbc": {"parent": parent, "change": change},
-                               "classify_large": {"parent": parent, "change": None}})
+    rows = compare.layer_rows({"approx_library": {"parent": [parent], "change": [change]},
+                               "protocol_wdbc": {"parent": [parent], "change": [change]},
+                               "classify_large": {"parent": [parent], "change": [None]}})
     approx = {r["metric"]: r for r in rows if r["workload"] == "approx_library"}
     assert list(approx) == list(parent)
     time = approx["measures.FuzzyRemovalMeasure.chain_values.self_s"]
@@ -431,14 +428,14 @@ def test_layer_rows_flag_counts_that_differ_and_only_report_times():
 
 
 def test_a_metric_on_one_side_only_differs():
-    rows = compare.layer_rows({"w": {"parent": _trace(a__calls=3),
-                                     "change": _trace(a__calls=3, b__calls=1)}})
+    rows = compare.layer_rows({"w": {"parent": [_trace(a__calls=3)],
+                                     "change": [_trace(a__calls=3, b__calls=1)]}})
     assert [(r["metric"], r["parent"], r["change"], r["differs"]) for r in rows] == [
         ("a.calls", 3, 3, False), ("b.calls", None, 1, True)]
     assert compare.layer_table(rows).splitlines()[-1] == "| w | b.calls | count | - | 1 | DIFFERS |"
     # counts print in full: these two would both read 1.235e+05 to four digits
-    rows = compare.layer_rows({"w": {"parent": _trace(a__bytes=123456),
-                                     "change": _trace(a__bytes=123457)}})
+    rows = compare.layer_rows({"w": {"parent": [_trace(a__bytes=123456)],
+                                     "change": [_trace(a__bytes=123457)]}})
     assert compare.layer_table(rows).splitlines()[-1] == (
         "| w | a.bytes | count | 123456 | 123457 | DIFFERS |")
 
@@ -473,34 +470,130 @@ def test_main_fails_on_a_failed_trace_run(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(compare, "trace_run", trace_run)
     assert compare.main(["f00"]) == 1
     printed = capsys.readouterr().out
-    assert "1 of 10 trace runs failed" in printed
+    assert "2 of 20 trace runs failed" in printed
     assert "| w2 | - | | | | trace run failed: change |" in printed
 
 
-def test_work_counts_run_one_warm_and_one_counted_body_in_the_tree(monkeypatch, tmp_path):
+def _fake_body(monkeypatch, result):
+    """Replace ``subprocess.run`` by one that prints ``result`` as the
+    in-tree program would, after some noise; returns the calls made."""
     runs = []
-    counts = {"exit_codes": [0, 0], "calls": 80203, "traced_peak_bytes": 326080}
 
     def run(command, **kwargs):
         runs.append((command, kwargs))
-        assert os.path.isdir(command[-1])  # the scratch directory lives through the run
+        assert os.path.isdir(command[5])  # the scratch directory lives through the run
         return subprocess.CompletedProcess(command, 0, stdout=(
-            b"noise\n" + json.dumps(counts).encode() + b"\n"))
+            b"noise\n" + json.dumps(result).encode() + b"\n"))
 
     monkeypatch.setattr(subprocess, "run", run)
-    assert compare.work_counts(str(tmp_path), "approx_library") == counts
+    return runs
+
+
+@pytest.mark.parametrize("seed", (0, 11))
+def test_tree_body_hashes_the_first_body_and_counts_a_second_at_seed_11(monkeypatch, tmp_path,
+                                                                        seed):
+    result = {"package": str(tmp_path / "src" / "fuzzyrough" / "__init__.py"),
+              "exit_codes": [0], "hashes": {"values.npy": "ab12"}}
+    if seed == 11:
+        result.update(exit_codes=[0, 0], calls=80203, traced_peak_bytes=326080)
+    runs = _fake_body(monkeypatch, result)
+    assert compare.tree_body(str(tmp_path), "approx_library", seed) == result
     ((command, kwargs),) = runs
-    assert command[:2] == [sys.executable, "-c"] and command[2] == compare.WORK_BODY
-    assert command[3:5] == ["approx_library", "11"]
+    assert command[:2] == [sys.executable, "-c"] and command[2] == compare.TREE_BODY
+    assert command[3:5] == ["approx_library", str(seed)]
+    assert command[6:] == (["count"] if seed == 11 else [])
     assert not os.path.exists(command[5])
     assert kwargs["cwd"] == str(tmp_path) and kwargs["check"]
     assert kwargs["env"]["PYTHONPATH"] == str(tmp_path / "src")
     assert kwargs["env"]["OPENBLAS_NUM_THREADS"] == "1"
-    # the counted body runs under both profilers and tracemalloc, after a warm one
-    body = compare.WORK_BODY
-    assert body.index('warm = body("warm")') < body.index("tracemalloc.start()") < body.index(
-        'counted = body("counted")') < body.index("sys.setprofile(None)")
-    assert "threading.setprofile(count)" in body and "sys.setprofile(count)" in body
+    # the first body is hashed; the second runs under both profilers and
+    # tracemalloc, and only when asked to count
+    body = compare.TREE_BODY
+    assert body.index('out, code = body("out")') < body.index("hashlib.sha256") < body.index(
+        'if sys.argv[4:] == ["count"]:') < body.index("tracemalloc.start()") < body.index(
+        "threading.setprofile(count)") < body.index("sys.setprofile(count)") < body.index(
+        'counted = body("counted")[1]') < body.index("sys.setprofile(None)") < body.index(
+        "tracemalloc.get_traced_memory()")
+
+
+@pytest.mark.parametrize("package,codes,error", [
+    ("elsewhere/fuzzyrough/__init__.py", [0, 0], "imported fuzzyrough from elsewhere"),
+    (None, [1], r"approx_library at seed 11 exited \[1\]"),
+    (None, [0, 1], r"approx_library at seed 11 exited \[0, 1\]"),
+])
+def test_tree_body_requires_the_trees_package_and_every_body_passed(monkeypatch, tmp_path,
+                                                                    package, codes, error):
+    package = package or str(tmp_path / "src" / "fuzzyrough" / "__init__.py")
+    _fake_body(monkeypatch, {"package": package, "exit_codes": codes, "hashes": {},
+                             "calls": 1, "traced_peak_bytes": 1})
+    with pytest.raises(RuntimeError, match=error):
+        compare.tree_body(str(tmp_path), "approx_library", 11)
+
+
+def test_main_fails_when_a_counted_body_fails(monkeypatch, tmp_path):
+    calls = _fake_trees(monkeypatch, tmp_path, _passed)
+    monkeypatch.setattr(compare, "tree_body", TREE_BODY_RUNNER)
+    bodies = []
+
+    def run(command, **kwargs):
+        # every body passes but the counted one in the change tree
+        tree, seed = kwargs["cwd"], command[4]
+        bodies.append((tree, seed))
+        codes = [0, 1] if seed == "11" and tree == calls["change"][0] else [0]
+        result = {"package": os.path.join(tree, "src", "fuzzyrough", "__init__.py"),
+                  "exit_codes": codes if seed == "11" else [0], "hashes": {},
+                  "calls": 1, "traced_peak_bytes": 1}
+        return subprocess.CompletedProcess(command, 0, stdout=json.dumps(result).encode())
+
+    monkeypatch.setattr(subprocess, "run", run)
+    with pytest.raises(RuntimeError, match=r"w0 at seed 11 exited \[0, 1\]"):
+        compare.main(["f00"])
+    parent, change = calls["parent"][0], calls["change"][0]
+    assert bodies == [(parent, "0"), (change, "0"), (parent, "11"), (change, "11")]
+    assert calls["runs"] == calls["traces"] == calls["tier1"] == []
+
+
+def test_traced_runs_alternate_and_report_each_sides_median(monkeypatch, tmp_path, capsys):
+    calls = _fake_trees(monkeypatch, tmp_path, _passed)
+
+    def trace_run(tree, workload):
+        calls["traces"].append((tree, workload))
+        position = sum(w == workload for _, w in calls["traces"])  # 1 to 4
+        return _trace(choquet__choquet_integral__self_s=0.01 * position,
+                      choquet__choquet_integral__calls=1680)
+
+    monkeypatch.setattr(compare, "trace_run", trace_run)
+    out = tmp_path / "report.json"
+    assert compare.main(["f00", "--out", str(out)]) == 0
+    parent, change = calls["parent"][0], calls["change"][0]
+    assert calls["traces"] == [(tree, workload) for workload in WORKLOADS
+                               for tree in (parent, change, change, parent)]
+    # the parent ran first and fourth, the change second and third
+    rows = [r for r in json.loads(out.read_text())["layers"] if r["workload"] == "w0"]
+    assert [(r["metric"], r["parent"], r["change"], r["differs"]) for r in rows] == [
+        ("choquet.choquet_integral.self_s", pytest.approx(0.025), pytest.approx(0.025), False),
+        ("choquet.choquet_integral.calls", 1680, 1680, False)]
+    assert "0 of 20 trace runs failed" in capsys.readouterr().out
+
+
+def test_layer_rows_take_median_times_and_flag_counts_that_differ_within_a_tree():
+    runs = {"parent": [_trace(a__self_s=0.040, a__calls=7, b__calls=3),
+                       _trace(a__self_s=0.050, a__calls=7, b__calls=4)],
+            "change": [_trace(a__self_s=0.030, a__calls=7, b__calls=3),
+                       _trace(a__self_s=0.020, a__calls=7, b__calls=3)]}
+    rows = compare.layer_rows({"w": runs})
+    assert [(r["metric"], r["parent"], r["change"], r["differs"]) for r in rows] == [
+        ("a.self_s", pytest.approx(0.045), pytest.approx(0.025), False),
+        ("a.calls", 7, 7, False),
+        ("b.calls", 3, 3, True)]  # equal between the first runs, not within the parent
+    assert compare.layer_table(rows).splitlines()[2:] == [
+        "| w | a.self_s | s | 0.045 | 0.025 | reported |",
+        "| w | a.calls | count | 7 | 7 | equal |",
+        "| w | b.calls | count | 3 | 3 | DIFFERS |"]
+    # a failed run of either side fails the workload's row
+    runs["parent"][1] = None
+    assert compare.layer_rows({"w": runs}) == [
+        {"workload": "w", "metric": None, "failed": ["parent"]}]
 
 
 def test_work_rows_give_both_sides_and_their_ratio():
