@@ -156,4 +156,4 @@ def upper_approximation(r: SimilarityRelation, a: FuzzySet, mu_u: MonotoneMeasur
     row = _similarity_row(r, a, mu_u, y)
     fn = conjunctor if callable(conjunctor) else connectives.tnorm_fn(conjunctor)
     g = fn(row, a.memberships)
-    return choquet_integral(np.asarray(g, dtype=float), mu_u)
+    return choquet_integral(g, mu_u)

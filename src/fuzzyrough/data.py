@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sets import DomainError, frozen_copy
+from .sets import DomainError, _reals, frozen_copy
 
 
 class DataFormatError(ValueError):
@@ -26,7 +26,7 @@ class DecisionSystem:
     decision: str | None = None  # the decision column's name, when read from a file
 
     def __post_init__(self):
-        X = frozen_copy(self.X)
+        X = frozen_copy(_reals(self.X))
         y = frozen_copy(self.y, dtype=object)
         if X.ndim != 2:
             raise DomainError("feature matrix must be two-dimensional")

@@ -55,6 +55,11 @@ def _register(register, fn):
     return lambda: register("axiom_check_test", fn)
 
 
+def _upper(conjunctor):
+    return fr.upper_approximation(fr.SimilarityRelation(U, np.eye(3)), fr.FuzzySet(U, OK),
+                                  fr.symmetric_from_quantifier(Q, 3, U), conjunctor, 0)
+
+
 # name -> (a call breaking exactly one check, the check's message)
 CHECKS = {
     "AggregatorSpec kind": (lambda: fr.AggregatorSpec(kind="median"),
@@ -237,6 +242,21 @@ CHECKS = {
         lambda: classifier.resolve_and_score(fr.FittedModel(DS), [fr.AggregatorSpec(kind="min")],
                                              [["a", "b"]], 0),
         "expected real numbers, got <U1 values"),
+    "DecisionSystem strings": (lambda: fr.DecisionSystem(("a",), [["x"], ["y"]], ["p", "q"]),
+                               "expected real numbers, got <U1 values"),
+    "DecisionSystem complex": (lambda: fr.DecisionSystem(("a",), [[1 + 1j], [2]], ["p", "q"]),
+                               "expected real numbers, got complex128 values"),
+    "DecisionSystem ragged": (
+        lambda: fr.DecisionSystem(("a",), [[1.0], [2.0, 3.0]], ["p", "q"]),
+        "expected real numbers in a rectangular array, got ragged sequences"),
+    # what a conjunctor callable returns reaches the integral unconverted
+    "upper_approximation complex conjunctor": (
+        lambda: _upper(lambda x, y: x * y + 0j), "expected real numbers, got complex128 values"),
+    "upper_approximation string conjunctor": (
+        lambda: _upper(lambda x, y: np.full(x.shape, "a")), "expected real numbers, got <U1 values"),
+    "upper_approximation ragged conjunctor": (
+        lambda: _upper(lambda x, y: [[0.1], [0.2, 0.3]]),
+        "expected real numbers in a rectangular array, got ragged sequences"),
 }
 
 BIG = 1e308
