@@ -110,7 +110,7 @@ WIN_SHARE = 0.9  # share of pairs the change must win for a claimed gain
 TREE_BODY = r"""
 import hashlib, json, os, sys, threading, tracemalloc
 sys.path.insert(0, os.path.join(os.getcwd(), "perfbench"))
-import fuzzyrough, workloads
+import workloads
 workload, seed, scratch = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 inputs = os.path.join(scratch, "inputs")
 os.makedirs(inputs)
@@ -120,18 +120,20 @@ manifest = workloads.generate(workload, seed, inputs)
 def body(name):
     out = os.path.join(scratch, name)
     os.makedirs(out)
-    return out, workloads.BODIES[workload](manifest, out)["exit_code"]
+    return workloads.BODIES[workload](manifest, out)["exit_code"]
 
 
-out, code = body("out")
-hashes = {}
+# the body imports fuzzyrough; importing it before generating would move the
+# counted body's traced peak by some bytes
+result = {"exit_codes": [body("out")], "hashes": {}}
+result["package"] = sys.modules["fuzzyrough"].__file__
+out = os.path.join(scratch, "out")
 for name in sorted(os.listdir(out)):
     with open(os.path.join(out, name), "rb") as fh:
         data = fh.read()
     if name == "summary.json":
         data = data.replace(scratch.encode(), b"<tmp>")
-    hashes[name] = hashlib.sha256(data).hexdigest()
-result = {"package": fuzzyrough.__file__, "exit_codes": [code], "hashes": hashes}
+    result["hashes"][name] = hashlib.sha256(data).hexdigest()
 if sys.argv[4:] == ["count"]:
     calls = [0]
 
@@ -142,7 +144,7 @@ if sys.argv[4:] == ["count"]:
     tracemalloc.start()
     threading.setprofile(count)
     sys.setprofile(count)
-    counted = body("counted")[1]
+    counted = body("counted")
     sys.setprofile(None)
     threading.setprofile(None)
     result.update(calls=calls[0], traced_peak_bytes=tracemalloc.get_traced_memory()[1])
@@ -427,11 +429,12 @@ def layer_table(rows):
                           + ", ".join(r["failed"])])
             continue
         note = ("DIFFERS" if r["differs"] else "equal") if r["count"] else "reported"
+        if r["blind"]:
+            note += ", blind"
         # counts in full, so two that differ never print alike
         lines.append([r["workload"], r["metric"], r["unit"],
                       *("-" if v is None else str(v) if r["count"] else _num(v)
-                        for v in (r["parent"], r["change"])),
-                      note + ", blind" if r["blind"] else note])
+                        for v in (r["parent"], r["change"])), note])
     return markdown(["workload", "layer metric", "unit", "parent", "change", "note"], lines)
 
 
