@@ -22,13 +22,16 @@ The workloads are those ``BENCHMARK.json`` lists.
    outputs hash equal. At seed 11 it then runs the body again while
    ``sys.setprofile`` and ``threading.setprofile`` count every Python and C
    call and ``tracemalloc`` records the peak of traced memory; the first
-   body has warmed imports, memos and the row pool. Calls on threads that
-   already run when counting starts, such as the row pool's helpers, are
-   not counted. Unlike wall time the counts repeat almost exactly from run
-   to run, so they show a change in per-call work through host noise; a
-   call on ten elements counts as much as one on ten million, so they do
-   not measure kernel work. Both sides' values and their ratios are printed
-   beside the paired table, reported and not judged. The comparison stops
+   body has warmed imports, memos and the row pool. The counted body alone
+   raises ``fuzzyrough.rows.PARALLEL_WORK`` above any call's work, so every
+   row range runs on the counting thread; the pool's helpers started before
+   counting, so their calls would go uncounted, and which ranges they take
+   moves from run to run. The hashed body and the timed pairs keep the
+   split. So the counts repeat exactly from run to run and show a change in
+   per-call work through host noise; a call on ten elements counts as much
+   as one on ten million, so they do not measure kernel work. Both sides'
+   values and their ratios are printed beside the paired table, reported
+   and not judged. The comparison stops
    with an error unless the subprocess imported ``fuzzyrough`` from the
    tree's own ``src`` and every body it ran exited 0.
 2. Pairs. With ``--pairs N`` each workload runs ``perfbench/run.py`` N times
@@ -141,6 +144,8 @@ if sys.argv[4:] == ["count"]:
         if event in ("call", "c_call"):
             calls[0] += 1
 
+    # every call serial: no row range goes to a pool thread that runs uncounted
+    sys.modules["fuzzyrough.rows"].PARALLEL_WORK = float("inf")
     tracemalloc.start()
     threading.setprofile(count)
     sys.setprofile(count)

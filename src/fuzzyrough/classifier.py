@@ -85,7 +85,8 @@ from .quantifiers import (
     RIMQuantifier,
     weights_from_quantifier,
 )
-from .sets import DomainError, _reals, check_seed, check_whole_number, one_vector, unit_degrees
+from .sets import (DomainError, _booleans, _reals, check_seed, check_whole_number, one_vector,
+                   unit_degrees)
 
 AGGREGATOR_KINDS = ("min", "mino", "fr", "avg", "avgo", "ts", "owa", "owao", "wowa", "comb")
 BASE_KINDS = AGGREGATOR_KINDS[:-1]
@@ -167,7 +168,7 @@ def _plain(kind: str, spec: AggregatorSpec, values: np.ndarray, asc: np.ndarray)
     if kind == "min":
         return asc[:, 0]
     if kind == "avg":
-        return values.mean(axis=1)
+        return np.add.reduce(values, axis=1) / values.shape[1]  # mean's bits
     n = asc.shape[1]
     return _owa_sorted(asc, _owa_weights(spec._setting(n), n))
 
@@ -177,11 +178,18 @@ def _unlabelled(values, order, asc, labels) -> list:
 
     Rows are grouped by how many elements they keep: a list of (rows, kept
     values in their own order, the same sorted ascending), each a
-    contiguous rows x kept array. A row whose elements are all labelled
-    keeps them all.
+    row-contiguous rows x kept array, so means sum as they do on one row. A
+    row whose elements are all labelled keeps them all. Shared labels keep
+    the same columns in every row, which makes one group.
     """
-    keep = ~np.broadcast_to(labels, values.shape)
-    keep_sorted = np.take_along_axis(keep, order, axis=1)
+    keep = ~labels
+    if labels.ndim == 1:
+        k = int(keep.sum())
+        if k == 0:
+            return [(slice(None), values, asc)]
+        return [(slice(None), np.ascontiguousarray(values[:, keep]),
+                 asc[keep[order]].reshape(-1, k))]
+    keep_sorted = keep[np.arange(keep.shape[0])[:, None], order]
     counts = keep.sum(axis=1)
     groups = []
     for k in np.unique(counts):
@@ -243,7 +251,8 @@ def aggregate(values, o_sub, spec: AggregatorSpec, outliers=None) -> float:
     exclusion would empty the subset the unrestricted variant is used. This
     is the one-row case of the batched scoring.
     """
-    values = one_vector(values, "aggregate takes one vector of values")
+    values = unit_degrees(one_vector(values, "aggregate takes one vector of values"),
+                          "values to aggregate must lie in [0, 1]")
     if values.size == 0:
         raise DomainError("cannot aggregate an empty value vector")
     o_sub = np.atleast_1d(unit_degrees(o_sub, "outlier degrees must lie in [0, 1]"))
@@ -251,9 +260,7 @@ def aggregate(values, o_sub, spec: AggregatorSpec, outliers=None) -> float:
         raise DomainError("outlier degrees must align with the values")
     if outliers is None:
         outliers = top_fraction(o_sub, spec.contamination)
-    labels = np.atleast_1d(np.asarray(outliers))
-    if labels.dtype != bool:
-        raise DomainError("outlier labels must be booleans")
+    labels = np.atleast_1d(_booleans(outliers, "outlier labels must be booleans"))
     if labels.shape != values.shape:
         raise DomainError("outlier labels must align with the values")
     return float(_aggregate_rows(values[None], o_sub, labels, [spec])[0, 0])
@@ -276,20 +283,24 @@ def _row_groups(S: np.ndarray, cols: np.ndarray, scores: OutlierScores | None,
     if loo_start is None:
         yield rows, 1.0 - S[:, cols], o, labels
         return
-    member = np.isin(rows + loo_start, cols)
+    # where each row's own instance sits in cols, if it is there at all
+    own = rows + loo_start
+    pos = cols.searchsorted(own)
+    member = cols.take(pos, mode="clip") == own
     outside, inside = rows[~member], rows[member]
     if outside.size:
-        yield outside, 1.0 - S[np.ix_(outside, cols)], o, labels
+        yield outside, 1.0 - S[outside[:, None], cols], o, labels
     if inside.size and cols.size > 1:
         # rows inside the aggregated set delete their own element
-        keep = np.ones((inside.size, cols.size), dtype=bool)
-        keep[np.arange(inside.size), np.searchsorted(cols, inside + loo_start)] = False
+        keep = np.arange(cols.size) != pos[member][:, None]
         shape = (inside.size, cols.size - 1)
 
         def drop(a):
-            return None if a is None else np.broadcast_to(a, keep.shape)[keep].reshape(shape)
+            if a is None:
+                return None
+            return (np.broadcast_to(a, keep.shape) if a.ndim == 1 else a)[keep].reshape(shape)
 
-        yield inside, drop(1.0 - S[np.ix_(inside, cols)]), drop(o), drop(labels)
+        yield inside, drop(1.0 - S[inside[:, None], cols]), drop(o), drop(labels)
 
 
 def _block_memberships(model: "FittedModel", S: np.ndarray, specs: list[AggregatorSpec],
@@ -311,11 +322,11 @@ def _block_memberships(model: "FittedModel", S: np.ndarray, specs: list[Aggregat
         group = [specs[si] for si in indices]
         scores = (None if all(spec.kind in PLAIN_KINDS for spec in group)
                   else model.scores_for(group[0]))
+        at = np.array(indices)[:, None]
         for ci, label in enumerate(model.classes):
-            cols = np.flatnonzero(~model.class_masks[label])
+            cols = (~model.class_masks[label]).nonzero()[0]
             for rows, values, o, labels in _row_groups(S, cols, scores, loo_start):
-                out[np.ix_(indices, rows, [ci])] = _aggregate_rows(
-                    values, o, labels, group)[..., None]
+                out[at, rows, ci] = _aggregate_rows(values, o, labels, group)
     return out
 
 
@@ -395,9 +406,11 @@ class FittedModel:
         return self._scores[key]
 
 
-def _candidates(spec: AggregatorSpec) -> list[AggregatorSpec]:
-    """Comb's candidates: the nine base strategies with the knobs of ``spec``."""
-    return [replace(spec, kind=k) for k in BASE_KINDS]
+@lru_cache(maxsize=MEMO_SIZE)
+def _candidates(spec: AggregatorSpec) -> tuple[AggregatorSpec, ...]:
+    """Comb's candidates: the nine base strategies with the knobs of ``spec``,
+    built once per process."""
+    return tuple(replace(spec, kind=k) for k in BASE_KINDS)
 
 
 def _choose(model: FittedModel, groups: list[list[AggregatorSpec]], seed: int,

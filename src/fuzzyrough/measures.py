@@ -22,6 +22,8 @@ degrees, and the partial existential measure is its dual.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import connectives
@@ -143,9 +145,9 @@ class _DistortedAdditiveMeasure(MonotoneMeasure):
                  universe: Universe | None = None):
         w = np.asarray(base_weights, dtype=float)
         super().__init__(w.shape[-1], universe, _stack_rows(w))
-        if np.any(w < 0.0):
+        if (w < 0.0).any():
             raise DomainError("base weights must be nonnegative")
-        if np.any(np.abs(w.sum(axis=-1) - 1.0) > 1e-9):
+        if (np.abs(w.sum(axis=-1) - 1.0) > 1e-9).any():
             raise DomainError("base weights must sum to 1")
         self.base_weights = w
         self.quantifier = quantifier
@@ -153,7 +155,8 @@ class _DistortedAdditiveMeasure(MonotoneMeasure):
     def _distort(self, p):
         if self.quantifier is None:
             return p
-        return self.quantifier(p.clip(0.0, 1.0))
+        # the bits of p.clip(0.0, 1.0), a lone -0.0 and NaN included
+        return self.quantifier(np.minimum(np.maximum(0.0, p), 1.0))
 
     def _value(self, mask, k):
         return float(self._distort(self.base_weights[mask].sum()))
@@ -184,7 +187,7 @@ class WowaMeasure(_DistortedAdditiveMeasure):
         degrees, uni = _degrees_of(o)
         n = degrees.shape[-1]
         denom = n - degrees.sum(axis=-1, keepdims=True)
-        if np.any(denom <= 0.0):
+        if (denom <= 0.0).any():
             raise DomainError("wowa measure needs some confidence mass: sum of o must be < n")
         super().__init__((1.0 - degrees) / denom, quantifier, universe or uni)
         self.o = degrees
@@ -207,12 +210,14 @@ class OrderedTwoSymmetricMeasure(_DistortedAdditiveMeasure):
             raise DomainError("contamination must lie in [0, 1)")
         degrees, uni = _degrees_of(o)
         n = degrees.shape[-1]
-        k = int(np.ceil((1.0 - contamination) * n))
+        k = math.ceil((1.0 - contamination) * n)
         if k < 1:
             raise DomainError("two-symmetric measure needs at least one trusted element")
-        rank = np.argsort(degrees, axis=-1, kind="stable")
-        w = np.full(degrees.shape, t / n)
-        np.put_along_axis(w, rank[..., :k], t / n + (1.0 - t) / k, axis=-1)
+        rank = degrees.argsort(axis=-1, kind="stable")
+        w = np.empty(degrees.shape)
+        w.fill(t / n)
+        stack = () if w.ndim == 1 else (np.arange(w.shape[0])[:, None],)
+        w[(*stack, rank[..., :k])] = t / n + (1.0 - t) / k
         super().__init__(w, quantifier, universe or uni)
         self.o = degrees
         self.t = float(t)

@@ -37,7 +37,8 @@ import numpy as np
 from ._special import erf
 from .data import DecisionSystem
 from .rows import over_row_ranges
-from .sets import DomainError, _reals, check_whole_number, frozen_copy, one_vector, unit_degrees
+from .sets import (DomainError, _booleans, _reals, check_whole_number, frozen_copy, one_vector,
+                   unit_degrees)
 
 DISTANCE_FLOOR = 1e-12  # keeps densities finite when points coincide
 FAST_KNN_DISTANCES = 8192  # classes with n * n below this keep the exact blocked search
@@ -83,8 +84,9 @@ def lof_scores(points: np.ndarray, k: int) -> np.ndarray:
 
     # reach(x, o) = max(k_dist(o), d(x, o)) over x's neighbors o
     reach = np.maximum(k_dist[neighbors], np.maximum(near, DISTANCE_FLOOR))
-    lrd = 1.0 / np.mean(reach, axis=1)
-    return np.mean(lrd[neighbors], axis=1) / lrd
+    # each sum over k divided by k, as np.mean computes it
+    lrd = 1.0 / (np.add.reduce(reach, axis=1) / k)
+    return np.add.reduce(lrd[neighbors], axis=1) / k / lrd
 
 
 def _neighbors(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,15 +131,16 @@ def _exact(points, k, neighbors, near):
         step = blocks.shape[0]
         for i0 in range(lo, hi, step):
             i1 = min(i0 + step, hi)
-            diff = np.subtract(points[i0:i1, None, :], points[None, :, :],
-                               out=blocks[:i1 - i0])
+            with np.errstate(over="ignore"):  # an infinite distance ranks last
+                diff = np.subtract(points[i0:i1, None, :], points[None, :, :],
+                                   out=blocks[:i1 - i0])
             dist = np.einsum("ijk,ijk->ij", diff, diff)
             np.sqrt(dist, out=dist)
             own = np.arange(i1 - i0)
             dist[own, own + i0] = np.inf
-            order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+            order = dist.argsort(axis=1, kind="stable")[:, :k]
             neighbors[i0:i1] = order
-            near[i0:i1] = np.take_along_axis(dist, order, axis=1)
+            near[i0:i1] = dist[own[:, None], order]
 
     return part
 
@@ -206,7 +209,8 @@ def _prefiltered(points, k, neighbors, near):
             rows += i0
             dist = np.empty(rows.size)
             for s in range(0, rows.size, chunk):
-                diff = points[rows[s:s + chunk]] - points[cols[s:s + chunk]]
+                with np.errstate(over="ignore"):
+                    diff = points[rows[s:s + chunk]] - points[cols[s:s + chunk]]
                 np.einsum("ij,ij->i", diff, diff, out=dist[s:s + chunk])
             np.sqrt(dist, out=dist)
             dist[rows == cols] = np.inf
@@ -269,9 +273,7 @@ class OutlierScores:
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "normalized", norm)
         if self.labels is not None:
-            if np.asarray(self.labels).dtype != bool:
-                raise DomainError("outlier labels must be booleans")
-            labels = frozen_copy(self.labels, bool)
+            labels = frozen_copy(_booleans(self.labels, "outlier labels must be booleans"), bool)
             if labels.shape != raw.shape:
                 raise DomainError("outlier labels must align with the scores")
             object.__setattr__(self, "labels", labels)

@@ -32,6 +32,18 @@ def _reals(a) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
+def _booleans(a, message: str) -> np.ndarray:
+    """``a`` as a bool array; DomainError(message) for any other values,
+    nested sequences of unequal lengths included."""
+    try:
+        a = np.asarray(a)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise DomainError(message) from None
+    if a.dtype != bool:
+        raise DomainError(message)
+    return a
+
+
 def unit_degrees(a, message: str) -> np.ndarray:
     """``a`` as a float array; DomainError(message) unless each entry is in [0, 1] (NaN is not)."""
     a = _reals(a)

@@ -506,12 +506,14 @@ def test_tree_body_hashes_the_first_body_and_counts_a_second_at_seed_11(monkeypa
     assert kwargs["cwd"] == str(tmp_path) and kwargs["check"]
     assert kwargs["env"]["PYTHONPATH"] == str(tmp_path / "src")
     assert kwargs["env"]["OPENBLAS_NUM_THREADS"] == "1"
-    # the first body is hashed; the second runs under both profilers and
-    # tracemalloc, and only when asked to count
+    # the first body is hashed with the row split; the second runs serially
+    # under both profilers and tracemalloc, and only when asked to count
     body = compare.TREE_BODY
     assert body.index('result = {"exit_codes": [body("out")]') < body.index(
         "hashlib.sha256") < body.index(
-        'if sys.argv[4:] == ["count"]:') < body.index("tracemalloc.start()") < body.index(
+        'if sys.argv[4:] == ["count"]:') < body.index(
+        'sys.modules["fuzzyrough.rows"].PARALLEL_WORK = float("inf")') < body.index(
+        "tracemalloc.start()") < body.index(
         "threading.setprofile(count)") < body.index("sys.setprofile(count)") < body.index(
         'counted = body("counted")') < body.index("sys.setprofile(None)") < body.index(
         "tracemalloc.get_traced_memory()")

@@ -186,6 +186,11 @@ CHECKS = {
         lambda: fr.lof_scores(np.zeros((100, 0)), 5), "LOF needs at least one attribute"),
     "scored_with_labels overflow": (lambda: outliers.scored_with_labels(FAR_DS, 5, 0.1),
                                     OVERFLOW),
+    # the difference of 1e308 and -1e308 overflows before any square does
+    "lof_scores difference overflow, exact search": (
+        lambda: fr.lof_scores(np.array([[1e308], [-1e308], [0.0]]), 2), OVERFLOW),
+    "lof_scores difference overflow, prefiltered search": (
+        lambda: fr.lof_scores(np.r_[[1e308, -1e308], np.arange(98.0)][:, None], 2), OVERFLOW),
     # 1e160 squares to inf in the standard deviation: a1 would be ignored
     "attribute_scales overflow": (lambda: approx.attribute_scales(FAR_DS), SCALE_OVERFLOW),
     "fit scale overflow": (lambda: classifier.fit(FAR_DS, fr.AggregatorSpec(kind="owa"), 0),
@@ -234,6 +239,20 @@ CHECKS = {
                                    "expected real numbers, got complex128 values"),
     "OutlierScores strings": (lambda: fr.OutlierScores(["a", "b"], [0.1, 0.2]),
                               "expected real numbers, got <U1 values"),
+    "OutlierScores ragged labels": (
+        lambda: fr.OutlierScores([1.0, 1.0], [0.0, 0.0], [[True], [False, True]]),
+        "outlier labels must be booleans"),
+    # aggregate's values are degrees, as its outlier degrees are
+    "aggregate values outside [0, 1]": (
+        lambda: fr.aggregate([0.5, 1.5], [0.0, 0.0], fr.AggregatorSpec(kind="min")),
+        "values to aggregate must lie in [0, 1]"),
+    "aggregate NaN values": (
+        lambda: fr.aggregate([np.nan, 0.2], [0.0, 0.0], fr.AggregatorSpec(kind="avg")),
+        "values to aggregate must lie in [0, 1]"),
+    "aggregate ragged labels": (
+        lambda: fr.aggregate([0.5, 0.5], [0.0, 0.0], fr.AggregatorSpec(kind="mino"),
+                             [[True], [False, True]]),
+        "outlier labels must be booleans"),
     "Valuation strings": (lambda: fr.Valuation(U, ["a", "b", "c"]),
                           "expected real numbers, got <U1 values"),
     "WeightVector complex": (lambda: fr.WeightVector([0.5 + 0j, 0.5]),
@@ -267,6 +286,10 @@ EXTREMES = {
                                       lambda: fr.normalize_scores([1.0, -1.0, 0.0])),
     "normalize_scores mean overflow": (lambda: fr.normalize_scores([BIG, BIG, BIG / 2]),
                                        lambda: fr.normalize_scores([1.0, 1.0, 0.5])),
+    # a difference of 1e308 and -1e308 overflows to inf, which ranks last
+    "lof_scores difference overflow": (
+        lambda: fr.lof_scores(np.array([[1e308], [1e308], [-1e308], [-1e308]]), 1),
+        lambda: fr.lof_scores(np.array([[1.0], [1.0], [-1.0], [-1.0]]), 1)),
     # the difference overflows to inf, which still ranks largest
     "wilcoxon_signed_rank difference overflow": (
         lambda: fr.wilcoxon_signed_rank([BIG, 1.0, 2.0], [-BIG, 0.0, 0.5]),
