@@ -37,7 +37,7 @@ def _grid(draw, rows, cols, elements):
 
 
 @st.composite
-def arrays(draw, max_rows=3, max_cols=5, stacks=True):
+def arrays(draw, max_rows=3, max_cols=5):
     """A vector, a stack of rows or a scalar: mostly floats, some of them odd
     or mostly in [0, 1], and now and then a bool, string, complex, object or
     ragged input."""
@@ -45,7 +45,7 @@ def arrays(draw, max_rows=3, max_cols=5, stacks=True):
                                  "strings", "complex", "object", "ragged")))
     cols = draw(st.integers(0, max_cols))
     elements = draw(st.sampled_from((REALS, DEGREES)))
-    if form == "stack" and stacks:
+    if form == "stack":
         return _grid(draw, draw(st.integers(0, max_rows)), cols, elements)
     if form == "scalar":
         return draw(elements)
