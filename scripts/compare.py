@@ -29,9 +29,13 @@ The workloads are those ``BENCHMARK.json`` lists.
    moves from run to run. The hashed body and the timed pairs keep the
    split. So the counts repeat exactly from run to run and show a change in
    per-call work through host noise; a call on ten elements counts as much
-   as one on ten million, so they do not measure kernel work. Both sides'
-   values and their ratios are printed beside the paired table, reported
-   and not judged. The comparison stops
+   as one on ten million, so they do not measure kernel work. The traced
+   peak still moves by some tenths of a percent from process to process, so
+   each side's counted body runs in two processes, parent, change, change,
+   parent: each side's peaks are printed as their range, and flagged apart
+   only when the two ranges do not overlap; calls are flagged when two runs
+   of one tree differ. Both sides' values and their ratios are printed
+   beside the paired table, reported and not judged. The comparison stops
    with an error unless the subprocess imported ``fuzzyrough`` from the
    tree's own ``src`` and every body it ran exited 0.
 2. Pairs. With ``--pairs N`` each workload runs ``perfbench/run.py`` N times
@@ -444,32 +448,46 @@ def layer_table(rows):
 
 
 def work_rows(counts):
-    """One row per workload from ``counts`` ({workload: {side: ``tree_body``
-    result at TRACE_SEED}}): each side's calls and traced peak, and change
-    over parent."""
+    """One row per workload from ``counts`` ({workload: {side: [``tree_body``
+    result at TRACE_SEED, ...]}}): each side's calls, those of its first run,
+    and whether any two of its runs differ; each side's traced peaks as
+    [least, greatest], and whether the two ranges are apart; change over
+    parent of the calls and of the median peaks."""
     rows = []
     for workload, sides in counts.items():
-        parent, change = sides["parent"], sides["change"]
-        row = {"workload": workload}
-        for name in ("calls", "traced_peak_bytes"):
-            row[name] = {"parent": parent[name], "change": change[name],
-                         "ratio": change[name] / parent[name] if parent[name] else None}
-        rows.append(row)
+        a, b = ([run["calls"] for run in sides[side]] for side in ("parent", "change"))
+        pa, pb = ([run["traced_peak_bytes"] for run in sides[side]] for side in ("parent", "change"))
+        median_a = statistics.median(pa)
+        rows.append({"workload": workload,
+                     "calls": {"parent": a[0], "change": b[0],
+                               "ratio": b[0] / a[0] if a[0] else None,
+                               "differs": len(set(a)) > 1 or len(set(b)) > 1},
+                     "traced_peak_bytes": {
+                         "parent": [min(pa), max(pa)], "change": [min(pb), max(pb)],
+                         "ratio": statistics.median(pb) / median_a if median_a else None,
+                         "apart": max(pa) < min(pb) or max(pb) < min(pa)}})
     return rows
 
 
 def work_table(rows):
-    """The work rows as a Markdown table: counts in full, ratios to four digits."""
+    """The work rows as a Markdown table: counts in full, peak ranges as
+    least-greatest, ratios to four digits, and a note saying whether calls
+    differ within a tree and whether the peak ranges are apart."""
+    def ratio(got):
+        return "-" if got["ratio"] is None else f"{got['ratio']:.4f}"
+
     lines = []
     for r in rows:
-        cells = [r["workload"]]
-        for name in ("calls", "traced_peak_bytes"):
-            ratio = r[name]["ratio"]
-            cells += [str(r[name]["parent"]), str(r[name]["change"]),
-                      "-" if ratio is None else f"{ratio:.4f}"]
-        lines.append(cells)
+        calls, peaks = r["calls"], r["traced_peak_bytes"]
+        note = ["calls DIFFER within a tree"] * calls["differs"]
+        note.append("peaks apart" if peaks["apart"] else "peaks overlap")
+        lines.append([r["workload"], str(calls["parent"]), str(calls["change"]), ratio(calls),
+                      *("-".join(dict.fromkeys(map(str, peaks[side])))
+                        for side in ("parent", "change")),
+                      ratio(peaks), ", ".join(note)])
     return markdown(["workload", "parent calls", "change calls", "ratio",
-                     "parent traced peak bytes", "change traced peak bytes", "ratio"], lines)
+                     "parent traced peak bytes", "change traced peak bytes",
+                     "ratio of medians", "note"], lines)
 
 
 def tier1(tree):
@@ -548,7 +566,9 @@ def main(argv=None):
                                              "parent": a, "change": b, "equal": a == b})
                     print(f"{workload} seed {seed} {name}: {'equal' if a == b else 'DIFFERS'}")
                 if seed == TRACE_SEED:
-                    counted[workload] = got
+                    counted[workload] = {side: [got[side]] for side in trees}
+            for side in ("change", "parent"):  # each side's second counted body
+                counted[workload][side].append(tree_body(trees[side], workload, TRACE_SEED))
         report["work"] = work_rows(counted)
         for workload in workloads:
             for i in range(args.pairs):

@@ -279,9 +279,13 @@ def _row_groups(S: np.ndarray, cols: np.ndarray, scores: OutlierScores | None,
     """
     o, labels = (None, None) if scores is None else (scores.normalized[cols],
                                                      scores.labels[cols])
+
+    def complement(v):  # 1 - R on the gathered copy v, in place
+        return np.subtract(1.0, v, out=v)
+
     rows = np.arange(S.shape[0])
     if loo_start is None:
-        yield rows, 1.0 - S[:, cols], o, labels
+        yield rows, complement(S[:, cols]), o, labels
         return
     # where each row's own instance sits in cols, if it is there at all
     own = rows + loo_start
@@ -289,7 +293,7 @@ def _row_groups(S: np.ndarray, cols: np.ndarray, scores: OutlierScores | None,
     member = cols.take(pos, mode="clip") == own
     outside, inside = rows[~member], rows[member]
     if outside.size:
-        yield outside, 1.0 - S[outside[:, None], cols], o, labels
+        yield outside, complement(S[outside[:, None], cols]), o, labels
     if inside.size and cols.size > 1:
         # rows inside the aggregated set delete their own element
         keep = np.arange(cols.size) != pos[member][:, None]
@@ -300,7 +304,7 @@ def _row_groups(S: np.ndarray, cols: np.ndarray, scores: OutlierScores | None,
                 return None
             return (np.broadcast_to(a, keep.shape) if a.ndim == 1 else a)[keep].reshape(shape)
 
-        yield inside, drop(1.0 - S[inside[:, None], cols]), drop(o), drop(labels)
+        yield inside, drop(complement(S[inside[:, None], cols])), drop(o), drop(labels)
 
 
 def _block_memberships(model: "FittedModel", S: np.ndarray, specs: list[AggregatorSpec],

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import connectives
 from .quantifiers import RIMQuantifier, WeightVector
-from .sets import DomainError, FuzzySet, Universe, frozen_copy, unit_degrees, value_rows
+from .sets import (DomainError, FuzzySet, Universe, _booleans, frozen_copy, unit_degrees,
+                   value_rows)
 
 
 def _as_mask(subset, n: int) -> np.ndarray:
@@ -37,7 +38,10 @@ def _as_mask(subset, n: int) -> np.ndarray:
         if not np.all((m == 0.0) | (m == 1.0)):
             raise DomainError("measures are defined on crisp subsets only")
         return m.astype(bool)
-    arr = np.asarray(subset)
+    try:
+        arr = np.asarray(subset)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise DomainError("subset indices must form one vector") from None
     if arr.dtype == bool:
         if arr.shape != (n,):
             raise DomainError("boolean mask length must match the universe size")
@@ -152,20 +156,21 @@ class _DistortedAdditiveMeasure(MonotoneMeasure):
         self.base_weights = w
         self.quantifier = quantifier
 
-    def _distort(self, p):
+    def _distort(self, p, out=None):
         if self.quantifier is None:
             return p
-        # the bits of p.clip(0.0, 1.0), a lone -0.0 and NaN included
-        return self.quantifier(np.minimum(np.maximum(0.0, p), 1.0))
+        # the bits of p.clip(0.0, 1.0), a lone -0.0 and NaN included; in place with out=p
+        return self.quantifier(np.minimum(np.maximum(0.0, p, out=out), 1.0, out=out))
 
     def _value(self, mask, k):
         return float(self._distort(self.base_weights[mask].sum()))
 
     def chain_values(self, order):
-        picked = _gather(self.base_weights, np.asarray(order))
-        suffix = picked[..., ::-1].cumsum(axis=-1)[..., ::-1]
+        suffix = _gather(self.base_weights, np.asarray(order))
+        backward = suffix[..., ::-1]  # the suffix sums, written over the gathered weights
+        np.cumsum(backward, axis=-1, out=backward)
         suffix[..., 0] = 1.0
-        return np.asarray(self._distort(suffix), dtype=float)
+        return np.asarray(self._distort(suffix, out=suffix), dtype=float)
 
 
 class AdditiveMeasure(_DistortedAdditiveMeasure):
@@ -263,9 +268,8 @@ class PartialUniversalMeasure(FuzzyRemovalMeasure):
         if isinstance(o, FuzzySet):
             n, universe = o.universe.size, universe or o.universe
         elif n is None:
-            if np.asarray(o).dtype != bool:
-                raise DomainError("pass n when giving outlier indices")
-            n = np.size(o)
+            o = _booleans(o, "pass n when giving outlier indices")
+            n = o.size
         mask = _as_mask(o, n)
         super().__init__(mask.astype(float), connectives.MINIMUM, universe)
         if mask.all():

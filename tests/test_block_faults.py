@@ -8,7 +8,10 @@ block's size, every temporary of every block faults its pages in anew
 depends on the allocator's state, so it is taken in a fresh interpreter:
 exactly one child, which fits ``owa`` (which runs no LOF) and ``wowa`` on a
 seeded two-class set, scores 600 rows in five blocks of 2.1 MB twice, and
-counts the minor faults of a third scoring.
+counts the minor faults of each of three more scorings. The least of the
+three is checked: the heap's high-water mark may settle during one of them
+(one block's class sub-block, 256 pages), which is no per-block fault,
+while without the lift every scoring takes thousands.
 """
 
 import json
@@ -45,16 +48,20 @@ for kind in ("owa", "wowa"):
     model = classifier.fit(train, fr.AggregatorSpec(kind=kind))
     classifier.predict_batch(model, test)
     classifier.predict_batch(model, test)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    classifier.predict_batch(model, test)
-    faults[kind] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    counts = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        classifier.predict_batch(model, test)
+        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    faults[kind] = min(counts)
 print(json.dumps(faults))
 """
 
 # Without the allocation before the first block, the third owa scoring took
 # 7,843-7,844 minor faults on a 2-vCPU x86-64 glibc host, and wowa, whose LOF
 # then lifted the threshold with a buffer of 8 MB, 0-32; with it, owa took
-# 2-4 and wowa 0-1.
+# 2-4 and wowa 0-1. A third scoring alone took 100-260 faults in about one
+# child of ten, and 607 under pytest, when the heap settled during it.
 MAX_FAULTS = 500
 
 

@@ -274,10 +274,12 @@ def test_main_hashes_and_pairs_every_listed_workload(monkeypatch, tmp_path, caps
     (parent,), (change,) = calls["parent"], calls["change"]
     # both sides run from fresh trees, neither from the checkout
     assert str(tmp_path) not in (parent, change) and parent != change
-    # four in-tree processes per workload: seeds 0 and 11 on each side; the
-    # work rows come from the counted bodies at seed 11
+    # six in-tree processes per workload: seeds 0 and 11 on each side, then
+    # seed 11 on the change and the parent again; the work rows come from the
+    # counted bodies at seed 11, which ran parent, change, change, parent
     assert calls["bodies"] == [(tree, workload, seed) for workload in WORKLOADS
-                               for seed in (0, 11) for tree in (parent, change)]
+                               for tree, seed in ((parent, 0), (change, 0), (parent, 11),
+                                                  (change, 11), (change, 11), (parent, 11))]
     # each seed runs both sides back to back, the first side alternating
     assert calls["runs"] == [
         (tree, workload, seed, 3) for workload in WORKLOADS
@@ -301,10 +303,12 @@ def test_main_hashes_and_pairs_every_listed_workload(monkeypatch, tmp_path, caps
     assert "10 of 10 output files equal" in printed and "0 of 30 runs failed" in printed
     assert "0 of 20 trace runs failed" in printed
     assert "| w0 | choquet.choquet_integral.calls | count | 1680 | 1680 | equal |" in printed
-    assert "| w4 | 1250 | 1000 | 0.8000 | 4096 | 4096 | 1.0000 |" in printed
+    assert "| w4 | 1250 | 1000 | 0.8000 | 4096 | 4096 | 1.0000 | peaks overlap |" in printed
     assert report["work"][0] == {
-        "workload": "w0", "calls": {"parent": 1250, "change": 1000, "ratio": 0.8},
-        "traced_peak_bytes": {"parent": 4096, "change": 4096, "ratio": 1.0}}
+        "workload": "w0",
+        "calls": {"parent": 1250, "change": 1000, "ratio": 0.8, "differs": False},
+        "traced_peak_bytes": {"parent": [4096, 4096], "change": [4096, 4096], "ratio": 1.0,
+                              "apart": False}}
     assert printed.rstrip().splitlines()[-1] == (
         "| tier-1 | wall_s | 41.0 s: 700 passed, 2 skipped, 0 failed "
         "| 42.0 s: 700 passed, 2 skipped, 0 failed | +2.4% | 1 run each | | - |")
@@ -599,14 +603,43 @@ def test_layer_rows_take_median_times_and_flag_counts_that_differ_within_a_tree(
         {"workload": "w", "metric": None, "failed": ["parent"]}]
 
 
+def _counted(calls, peaks):
+    return [{"calls": c, "traced_peak_bytes": p} for c, p in zip(calls, peaks)]
+
+
 def test_work_rows_give_both_sides_and_their_ratio():
     rows = compare.work_rows({
-        "a": {"parent": {"calls": 116878, "traced_peak_bytes": 326008},
-              "change": {"calls": 80203, "traced_peak_bytes": 326080}},
-        "b": {"parent": {"calls": 0, "traced_peak_bytes": 10},
-              "change": {"calls": 5, "traced_peak_bytes": 10}}})
-    assert rows[0]["calls"] == {"parent": 116878, "change": 80203, "ratio": 80203 / 116878}
+        "a": {"parent": _counted([116878, 116878], [326008, 326090]),
+              "change": _counted([80203, 80203], [326080, 326100])},
+        "b": {"parent": _counted([0, 0], [10, 10]), "change": _counted([5, 5], [10, 10])}})
+    assert rows[0]["calls"] == {"parent": 116878, "change": 80203, "ratio": 80203 / 116878,
+                                "differs": False}
+    assert rows[0]["traced_peak_bytes"] == {"parent": [326008, 326090],
+                                            "change": [326080, 326100],
+                                            "ratio": 326090 / 326049, "apart": False}
     assert rows[1]["calls"]["ratio"] is None
     assert compare.work_table(rows).splitlines()[2:] == [
-        "| a | 116878 | 80203 | 0.6862 | 326008 | 326080 | 1.0002 |",
-        "| b | 0 | 5 | - | 10 | 10 | 1.0000 |"]
+        "| a | 116878 | 80203 | 0.6862 | 326008-326090 | 326080-326100 | 1.0001 "
+        "| peaks overlap |",
+        "| b | 0 | 5 | - | 10 | 10 | 1.0000 | peaks overlap |"]
+
+
+@pytest.mark.parametrize("parent,change,apart", [
+    ([960313, 967189], [963603, 966186], False),  # one range inside the other
+    ([960313, 967189], [967189, 970000], False),  # the ranges touch
+    ([960313, 967189], [900000, 960312], True),
+    ([960313, 967189], [967190, 967190], True),
+])
+def test_a_peak_is_flagged_only_when_the_ranges_are_apart(parent, change, apart):
+    (row,) = compare.work_rows({"w": {"parent": _counted([7, 7], parent),
+                                      "change": _counted([7, 7], change)}})
+    assert row["traced_peak_bytes"]["apart"] is apart
+    assert compare.work_table([row]).endswith(f"| {'peaks apart' if apart else 'peaks overlap'} |")
+
+
+def test_calls_that_differ_between_two_runs_of_one_tree_are_flagged():
+    rows = compare.work_rows({"w": {"parent": _counted([7, 7], [5, 5]),
+                                    "change": _counted([7, 8], [5, 5])}})
+    assert rows[0]["calls"]["differs"]
+    assert compare.work_table(rows).splitlines()[2] == (
+        "| w | 7 | 7 | 1.0000 | 5 | 5 | 1.0000 | calls DIFFER within a tree, peaks overlap |")

@@ -157,6 +157,15 @@ CHECKS = {
     "measure mask length": (
         lambda: fr.symmetric_from_quantifier(Q, 3).value(np.array([True, False])),
         "boolean mask length must match the universe size"),
+    # ragged subsets and labels, which numpy cannot make one array of
+    "measure ragged subset": (lambda: fr.symmetric_from_quantifier(Q, 3).value([[0], [1, 2]]),
+                              "subset indices must form one vector"),
+    "partial_universal ragged labels": (lambda: fr.partial_universal([[True], [False, True]]),
+                                        "pass n when giving outlier indices"),
+    "partial_universal ragged indices": (lambda: fr.partial_universal([[0], [1, 2]], 3),
+                                         "subset indices must form one vector"),
+    "partial_existential ragged labels": (lambda: fr.partial_existential([[True], [True, False]]),
+                                          "pass n when giving outlier indices"),
     "measure empty universe": (lambda: fr.symmetric_from_quantifier(Q, 0),
                                "measures require a nonempty universe"),
     "measure universe size": (lambda: fr.symmetric_from_quantifier(Q, 4, U),
