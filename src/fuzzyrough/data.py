@@ -89,7 +89,8 @@ def _numpy_rows(fh, n_cells: int, cols: list, d_idx: int | None):
                 continue  # an empty line, which csv and numpy both skip
             cells = text.split(",")
             if (len(cells) != n_cells or len(text) > limit or not text.replace(",", "").strip()
-                    or any(c in text for c in '"\x1c\x1d\x1e\x1f')):
+                    or '"' in text or "\x1c" in text or "\x1d" in text or "\x1e" in text
+                    or "\x1f" in text):
                 return None
             if d_idx is not None:
                 labels.append(cells[d_idx].strip())

@@ -168,7 +168,7 @@ class _DistortedAdditiveMeasure(MonotoneMeasure):
     def chain_values(self, order):
         suffix = _gather(self.base_weights, np.asarray(order))
         backward = suffix[..., ::-1]  # the suffix sums, written over the gathered weights
-        np.cumsum(backward, axis=-1, out=backward)
+        backward.cumsum(axis=-1, out=backward)
         suffix[..., 0] = 1.0
         return np.asarray(self._distort(suffix, out=suffix), dtype=float)
 

@@ -248,8 +248,7 @@ def _read(call):
 def _both_readers(path, m):
     attributes = tuple(f"a{j}" for j in reversed(range(m)))  # usecols' order is kept
     return [_read(lambda: ingest_csv(path)),
-            _read(lambda: load_features(path, attributes, "class")),
-            _read(lambda: load_features(path, attributes, None))]
+            _read(lambda: load_features(path, attributes, "class"))]
 
 
 def _row_loop_alone():
@@ -290,7 +289,7 @@ def test_plain_files_never_reach_the_row_loop(tmp_path):
 def test_a_row_of_the_wrong_length_names_its_line(tmp_path, row, message):
     path = _write(tmp_path, f"a0,a1,class\n1,2,x\n{row}\n")
     for call in (lambda: ingest_csv(path), lambda: load_features(path, ("a0", "a1"), "class")):
-        with pytest.raises(DataFormatError, match=f"^{path}:3: {message}$"):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
             call()
 
 
