@@ -456,7 +456,8 @@ def work_rows(counts):
     rows = []
     for workload, sides in counts.items():
         a, b = ([run["calls"] for run in sides[side]] for side in ("parent", "change"))
-        pa, pb = ([run["traced_peak_bytes"] for run in sides[side]] for side in ("parent", "change"))
+        pa, pb = ([run["traced_peak_bytes"] for run in sides[side]]
+                  for side in ("parent", "change"))
         median_a = statistics.median(pa)
         rows.append({"workload": workload,
                      "calls": {"parent": a[0], "change": b[0],
