@@ -31,11 +31,12 @@ The workloads are those ``BENCHMARK.json`` lists.
    per-call work through host noise; a call on ten elements counts as much
    as one on ten million, so they do not measure kernel work. The traced
    peak still moves by some tenths of a percent from process to process, so
-   each side's counted body runs in two processes, parent, change, change,
-   parent: each side's peaks are printed as their range, and flagged apart
-   only when the two ranges do not overlap; calls are flagged when two runs
-   of one tree differ. Both sides' values and their ratios are printed
-   beside the paired table, reported and not judged. The comparison stops
+   at seed 11 each side runs in two processes, parent, change, change,
+   parent; all four must hash every file alike, each side's peaks are
+   printed as their range and flagged apart only when the two ranges do not
+   overlap, and the calls are those of each side's first process. Both
+   sides' values and their ratios are printed beside the paired table,
+   reported and not judged. The comparison stops
    with an error unless the subprocess imported ``fuzzyrough`` from the
    tree's own ``src`` and every body it ran exited 0.
 2. Pairs. With ``--pairs N`` each workload runs ``perfbench/run.py`` N times
@@ -449,20 +450,17 @@ def layer_table(rows):
 
 def work_rows(counts):
     """One row per workload from ``counts`` ({workload: {side: [``tree_body``
-    result at TRACE_SEED, ...]}}): each side's calls, those of its first run,
-    and whether any two of its runs differ; each side's traced peaks as
-    [least, greatest], and whether the two ranges are apart; change over
-    parent of the calls and of the median peaks."""
+    result at TRACE_SEED, ...]}}): the calls of each side's first run; each
+    side's traced peaks as [least, greatest], and whether the two ranges
+    are apart; change over parent of the calls and of the median peaks."""
     rows = []
     for workload, sides in counts.items():
-        a, b = ([run["calls"] for run in sides[side]] for side in ("parent", "change"))
+        a, b = (sides[side][0]["calls"] for side in ("parent", "change"))
         pa, pb = ([run["traced_peak_bytes"] for run in sides[side]]
                   for side in ("parent", "change"))
         median_a = statistics.median(pa)
         rows.append({"workload": workload,
-                     "calls": {"parent": a[0], "change": b[0],
-                               "ratio": b[0] / a[0] if a[0] else None,
-                               "differs": len(set(a)) > 1 or len(set(b)) > 1},
+                     "calls": {"parent": a, "change": b, "ratio": b / a if a else None},
                      "traced_peak_bytes": {
                          "parent": [min(pa), max(pa)], "change": [min(pb), max(pb)],
                          "ratio": statistics.median(pb) / median_a if median_a else None,
@@ -472,23 +470,21 @@ def work_rows(counts):
 
 def work_table(rows):
     """The work rows as a Markdown table: counts in full, peak ranges as
-    least-greatest, ratios to four digits, and a note saying whether calls
-    differ within a tree and whether the peak ranges are apart."""
+    least-greatest, ratios to four digits, and whether the peak ranges are
+    apart."""
     def ratio(got):
         return "-" if got["ratio"] is None else f"{got['ratio']:.4f}"
 
     lines = []
     for r in rows:
         calls, peaks = r["calls"], r["traced_peak_bytes"]
-        note = ["calls DIFFER within a tree"] * calls["differs"]
-        note.append("peaks apart" if peaks["apart"] else "peaks overlap")
         lines.append([r["workload"], str(calls["parent"]), str(calls["change"]), ratio(calls),
                       *("-".join(dict.fromkeys(map(str, peaks[side])))
                         for side in ("parent", "change")),
-                      ratio(peaks), ", ".join(note)])
+                      ratio(peaks), "apart" if peaks["apart"] else "overlap"])
     return markdown(["workload", "parent calls", "change calls", "ratio",
                      "parent traced peak bytes", "change traced peak bytes",
-                     "ratio of medians", "note"], lines)
+                     "ratio of medians", "peaks"], lines)
 
 
 def tier1(tree):
@@ -558,18 +554,20 @@ def main(argv=None):
         unequal, counted = 0, {}
         for workload in workloads:
             for seed in HASH_SEEDS:
-                got = {side: tree_body(tree, workload, seed) for side, tree in trees.items()}
-                for name in sorted(set(got["parent"]["hashes"]) | set(got["change"]["hashes"])):
-                    a = got["parent"]["hashes"].get(name)
-                    b = got["change"]["hashes"].get(name)
-                    unequal += a != b
+                got = {side: [tree_body(tree, workload, seed)] for side, tree in trees.items()}
+                if seed == TRACE_SEED:  # a second process per side, change first
+                    for side in ("change", "parent"):
+                        got[side].append(tree_body(trees[side], workload, seed))
+                    counted[workload] = got
+                runs = got["parent"] + got["change"]
+                for name in sorted(set().union(*(run["hashes"] for run in runs))):
+                    a = got["parent"][0]["hashes"].get(name)
+                    b = got["change"][0]["hashes"].get(name)
+                    equal = all(run["hashes"].get(name) == a for run in runs)
+                    unequal += not equal
                     report["hashes"].append({"workload": workload, "seed": seed, "file": name,
-                                             "parent": a, "change": b, "equal": a == b})
-                    print(f"{workload} seed {seed} {name}: {'equal' if a == b else 'DIFFERS'}")
-                if seed == TRACE_SEED:
-                    counted[workload] = {side: [got[side]] for side in trees}
-            for side in ("change", "parent"):  # each side's second counted body
-                counted[workload][side].append(tree_body(trees[side], workload, TRACE_SEED))
+                                             "parent": a, "change": b, "equal": equal})
+                    print(f"{workload} seed {seed} {name}: {'equal' if equal else 'DIFFERS'}")
         report["work"] = work_rows(counted)
         for workload in workloads:
             for i in range(args.pairs):

@@ -266,6 +266,11 @@ def aggregate(values, o_sub, spec: AggregatorSpec, outliers=None) -> float:
     return float(_aggregate_rows(values[None], o_sub, labels, [spec])[0, 0])
 
 
+def _complement(v: np.ndarray) -> np.ndarray:
+    """1 - v, written over v: a gathered copy no one else holds."""
+    return np.subtract(1.0, v, out=v)
+
+
 def _row_groups(S: np.ndarray, cols: np.ndarray, scores: OutlierScores | None,
                 loo_start: int | None):
     """The values 1 - R each row of S aggregates over the columns ``cols``.
@@ -279,13 +284,9 @@ def _row_groups(S: np.ndarray, cols: np.ndarray, scores: OutlierScores | None,
     """
     o, labels = (None, None) if scores is None else (scores.normalized[cols],
                                                      scores.labels[cols])
-
-    def complement(v):  # 1 - R on the gathered copy v, in place
-        return np.subtract(1.0, v, out=v)
-
     rows = np.arange(S.shape[0])
     if loo_start is None:
-        yield rows, complement(S[:, cols]), o, labels
+        yield rows, _complement(S[:, cols]), o, labels
         return
     # where each row's own instance sits in cols, if it is there at all
     own = rows + loo_start
@@ -293,7 +294,7 @@ def _row_groups(S: np.ndarray, cols: np.ndarray, scores: OutlierScores | None,
     member = cols.take(pos, mode="clip") == own
     outside, inside = rows[~member], rows[member]
     if outside.size:
-        yield outside, complement(S[outside[:, None], cols]), o, labels
+        yield outside, _complement(S[outside[:, None], cols]), o, labels
     if inside.size and cols.size > 1:
         # rows inside the aggregated set delete their own element
         keep = np.arange(cols.size) != pos[member][:, None]
@@ -304,7 +305,7 @@ def _row_groups(S: np.ndarray, cols: np.ndarray, scores: OutlierScores | None,
                 return None
             return (np.broadcast_to(a, keep.shape) if a.ndim == 1 else a)[keep].reshape(shape)
 
-        yield inside, drop(complement(S[inside[:, None], cols])), drop(o), drop(labels)
+        yield inside, drop(_complement(S[inside[:, None], cols])), drop(o), drop(labels)
 
 
 def _block_memberships(model: "FittedModel", S: np.ndarray, specs: list[AggregatorSpec],

@@ -74,66 +74,6 @@ def _bad_cell(path, lineno: int, header: list, row: list, cols: list) -> DataFor
                 f"{path}:{lineno}: column {header[i]!r}: cannot parse {row[i]!r} as a number")
 
 
-def _numpy_rows(fh, n_cells: int, cols: list, d_idx: int | None):
-    """The rows after the header as (X, labels) from numpy's C reader, or None
-    where the reader might disagree with ``_row_loop``: a quoted cell, a row of
-    blank cells, a line too long for csv, a wrong cell count, which ``usecols``
-    would let pass, a character \\x1c to \\x1f, which numpy strips as a space
-    and ``float()`` does not, a cell only ``float()`` parses (``1_0``), a
-    non-finite value, a row count of its own, or a ValueError."""
-    start, labels, rows, limit = fh.tell(), [], 0, csv.field_size_limit()
-    try:
-        for line in fh:
-            text = line.rstrip("\r\n")
-            if not text:
-                continue  # an empty line, which csv and numpy both skip
-            cells = text.split(",")
-            if (len(cells) != n_cells or len(text) > limit or not text.replace(",", "").strip()
-                    or '"' in text or "\x1c" in text or "\x1d" in text or "\x1e" in text
-                    or "\x1f" in text):
-                return None
-            if d_idx is not None:
-                labels.append(cells[d_idx].strip())
-            rows += 1
-        if rows:
-            fh.seek(start)
-            X = np.loadtxt(fh, delimiter=",", usecols=cols, comments=None, ndmin=2)
-            if X.shape[0] == rows and np.isfinite(X).all():
-                return X, labels
-    except ValueError:  # a cell numpy does not parse, too few cells, undecodable bytes
-        pass
-    finally:
-        fh.seek(start)  # where the row loop starts
-    return None
-
-
-def _row_loop(path, reader, header: list, features: tuple, cols: list, d_idx: int | None):
-    """(X, labels) from the rows ``reader`` has left, each cell parsed by
-    ``float()``; a DataFormatError names the line of the first bad one."""
-    rows, labels, linenos = [], [], []
-    for row in reader:
-        lineno = reader.line_num  # the row's last line: quoted cells may span lines
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise DataFormatError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-        try:
-            rows.append([float(row[i]) for i in cols])
-        except ValueError:
-            raise _bad_cell(path, lineno, header, row, cols) from None
-        linenos.append(lineno)
-        if d_idx is not None:
-            labels.append(row[d_idx].strip())
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows after the header")
-    X = np.array(rows, dtype=float)
-    bad = np.argwhere(~np.isfinite(X))
-    if bad.size:
-        r, c = bad[0]
-        raise DataFormatError(f"{path}:{linenos[r]}: column {features[c]!r}: non-finite value")
-    return X, labels
-
-
 def _read_table(path, select):
     """Parse a headered CSV into a float matrix and an optional label column.
 
@@ -142,10 +82,10 @@ def _read_table(path, select):
     the names of the feature columns, in the order wanted, and of the
     decision column, or None when the file has none. Blank rows are skipped.
     Returns (features, decision, X, labels), labels being None without a
-    decision column. The rows come from ``_numpy_rows``, else ``_row_loop``.
+    decision column.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(iter(fh.readline, ""))  # readline leaves fh.tell() working
+        reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -156,8 +96,34 @@ def _read_table(path, select):
         features, decision = select(header)
         cols = [header.index(h) for h in features]
         d_idx = None if decision is None else header.index(decision)
-        X, labels = (_numpy_rows(fh, len(header), cols, d_idx)
-                     or _row_loop(path, reader, header, features, cols, d_idx))
+
+        # each row's numbers go straight into X, whose room doubles when full,
+        # so no float object outlives its row
+        X, n, labels, linenos = np.empty((1, len(cols))), 0, [], []
+        for row in reader:
+            lineno = reader.line_num  # the row's last line: quoted cells may span lines
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise DataFormatError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+            if n == len(X):
+                X = np.concatenate((X, np.empty_like(X)))
+            try:
+                X[n] = [float(row[i]) for i in cols]
+            except ValueError:
+                raise _bad_cell(path, lineno, header, row, cols) from None
+            n += 1
+            linenos.append(lineno)
+            if d_idx is not None:
+                labels.append(row[d_idx].strip())
+
+    if not n:
+        raise DataFormatError(f"{path}: no data rows after the header")
+    X = X[:n]
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        r, c = bad[0]
+        raise DataFormatError(f"{path}:{linenos[r]}: column {features[c]!r}: non-finite value")
     return features, decision, X, (None if d_idx is None else np.array(labels, dtype=object))
 
 

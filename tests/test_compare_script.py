@@ -275,8 +275,8 @@ def test_main_hashes_and_pairs_every_listed_workload(monkeypatch, tmp_path, caps
     # both sides run from fresh trees, neither from the checkout
     assert str(tmp_path) not in (parent, change) and parent != change
     # six in-tree processes per workload: seeds 0 and 11 on each side, then
-    # seed 11 on the change and the parent again; the work rows come from the
-    # counted bodies at seed 11, which ran parent, change, change, parent
+    # seed 11 on the change and the parent again; all four at seed 11 are
+    # hashed, and the work rows come from their counted bodies
     assert calls["bodies"] == [(tree, workload, seed) for workload in WORKLOADS
                                for tree, seed in ((parent, 0), (change, 0), (parent, 11),
                                                   (change, 11), (change, 11), (parent, 11))]
@@ -303,10 +303,9 @@ def test_main_hashes_and_pairs_every_listed_workload(monkeypatch, tmp_path, caps
     assert "10 of 10 output files equal" in printed and "0 of 30 runs failed" in printed
     assert "0 of 20 trace runs failed" in printed
     assert "| w0 | choquet.choquet_integral.calls | count | 1680 | 1680 | equal |" in printed
-    assert "| w4 | 1250 | 1000 | 0.8000 | 4096 | 4096 | 1.0000 | peaks overlap |" in printed
+    assert "| w4 | 1250 | 1000 | 0.8000 | 4096 | 4096 | 1.0000 | overlap |" in printed
     assert report["work"][0] == {
-        "workload": "w0",
-        "calls": {"parent": 1250, "change": 1000, "ratio": 0.8, "differs": False},
+        "workload": "w0", "calls": {"parent": 1250, "change": 1000, "ratio": 0.8},
         "traced_peak_bytes": {"parent": [4096, 4096], "change": [4096, 4096], "ratio": 1.0,
                               "apart": False}}
     assert printed.rstrip().splitlines()[-1] == (
@@ -338,6 +337,24 @@ def test_tier1_runs_the_verify_command_in_the_tree(monkeypatch, tmp_path, last, 
                            "--continue-on-collection-errors"]
     assert kwargs["cwd"] == str(tmp_path)
     assert kwargs["env"]["PYTHONPATH"] == os.pathsep.join([str(tmp_path / "src"), "elsewhere"])
+
+
+def test_main_fails_when_a_second_body_hashes_a_file_differently(monkeypatch, tmp_path,
+                                                                 capsys):
+    calls = _fake_trees(monkeypatch, tmp_path, _passed)
+    fake = compare.tree_body
+
+    def tree_body(tree, workload, seed):
+        result = fake(tree, workload, seed)
+        if (workload, seed) == ("w1", 11) and calls["bodies"].count((tree, "w1", 11)) == 2:
+            result["hashes"]["results.csv"] += " again"
+        return result
+
+    monkeypatch.setattr(compare, "tree_body", tree_body)
+    assert compare.main(["f00"]) == 1
+    printed = capsys.readouterr().out
+    assert "w1 seed 11 results.csv: DIFFERS" in printed
+    assert "9 of 10 output files equal" in printed
 
 
 def test_main_reports_a_workload_whose_change_runs_all_failed(monkeypatch, tmp_path, capsys):
@@ -612,16 +629,14 @@ def test_work_rows_give_both_sides_and_their_ratio():
         "a": {"parent": _counted([116878, 116878], [326008, 326090]),
               "change": _counted([80203, 80203], [326080, 326100])},
         "b": {"parent": _counted([0, 0], [10, 10]), "change": _counted([5, 5], [10, 10])}})
-    assert rows[0]["calls"] == {"parent": 116878, "change": 80203, "ratio": 80203 / 116878,
-                                "differs": False}
+    assert rows[0]["calls"] == {"parent": 116878, "change": 80203, "ratio": 80203 / 116878}
     assert rows[0]["traced_peak_bytes"] == {"parent": [326008, 326090],
                                             "change": [326080, 326100],
                                             "ratio": 326090 / 326049, "apart": False}
     assert rows[1]["calls"]["ratio"] is None
     assert compare.work_table(rows).splitlines()[2:] == [
-        "| a | 116878 | 80203 | 0.6862 | 326008-326090 | 326080-326100 | 1.0001 "
-        "| peaks overlap |",
-        "| b | 0 | 5 | - | 10 | 10 | 1.0000 | peaks overlap |"]
+        "| a | 116878 | 80203 | 0.6862 | 326008-326090 | 326080-326100 | 1.0001 | overlap |",
+        "| b | 0 | 5 | - | 10 | 10 | 1.0000 | overlap |"]
 
 
 @pytest.mark.parametrize("parent,change,apart", [
@@ -634,12 +649,5 @@ def test_a_peak_is_flagged_only_when_the_ranges_are_apart(parent, change, apart)
     (row,) = compare.work_rows({"w": {"parent": _counted([7, 7], parent),
                                       "change": _counted([7, 7], change)}})
     assert row["traced_peak_bytes"]["apart"] is apart
-    assert compare.work_table([row]).endswith(f"| {'peaks apart' if apart else 'peaks overlap'} |")
+    assert compare.work_table([row]).endswith(f"| {'apart' if apart else 'overlap'} |")
 
-
-def test_calls_that_differ_between_two_runs_of_one_tree_are_flagged():
-    rows = compare.work_rows({"w": {"parent": _counted([7, 7], [5, 5]),
-                                    "change": _counted([7, 8], [5, 5])}})
-    assert rows[0]["calls"]["differs"]
-    assert compare.work_table(rows).splitlines()[2] == (
-        "| w | 7 | 7 | 1.0000 | 5 | 5 | 1.0000 | calls DIFFER within a tree, peaks overlap |")

@@ -7,8 +7,10 @@ string, complex, bool, object and ragged input. Each call must either return
 finite values in its documented range or raise ``DomainError`` or
 ``DataFormatError``. Any other exception, and any warning, fails.
 
-For ingestion it draws CSV text, and both readers must give what the row
-loop alone gives: the same bits, labels and error message.
+For ingestion it draws CSV text, and ``ingest_csv`` and ``load_features``
+must give what a plain reading gives, one that keeps every row's floats in
+a list and builds one array at the end: the same bits, labels and error
+message.
 """
 
 from __future__ import annotations
@@ -181,8 +183,7 @@ def test_scored_with_labels(ds_of, k, contamination):
               _scores_check(ds_of, contamination))
 
 
-# cell forms besides a plain number; some parse with float() alone, some with
-# numpy's reader too, and the rest with neither
+# cell forms besides a plain number; some parse with float(), the rest do not
 CELL_FORMS = ("plus", "spaces", "tabs", "underscore", "arabic", "nan", "inf", "empty",
               "blank", "quoted", "quoted newline", "word", "unit separator", "no-break space")
 LABELS = st.sampled_from(("a", "b") * 6 + (" a ", "b\t", '"a"', '"b,c"', ""))
@@ -199,16 +200,15 @@ def number_cells(draw):
             "tabs": f"\t{text}\t", "underscore": "1_0", "arabic": "\u0661\u0662",
             "nan": "nan", "inf": "-inf", "empty": "", "blank": " \t", "quoted": f'"{text}"',
             "quoted newline": f'"{text}\n"', "word": "one",
-            # numpy strips \x1f as a space, float() does not; both strip \xa0
             "unit separator": f"{text}\x1f", "no-break space": f"\xa0{text}"}[form]
 
 
 @st.composite
 def csv_texts(draw):
     """(text, m): a headered CSV of m = 1 to 3 attributes and, mostly, a last
-    column ``class``, with rows mostly of the header's length, some one cell
-    short or long, and empty, blank and all-blank rows; LF or CRLF, with or
-    without a BOM."""
+    column ``class``, with 0 to 8 rows, mostly of the header's length, some
+    one cell short or long, and empty, blank and all-blank rows; LF or CRLF,
+    with or without a BOM."""
     m, labelled = draw(st.integers(1, 3)), draw(st.sampled_from((True, True, False)))
     header = [f"a{j}" for j in range(m)] + ["class"] * labelled
     if draw(st.booleans()):
@@ -228,6 +228,42 @@ def csv_texts(draw):
     return bom + eol.join(lines) + end, m
 
 
+def _plain_read_table(path, select):
+    """``data._read_table`` as a plain reading: every row's floats in a list,
+    one array built at the end."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DataFormatError(f"{path}: file is empty") from None
+        features, decision = select(header)
+        cols = [header.index(h) for h in features]
+        d_idx = None if decision is None else header.index(decision)
+        rows, labels, linenos = [], [], []
+        for row in reader:
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}")
+            try:
+                rows.append([float(row[i]) for i in cols])
+            except ValueError:
+                raise data._bad_cell(path, reader.line_num, header, row, cols) from None
+            linenos.append(reader.line_num)
+            if d_idx is not None:
+                labels.append(row[d_idx].strip())
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows after the header")
+    X = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        r, c = bad[0]
+        raise DataFormatError(f"{path}:{linenos[r]}: column {features[c]!r}: non-finite value")
+    return features, decision, X, (None if d_idx is None else np.array(labels, dtype=object))
+
+
 def _read(call):
     """What ``call()`` gives as comparable bits, or its error's type and text;
     every warning is an error."""
@@ -238,7 +274,6 @@ def _read(call):
         except (DomainError, DataFormatError) as e:
             return type(e).__name__, str(e)
     if isinstance(got, DecisionSystem):
-        assert np.isfinite(got.X).all()
         got = got.X, got.y
     X, y = got
     assert X.dtype == float and X.ndim == 2 and np.isfinite(X).all()
@@ -246,82 +281,29 @@ def _read(call):
 
 
 def _both_readers(path, m):
-    attributes = tuple(f"a{j}" for j in reversed(range(m)))  # usecols' order is kept
+    attributes = tuple(f"a{j}" for j in reversed(range(m)))  # the columns' order is kept
     return [_read(lambda: ingest_csv(path)),
             _read(lambda: load_features(path, attributes, "class"))]
 
 
-def _row_loop_alone():
-    return mock.patch.object(data, "_numpy_rows", lambda *args: None)
-
-
 @settings(max_examples=400, deadline=None)
 @given(csv_texts())
-def test_ingestion_matches_the_row_loop(tmp_path_factory, drawn):
+def test_ingestion_matches_a_plain_reading(tmp_path_factory, drawn):
     text, m = drawn
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     path.write_text(text, encoding="utf-8", newline="")
     got = _both_readers(path, m)
-    with _row_loop_alone():
+    with mock.patch.object(data, "_read_table", _plain_read_table):
         assert got == _both_readers(path, m)
 
 
-def _write(tmp_path, text):
-    path = tmp_path / "d.csv"
-    path.write_text(text, encoding="utf-8", newline="")
-    return path
-
-
-def test_plain_files_never_reach_the_row_loop(tmp_path):
-    path = _write(tmp_path, "a0,a1,class\r\n1.5, -2e-3 ,x\r\n\r\n+3,4,y\r\n")
-    with mock.patch.object(data, "_row_loop", side_effect=AssertionError):
-        ds = ingest_csv(path)
-        X, y = load_features(path, ("a1", "a0"), "class")
-    assert ds.X.tolist() == [[1.5, -2e-3], [3.0, 4.0]] and ds.y.tolist() == ["x", "y"]
-    assert X.tolist() == [[-2e-3, 1.5], [4.0, 3.0]] and y.tolist() == ["x", "y"]
-
-
 @pytest.mark.parametrize("row,message", [
-    # np.loadtxt with usecols takes a row with one cell too many
     ("1,2,x,9", "expected 3 cells, got 4"),
     ("1,2", "expected 3 cells, got 2"),
 ])
 def test_a_row_of_the_wrong_length_names_its_line(tmp_path, row, message):
-    path = _write(tmp_path, f"a0,a1,class\n1,2,x\n{row}\n")
+    path = tmp_path / "d.csv"
+    path.write_text(f"a0,a1,class\n1,2,x\n{row}\n", encoding="utf-8", newline="")
     for call in (lambda: ingest_csv(path), lambda: load_features(path, ("a0", "a1"), "class")):
         with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
             call()
-
-
-@pytest.mark.parametrize("cell", ["1.5\x1c", "\x1d1.5", "1.5\x1e", "\x1f1.5"])
-def test_a_cell_numpy_alone_strips_names_its_line(tmp_path, cell):
-    # numpy takes \x1c to \x1f for spaces and reads 1.5; float() does not
-    path = _write(tmp_path, f"a0,class\n2,x\n{cell},y\n")
-    with pytest.raises(DataFormatError, match=re.escape(f"{path}:3: column 'a0': cannot parse "
-                                                        f"{cell!r} as a number")):
-        ingest_csv(path)
-
-
-def test_a_cell_longer_than_csvs_limit_fails_as_in_the_row_loop(tmp_path):
-    path = _write(tmp_path, "a0,class\n" + "0" * csv.field_size_limit() + "1,x\n")
-    with pytest.raises(csv.Error, match="field larger than field limit"):
-        ingest_csv(path)
-
-
-@pytest.mark.parametrize("text", ["a0,class\n", "a0,class\n\n\r\n"])
-def test_a_file_without_rows_fails_whatever_the_warning_filter(tmp_path, text):
-    # np.loadtxt warns on empty input and returns no rows; the row loop decides
-    path = _write(tmp_path, text)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(DataFormatError, match="no data rows after the header"):
-            load_features(path, ("a0",), "class")
-
-
-def test_a_blank_row_is_skipped_where_numpy_parses_no_cell(tmp_path):
-    # with no feature column numpy would count the blank row as one more row
-    path = _write(tmp_path, "class\na\n  \nb\n")
-    X, y = load_features(path, (), "class")
-    with _row_loop_alone():
-        want = load_features(path, (), "class")
-    assert X.shape == want[0].shape == (2, 0) and y.tolist() == want[1].tolist() == ["a", "b"]
