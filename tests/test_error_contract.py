@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 import warnings
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -296,14 +294,3 @@ def test_ingestion_matches_a_plain_reading(tmp_path_factory, drawn):
     with mock.patch.object(data, "_read_table", _plain_read_table):
         assert got == _both_readers(path, m)
 
-
-@pytest.mark.parametrize("row,message", [
-    ("1,2,x,9", "expected 3 cells, got 4"),
-    ("1,2", "expected 3 cells, got 2"),
-])
-def test_a_row_of_the_wrong_length_names_its_line(tmp_path, row, message):
-    path = tmp_path / "d.csv"
-    path.write_text(f"a0,a1,class\n1,2,x\n{row}\n", encoding="utf-8", newline="")
-    for call in (lambda: ingest_csv(path), lambda: load_features(path, ("a0", "a1"), "class")):
-        with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
-            call()
